@@ -49,6 +49,7 @@ def _random_pullbacks(rng, n):
 
 
 def _band_limited(lat, degree, rng, n_modes=5, amp=1.0, kmax=2):
+    """Random real band-limited k-form field on the active axes."""
     data = np.zeros(lat.grid_shape + (tables.num_components(degree),))
     for _ in range(n_modes):
         c = rng.integers(0, tables.num_components(degree))
@@ -82,8 +83,8 @@ class SuiteContext:
         if self._pointwise is None:
             rng = np.random.default_rng([self.seed, 1000])
             a = _random_pullbacks(rng, self.n)
-            full = np.einsum("...ai,...bj,...ck,abc->...ijk", a, a, a,
-                             g2.expand_form(self.phi0, 3))
+            a_t = np.swapaxes(a, -1, -2)
+            full = g2.contract_slots(g2.expand_form(self.phi0, 3), (a_t,) * 3)
             phi = g2.compress_form(full, 3)
             g, vol = g2.metric_from_phi(phi)
             g_inv = np.linalg.inv(g)

@@ -185,7 +185,7 @@ def cmd_flow(args) -> int:
             return EXIT_STEP
 
     steps = last_ckpt["step"]
-    stop_reason = ("t_end reached" if state.t >= control.t_end
+    stop_reason = ("t_end reached" if flow.reached_end(state.t, control)
                    else "theta below stop tolerance")
     summary = _write_summary(out / "summary.json", cfg, state, records, steps, stop_reason)
     if cfg.output.plot:
@@ -237,8 +237,7 @@ def cmd_perturb(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="g2flow",
-        description="Laplacian-flow simulator for closed G2 structures on flat 7-tori. "
-                    "Set G2FLOW_THREADS to cap FFT worker parallelism.")
+        description="Laplacian-flow simulator for closed G2 structures on flat 7-tori.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run the randomized identity suite")

@@ -19,6 +19,10 @@ KINDS = ("laplacian", "deturck")
 CLOSED_TOL = 1e-9
 HARMONIC_TOL = 1e-10
 
+# Roundoff allowance on the (positive) t_end, relative: a run this close to
+# t_end has reached it, and a step past it by no more keeps its full dt.
+END_RTOL = 1e-9
+
 # Weight of the trace direction in the gauge vector (see
 # riemann.deturck_vector); zero makes the gauge-fixed flow linearize to the
 # negative rough Laplacian at a torsion-free point.
@@ -100,10 +104,7 @@ def hodge_laplacian(structure: G2Structure, alpha: FormField) -> FormField:
 
 def laplacian_phi_hodge(structure: G2Structure) -> FormField:
     """Hodge Laplacian of phi: d d* phi + d* d phi with d* = (-1)^k * d * ."""
-    term1 = exterior_derivative(coexact_part(structure))
-    dphi = exterior_derivative(structure.phi)
-    term2 = structure.star(exterior_derivative(structure.star(dphi)))
-    return term1 + term2
+    return hodge_laplacian(structure, structure.phi)
 
 
 def intrinsic_h(structure: G2Structure) -> np.ndarray:
@@ -150,13 +151,27 @@ def max_metric_speed(structure: G2Structure) -> float:
     return float(np.max(np.linalg.eigvalsh(structure.g_inv)))
 
 
+def reached_end(t: float, control: StepControl) -> bool:
+    """True once t is at control.t_end, up to roundoff in the summed steps."""
+    return t >= control.t_end * (1.0 - END_RTOL)
+
+
 def propose_dt(state: FlowState, control: StepControl) -> float:
+    """Step size from the policy, capped by max_dt and clamped to t_end - t.
+
+    Only a remainder genuinely shorter than dt is clamped. One within
+    roundoff of dt takes dt itself, so t follows the same t + dt sums as a
+    run to a later t_end, and reached_end holds after the step.
+    """
     if control.dt is not None:
-        return min(control.dt, control.max_dt)
-    lat = state.structure.lattice
-    h = lat.spacing
-    dt = control.cfl_coefficient * h * h / max_metric_speed(state.structure)
-    return min(dt, control.max_dt)
+        dt = control.dt
+    else:
+        h = state.structure.lattice.spacing
+        dt = control.cfl_coefficient * h * h / max_metric_speed(state.structure)
+    dt = min(dt, control.max_dt)
+    if state.t + dt > control.t_end * (1.0 + END_RTOL):
+        dt = control.t_end - state.t
+    return dt
 
 
 def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
@@ -190,7 +205,9 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
         except (NotPositive, NotClosed):
             dt *= 0.5
             continue
-        return replace(state, t=state.t + dt, structure=structure)
+        # A step clamped to t_end lands on it exactly, free of roundoff in t + dt.
+        t = control.t_end if dt == control.t_end - state.t else state.t + dt
+        return replace(state, t=t, structure=structure)
     raise StepFailed(f"step rejected {control.max_halvings + 1} times at t={state.t:.6g}",
                      state=state)
 
@@ -227,7 +244,7 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
         rec = diagnostic_snapshot(state)
     step = step0
     try:
-        while state.t < control.t_end and np.sqrt(rec.l2_theta) >= control.stop_tolerance:
+        while not reached_end(state.t, control) and np.sqrt(rec.l2_theta) >= control.stop_tolerance:
             state = step_rk4(state, control)
             step += 1
             if step % sample_interval == 0:

@@ -56,11 +56,34 @@ def compress_form(full: np.ndarray, k: int) -> np.ndarray:
     return flat[..., tables.compress_positions(k)]
 
 
+def contract_slots(t: np.ndarray, mats) -> np.ndarray:
+    """Apply one (..., 7, 7) matrix to each trailing 7-axis of t.
+
+    With k = len(mats), out[..., i1..ik] = m1[..., i1, a1] ... mk[..., ik, ak]
+    t[..., a1..ak]. Each pass is one batched matmul that contracts the
+    leading slot and leaves it last, so k passes restore the slot order; the
+    transposes are strides handed to BLAS, so a pass allocates only its
+    output. Leading axes of t and of the matrices broadcast.
+    """
+    k = len(mats)
+    for m in mats:
+        flat = t.reshape(t.shape[:t.ndim - k] + (7, 7 ** (k - 1)))
+        t = np.swapaxes(flat, -1, -2) @ np.swapaxes(m, -1, -2)
+        t = t.reshape(t.shape[:-2] + (7,) * k)
+    return t
+
+
+def _apply_table(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p table[..., p] x[..., p]: the table's leading axes replace x's last."""
+    flat = x @ table.reshape(-1, table.shape[-1]).T
+    return flat.reshape(x.shape[:-1] + table.shape[:-1])
+
+
 def _cubic_contraction(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma."""
-    u = np.einsum("iap,...p->...ia", tables.interior_table(3), phi)
-    t = np.einsum("abc,...c->...ab", tables.triple_wedge_223(), gamma)
-    return np.einsum("...ia,...ab,...jb->...ij", u, t, u)
+    u = _apply_table(tables.interior_table(3), phi)
+    t = _apply_table(tables.triple_wedge_223(), gamma)
+    return u @ t @ np.swapaxes(u, -1, -2)
 
 
 def metric_from_phi(phi: np.ndarray, check: bool = True):
@@ -98,46 +121,50 @@ def is_positive(phi: np.ndarray):
     return (det_b > 0.0) & (eig_min > 0.0)
 
 
-def compound_inverse_metric(g_inv: np.ndarray, k: int, g=None, det_g=None) -> np.ndarray:
-    """Induced inverse metric on compressed k-forms (matrix of k x k minors).
+def _complement(alpha: np.ndarray, k: int) -> np.ndarray:
+    """Euclidean complement of compressed k-forms: the flat Hodge star."""
+    src, sign = tables.star_tables(k)
+    return sign * alpha[..., src]
 
-    For k <= 3 the minors of g_inv are expanded directly; for k >= 4 the
-    complementary-minor identity det(A^-1[I,K]) = s(I)s(K) det(A[K^c,I^c])/det A
-    keeps everything at 3 x 3 minors of g.
+
+def _apply_metric(alpha: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
+    """Raise (m = g_inv) or lower (m = g) every slot of a compressed k-form."""
+    if k == 0:
+        return alpha
+    return compress_form(contract_slots(expand_form(alpha, k), (m,) * k), k)
+
+
+def raise_form(alpha: np.ndarray, k: int, g_inv: np.ndarray, g=None, det_g=None) -> np.ndarray:
+    """All-indices-raised compressed k-form.
+
+    For k <= 3 the form is expanded and each slot contracted with g_inv. For
+    k >= 4 the complementary-minor identity does the same at degree 7 - k:
+    complement, lower the 7 - k slots with g, complement back and divide by
+    det g. The complement is an involution in dimension 7, so no form is ever
+    expanded beyond three slots.
     """
     if k <= 3:
-        return tables.compound_matrix(g_inv, k)
+        return _apply_metric(alpha, k, g_inv)
     if g is None:
         g = np.linalg.inv(g_inv)
     if det_g is None:
         det_g = np.linalg.det(g)
-    comp = tables.compound_matrix(g, 7 - k)
-    cpos = tables.complement_positions(k)
-    signs = tables.index_sum_signs(k)
-    gathered = comp[..., cpos[:, None], cpos[None, :]]
-    m = signs[:, None] * signs[None, :] * np.swapaxes(gathered, -1, -2)
-    return m / det_g[..., None, None]
-
-
-def raise_form(alpha: np.ndarray, k: int, g_inv: np.ndarray, g=None, det_g=None) -> np.ndarray:
-    """All-indices-raised compressed k-form."""
-    m = compound_inverse_metric(g_inv, k, g=g, det_g=det_g)
-    return np.einsum("...ik,...k->...i", m, alpha)
+    lowered = _apply_metric(_complement(alpha, k), 7 - k, g)
+    return _complement(lowered, 7 - k) / np.asarray(det_g)[..., None]
 
 
 def form_inner(alpha: np.ndarray, beta: np.ndarray, k: int, g_inv=None, g=None, det_g=None):
     """Pointwise metric inner product of two compressed k-forms."""
-    if g_inv is None:
-        return np.einsum("...i,...i->...", alpha, beta)
-    raised = raise_form(alpha, k, g_inv, g=g, det_g=det_g)
+    raised = alpha if g_inv is None else raise_form(alpha, k, g_inv, g=g, det_g=det_g)
     return np.einsum("...i,...i->...", raised, beta)
 
 
 def hodge_star(alpha: np.ndarray, k: int, g=None, g_inv=None, vol=None, det_g=None) -> np.ndarray:
     """Metric Hodge star in the fixed orientation dx^1 ^ ... ^ dx^7.
 
-    With no metric arguments the star is euclidean. vol is sqrt(det g) and is
-    computed from g when not supplied.
+    The star is vol times the euclidean complement of the raised form (see
+    raise_form). With no metric arguments it is euclidean. vol is
+    sqrt(det g) and is computed from g when not supplied.
     """
     if g is None and g_inv is None:
         raised = alpha
@@ -151,9 +178,7 @@ def hodge_star(alpha: np.ndarray, k: int, g=None, g_inv=None, vol=None, det_g=No
         if vol is None:
             vol = np.sqrt(det_g)
         raised = raise_form(alpha, k, g_inv, g=g, det_g=det_g)
-    src, sign = tables.star_tables(k)
-    out = sign * raised[..., src]
-    return out * np.asarray(vol)[..., None]
+    return _complement(raised, k) * np.asarray(vol)[..., None]
 
 
 def i_phi(h: np.ndarray, phi: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -206,12 +231,11 @@ def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray,
     """
     f = form_inner(gamma, phi, 3, g_inv=g_inv, g=g, det_g=det_g) / 7.0
     gamma1 = f[..., None] * phi
-    w33 = tables.wedge_table(3, 3)
-    int_psi = np.einsum("amp,...p->...am", tables.interior_table(4), psi)
-    mat = np.einsum("omj,...am,...j->...oa", w33, int_psi, phi)
-    rhs = np.einsum("omj,...m,...j->...o", w33, gamma, phi)
-    x = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    gamma7 = np.einsum("aop,...a,...p->...o", tables.interior_table(4), x, psi)
+    int_psi = _apply_table(tables.interior_table(4), psi)
+    wedge_phi = _apply_table(tables.wedge_table(3, 3), phi)
+    mat = wedge_phi @ np.swapaxes(int_psi, -1, -2)
+    x = np.linalg.solve(mat, wedge_phi @ gamma[..., None])[..., 0]
+    gamma7 = (x[..., None, :] @ int_psi)[..., 0, :]
     return gamma1, gamma7, gamma - gamma1 - gamma7
 
 
@@ -219,16 +243,15 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     """Full torsion 2-tensor T_ij from the covariant derivative of phi.
 
     T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the result satisfies
-    nabla_i phi_jkl = T_i^m psi_mjkl.
+    nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are antisymmetric in lmn,
+    so the sum runs over increasing lmn with weight 3!/24: psi is raised in
+    compressed storage and psi^jlmn is the interior product e_j . psi^.
     """
-    gi = structure.g_inv
-    up = expand_form(structure.psi.data, 4)
-    up = np.einsum("...ja,...abcd->...jbcd", gi, up)
-    up = np.einsum("...lb,...jbcd->...jlcd", gi, up)
-    up = np.einsum("...mc,...jlcd->...jlmd", gi, up)
-    up = np.einsum("...nd,...jlmd->...jlmn", gi, up)
-    t_mixed = np.einsum("...ilmn,...jlmn->...ij", nabla_phi, up) / 24.0
-    return np.einsum("...ia,...aj->...ij", t_mixed, structure.g)
+    psi_up = raise_form(structure.psi.data, 4, structure.g_inv,
+                        g=structure.g, det_g=structure.det_g)
+    int_up = _apply_table(tables.interior_table(4), psi_up)
+    t_mixed = compress_form(nabla_phi, 3) @ np.swapaxes(int_up, -1, -2) / 4.0
+    return t_mixed @ structure.g
 
 
 @dataclass
@@ -307,13 +330,11 @@ def extract_torsion_forms(structure: G2Structure) -> TorsionData:
 
     # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
     star_v7 = hodge_star(v7, 3, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-    m1 = 3.0 * np.einsum("oaj,...j->...oa", tables.wedge_table(1, 3), phi.data)
-    ata = np.einsum("...oa,...ob->...ab", m1, m1)
-    atb = np.einsum("...oa,...o->...a", m1, star_v7)
-    tau1 = np.linalg.solve(ata, atb[..., None])[..., 0]
+    m1_t = 3.0 * np.swapaxes(_apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
+    tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
 
-    rho = dpsi.data - 4.0 * np.einsum(
-        "oaj,...a,...j->...o", tables.wedge_table(1, 4), tau1, psi.data)
-    m2 = np.einsum("ocj,...j->...oc", tables.wedge_table(2, 3), phi.data)
+    wedge_psi = _apply_table(tables.wedge_table(1, 4), psi.data)
+    rho = dpsi.data - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
+    m2 = _apply_table(tables.wedge_table(2, 3), phi.data)
     tau2 = np.linalg.solve(m2, rho[..., None])[..., 0]
     return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)

@@ -6,7 +6,6 @@ Grid layout is site-major (one grid axis per active coordinate axis) with the
 component axes trailing, in lexicographic multi-index order.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +16,6 @@ from . import tables
 TWO_PI = 2.0 * np.pi
 
 SCHEMES = ("spectral", "fd4")
-
-
-def fft_workers() -> int:
-    """Worker cap for FFT passes, from G2FLOW_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("G2FLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -105,9 +96,9 @@ class Lattice:
             mult[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
             shape = [1] * data.ndim
             shape[i] = mult.size
-            spec = scipy.fft.rfft(data, axis=i, workers=fft_workers())
+            spec = scipy.fft.rfft(data, axis=i)
             spec *= mult.reshape(shape)
-            return scipy.fft.irfft(spec, n=n, axis=i, workers=fft_workers())
+            return scipy.fft.irfft(spec, n=n, axis=i)
         h = self.spacing
         p1 = np.roll(data, -1, axis=i)
         p2 = np.roll(data, -2, axis=i)

@@ -98,13 +98,7 @@ def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,
 
 def raise_all(t: np.ndarray, variance: str, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Flip every slot: lower slots raised with g_inv, upper slots lowered with g."""
-    out = t
-    letters = _SLOT_LETTERS[:len(variance)]
-    for s, var in enumerate(variance):
-        m = g_inv if var == "d" else g
-        rest = letters[:s] + "z" + letters[s + 1:]
-        out = np.einsum(f"...{letters[s]}z,...{rest}->...{letters}", m, out)
-    return out
+    return g2algebra.contract_slots(t, [g_inv if var == "d" else g for var in variance])
 
 
 def tensor_norm_sq(t: np.ndarray, variance: str, g: np.ndarray, g_inv: np.ndarray):

@@ -151,24 +151,19 @@ def triple_wedge_223() -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _minor_index_arrays(k: int):
-    sets = np.array(index_sets(k), dtype=np.intp)  # (C, k)
-    return sets
-
-
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound of a batch of 7x7 matrices: all k x k minors.
 
     Input shape (..., 7, 7), output (..., C_k, C_k) with
-    out[I, K] = det(m[rows I, cols K]). Direct Leibniz expansion; only
-    k <= 3 is needed (larger degrees go through complementary minors).
+    out[I, K] = det(m[rows I, cols K]), by direct Leibniz expansion. A
+    reference for the induced metric on k-forms; the library raises forms
+    by slot-wise contraction instead (g2algebra.raise_form) and never calls it.
     """
     if k == 0:
         return np.ones(m.shape[:-2] + (1, 1))
     if k == 1:
         return m
-    rows = _minor_index_arrays(k)  # (C, k)
+    rows = np.array(index_sets(k), dtype=np.intp)  # (C, k)
     cols = rows
     c = rows.shape[0]
     out = np.zeros(m.shape[:-2] + (c, c))
@@ -180,23 +175,4 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
             cc = cols[:, perm[a]][None, :]   # (1, C)
             term = term * m[..., r, cc]
         out += sign * term
-    return out
-
-
-@lru_cache(maxsize=None)
-def complement_positions(k: int) -> np.ndarray:
-    """Position in C_{7-k} of the complement of each increasing k-set."""
-    pos_c = index_position(DIM - k)
-    out = np.empty(num_components(k), dtype=np.intp)
-    for pos, I in enumerate(index_sets(k)):
-        out[pos] = pos_c[tuple(sorted(set(range(DIM)) - set(I)))]
-    return out
-
-
-@lru_cache(maxsize=None)
-def index_sum_signs(k: int) -> np.ndarray:
-    """(-1)^(sum of indices) per increasing k-set (1-based index sum, Jacobi)."""
-    out = np.empty(num_components(k))
-    for pos, I in enumerate(index_sets(k)):
-        out[pos] = (-1.0) ** (sum(I) + k)  # 1-based sum = 0-based sum + k
     return out

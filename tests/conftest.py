@@ -6,27 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # tests import local oracles.py
 
-from g2flow import tables
-from g2flow.lattice import FormField, Lattice
+from g2flow.checks import _band_limited as band_limited_form  # noqa: F401
+from g2flow.lattice import FormField
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def band_limited_form(lat, degree, rng, n_modes=5, amp=1.0, kmax=2):
-    """Random real band-limited k-form field on the active axes."""
-    data = np.zeros(lat.grid_shape + (tables.num_components(degree),))
-    for _ in range(n_modes):
-        c = rng.integers(0, tables.num_components(degree))
-        ks = rng.integers(-kmax, kmax + 1, lat.ndim_active)
-        ph = rng.uniform(0, 2 * np.pi)
-        arg = ph * np.ones(lat.grid_shape)
-        for k, ax in zip(ks, lat.active_axes):
-            arg = arg + k * (2 * np.pi / lat.period) * lat.coordinate(ax)
-        data[..., c] += amp * rng.normal() * np.broadcast_to(np.cos(arg), lat.grid_shape)
-    return FormField(lat, degree, data)
 
 
 def closed_perturbed_phi(lat, rng, n_modes=4, amp=5e-3, kmax=2):

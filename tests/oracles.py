@@ -6,6 +6,7 @@ index tables with the library.
 """
 
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
@@ -65,6 +66,40 @@ def euclidean_star_compressed(a, k):
         rest = tuple(sorted(set(range(7)) - set(idx)))
         out[..., pos_out[rest]] += perm_sign(idx + rest) * a[..., pos]
     return out
+
+
+def raise_full(full, k, g_inv):
+    """Raise every slot of a full k-tensor, one einsum per slot."""
+    letters = "abcdefg"[:k]
+    for s, x in enumerate(letters):
+        rest = letters[:s] + "z" + letters[s + 1:]
+        full = np.einsum(f"...{x}z,...{rest}->...{letters}", g_inv, full)
+    return full
+
+
+def metric_hodge_star(comp, k, g):
+    """(*a)_J = sqrt(det g) sum_I sign(I J) a^I, from the fully raised tensor."""
+    comp, g = np.asarray(comp), np.asarray(g)
+    batch = np.broadcast_shapes(comp.shape[:-1], g.shape[:-2])
+    up = np.broadcast_to(raise_full(full_from_compressed(comp, k), k, np.linalg.inv(g)),
+                         batch + (7,) * k)
+    out = np.zeros(batch + (len(increasing(7 - k)),))
+    for pos, rest in enumerate(increasing(7 - k)):
+        for idx in increasing(k):
+            sign = perm_sign(idx + rest)
+            if sign:
+                out[..., pos] += sign * up[(Ellipsis,) + idx]
+    return out * np.sqrt(np.linalg.det(g))[..., None]
+
+
+def metric_inner(a, b, k, g):
+    """<a, b> = a^{i1..ik} b_{i1..ik} / k! over full tensors."""
+    a, b, g = np.asarray(a), np.asarray(b), np.asarray(g)
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], g.shape[:-2])
+    prod = raise_full(full_from_compressed(a, k), k, np.linalg.inv(g)) \
+        * full_from_compressed(b, k)
+    return np.broadcast_to(prod, batch + (7,) * k).reshape(batch + (-1,)).sum(axis=-1) \
+        / factorial(k)
 
 
 def pullback_3form(a_matrix, comp):

@@ -175,8 +175,10 @@ def test_flow_series_bit_identical_across_runs(tmp_path):
 
 def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     # fixed dt keeps the sample steps aligned; the partial run stops exactly
-    # on a sample/checkpoint boundary so the resumed run continues the grid
-    control_full = {"t_end": 0.195, "dt": 0.01, "checkpoint_every": 10}
+    # on a sample/checkpoint boundary so the resumed run continues the grid.
+    # 0.01 is not dyadic: ten summed steps fall short of 0.1 by roundoff, and
+    # the partial run must still pass through the same times as the full one.
+    control_full = {"t_end": 0.2, "dt": 0.01, "checkpoint_every": 10}
     full_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "full")},
                                 control=control_full)
     assert cli.main(["flow", str(full_path)]) == 0
@@ -184,7 +186,7 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
 
     # interrupted at a smaller t_end, then resumed from its final checkpoint
     part_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part")},
-                                control={"t_end": 0.095, "dt": 0.01,
+                                control={"t_end": 0.1, "dt": 0.01,
                                          "checkpoint_every": 10})
     assert cli.main(["flow", str(part_path)]) == 0
     ckpts = sorted((tmp_path / "part" / "checkpoints").glob("step_*.json"))

@@ -238,7 +238,8 @@ def test_step_failure_after_rejections():
     lat = Lattice((1,), 16, TWO_PI)
     st, _ = lowest_mode_initial(lat, 1e-2)
     ref = g2.flat_reference(lat)
-    control = flow.StepControl(t_end=10.0, dt=1e6, max_halvings=2)
+    # no end time, so the step is not clamped to t_end - t
+    control = flow.StepControl(t_end=np.inf, dt=1e6, max_halvings=2)
     with pytest.raises(flow.StepFailed):
         flow.step_rk4(flow.FlowState(0.0, st, ref, "laplacian"), control)
 
@@ -257,6 +258,35 @@ def test_run_flow_step_failure_carries_state():
 
 
 # --- run_flow ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("dt,steps", [(0.03, 4), (0.01, 10)])
+def test_run_flow_ends_at_non_dyadic_t_end(dt, steps):
+    # 0.03 does not divide 0.1: the last step is clamped to 0.01 instead of
+    # overshooting to 0.12. Ten sums of 0.01 fall short of 0.1 by roundoff:
+    # the tenth step is a full one, it reaches t_end and no sliver step follows.
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-3)
+    ref = g2.flat_reference(lat)
+    control = flow.StepControl(t_end=0.1, dt=dt)
+    done = []
+    final, records = flow.run_flow(st, ref, "deturck", control, sample_interval=100,
+                                   checkpoint_cb=lambda state, step: done.append(step))
+    assert final.t == pytest.approx(0.1, rel=1e-12)
+    assert final.t <= 0.1
+    assert records[-1].t == final.t
+    assert flow.reached_end(final.t, control)
+    assert done == [steps]
+
+
+def test_step_clamped_to_short_remainder_lands_on_t_end():
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-3)
+    ref = g2.flat_reference(lat)
+    control = flow.StepControl(t_end=0.1, dt=0.03)
+    state = flow.FlowState(0.09, st, ref, "deturck")
+    assert flow.propose_dt(state, control) == 0.1 - 0.09
+    assert flow.step_rk4(state, control).t == 0.1
+
 
 def test_run_flow_immediate_stop_at_reference():
     lat = Lattice((1,), 16, TWO_PI)

@@ -115,6 +115,62 @@ def test_star_involution_random_metric(rng, k):
     assert np.max(np.abs(ss - alpha)) < 1e-11
 
 
+def _random_metric(rng, shape):
+    a = pullback_batch(rng, int(np.prod(shape))).reshape(shape + (7, 7))
+    g = np.einsum("...ai,...aj->...ij", a, a)
+    det_g = np.linalg.det(g)
+    return g, np.linalg.inv(g), np.sqrt(det_g), det_g
+
+
+@pytest.mark.parametrize("metric_shape,form_shape", [((3,), (3,)), ((2, 1), (2, 3))])
+@pytest.mark.parametrize("k", range(8))
+def test_star_and_inner_match_table_free_oracle(rng, k, metric_shape, form_shape):
+    # the projector-trace checks pass g of shape (m, 1, 7, 7) with forms (m, C, C_k)
+    g, g_inv, vol, det_g = _random_metric(rng, metric_shape)
+    alpha = rng.standard_normal(form_shape + (tables.num_components(k),))
+    beta = rng.standard_normal(form_shape + (tables.num_components(k),))
+    star = g2.hodge_star(alpha, k, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+    expect = oracles.metric_hodge_star(alpha, k, g)
+    assert star.shape == expect.shape
+    assert np.max(np.abs(star - expect)) < 1e-12 * np.max(np.abs(expect))
+    inner = g2.form_inner(alpha, beta, k, g_inv=g_inv, g=g, det_g=det_g)
+    expect = oracles.metric_inner(alpha, beta, k, g)
+    assert inner.shape == expect.shape
+    assert np.max(np.abs(inner - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+def test_star_and_inner_expand_at_most_three_slots(rng, monkeypatch):
+    # a full k-tensor has 7^k entries per site; degrees 4..7 go through the
+    # complement at degree 7 - k instead
+    requested = []
+    expand_table = tables.expand_table
+
+    def recording(k):
+        requested.append(k)
+        return expand_table(k)
+
+    monkeypatch.setattr(tables, "expand_table", recording)
+    g, g_inv, vol, det_g = _random_metric(rng, (4,))
+    for k in range(8):
+        alpha = rng.standard_normal((4, tables.num_components(k)))
+        g2.hodge_star(alpha, k, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+        g2.hodge_star(alpha, k, g=g)
+        g2.hodge_star(alpha, k, g_inv=g_inv)
+        g2.form_inner(alpha, alpha, k, g_inv=g_inv, g=g, det_g=det_g)
+        g2.form_inner(alpha, alpha, k, g_inv=g_inv)
+    assert requested and max(requested) <= 3
+
+
+def test_contract_slots_matches_einsum(rng):
+    t = rng.standard_normal((5, 7, 7, 7))
+    m = rng.standard_normal((3, 5, 7, 7))
+    expect = np.einsum("...ia,...jb,...kc,...abc->...ijk", m[0], m[1], m[2], t)
+    assert np.allclose(g2.contract_slots(t, m), expect, rtol=0, atol=1e-12)
+    # one tensor broadcast against a batch of matrices
+    expect = np.einsum("...ia,...jb,...kc,abc->...ijk", m[0], m[0], m[0], t[0])
+    assert np.allclose(g2.contract_slots(t[0], (m[0],) * 3), expect, rtol=0, atol=1e-12)
+
+
 def test_wedge_with_star_gives_inner_product(rng, curved_batch):
     phi, a, g, g_inv, vol, psi = curved_batch
     alpha = rng.standard_normal((200, 35))
