@@ -15,6 +15,7 @@ from . import diagnostics, flow
 from . import io as ckpt
 from .checks import MUTATIONS, run_identity_suite
 from .config import ConfigError, RunConfig
+from .g2algebra import G2Structure, NotPositive
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -113,6 +114,48 @@ def _write_summary(path, cfg, state, records, steps, stop_reason):
     return summary
 
 
+# Sidecar entries a flow checkpoint carries (see checkpoint_cb in cmd_flow).
+RESUME_KEYS = ("t", "step", "kind", "deturck_a")
+
+
+def _resume_state(path, cfg, lattice):
+    """(structure, t, step) of a flow checkpoint; ConfigError unless it fits cfg."""
+    try:
+        phi, extra = ckpt.read_form_field(Path(path).with_suffix(""))
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    missing = [key for key in RESUME_KEYS if key not in extra]
+    if missing:
+        raise ConfigError(f"checkpoint {path} is not a flow state: "
+                          f"no {', '.join(missing)} in its sidecar")
+    if phi.degree != 3:
+        raise ConfigError(f"checkpoint {path} holds a {phi.degree}-form, not a 3-form")
+    if phi.lattice != lattice:
+        raise ConfigError(f"checkpoint lattice {phi.lattice} differs from the config's {lattice}")
+    for key, want in (("kind", cfg.flow.kind), ("deturck_a", cfg.flow.deturck_a)):
+        if extra[key] != want:
+            raise ConfigError(f"checkpoint {key} {extra[key]!r} differs from the config's {want!r}")
+    try:
+        initial = G2Structure.from_phi(phi)
+    except NotPositive as exc:
+        raise ConfigError(f"checkpoint form not positive: {exc}") from exc
+    return initial, extra["t"], extra["step"]
+
+
+def _drop_samples_after(series_path, t0):
+    """Remove samples past t0, which a run resumed at t0 writes again."""
+    if not series_path.exists():
+        return
+    kept = []
+    for line in series_path.read_text().splitlines(keepends=True):
+        try:
+            if json.loads(line)["t"] <= t0:
+                kept.append(line)
+        except (ValueError, KeyError, TypeError):
+            pass  # a sample torn by the interrupted run
+    series_path.write_text("".join(kept))
+
+
 def cmd_flow(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
@@ -125,21 +168,19 @@ def cmd_flow(args) -> int:
 
     out = Path(cfg.output.directory)
     ckpt_dir = out / "checkpoints"
+    series_path = out / "series.jsonl"
     out.mkdir(parents=True, exist_ok=True)
 
     t0, step0, emit_initial = 0.0, 0, True
     if args.resume:
         try:
-            phi, extra = ckpt.read_form_field(Path(args.resume).with_suffix(""))
-        except (OSError, ValueError) as exc:
-            print(f"config error: cannot read checkpoint: {exc}", file=sys.stderr)
+            initial, t0, step0 = _resume_state(args.resume, cfg, lattice)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        from .g2algebra import G2Structure
-
-        initial = G2Structure.from_phi(phi)
-        t0, step0 = extra["t"], extra["step"]
         emit_initial = False
         series_mode = "a"
+        _drop_samples_after(series_path, t0)
     else:
         try:
             initial = cfg.build_initial(lattice, reference)
@@ -159,10 +200,8 @@ def cmd_flow(args) -> int:
         last_ckpt["path"] = str(base.with_suffix(".json"))
         last_ckpt["step"] = step
 
-    records = []
-    with open(out / "series.jsonl", series_mode) as series_file:
+    with open(series_path, series_mode) as series_file:
         def record_cb(rec):
-            records.append(rec)
             series_file.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
         try:
@@ -184,6 +223,9 @@ def cmd_flow(args) -> int:
             print(f"last checkpoint: {last_ckpt['path']}", file=sys.stderr)
             return EXIT_STEP
 
+    # The whole series, so a resumed run summarizes the samples before the resume too.
+    records = [diagnostics.TimeSeriesRecord.from_dict(json.loads(line))
+               for line in series_path.read_text().splitlines()]
     steps = last_ckpt["step"]
     stop_reason = ("t_end reached" if flow.reached_end(state.t, control)
                    else "theta below stop tolerance")

@@ -5,6 +5,7 @@ matching the fixed-metric norms in which the decay statements are made.
 """
 
 from dataclasses import asdict, dataclass
+from math import factorial, prod
 
 import numpy as np
 
@@ -97,15 +98,24 @@ def flat_l2(lattice: Lattice, data: np.ndarray) -> float:
 
 
 def ck_channels(lattice: Lattice, data: np.ndarray, k_max: int = 3) -> tuple:
-    """Sup-norms of the flat derivative stacks of orders 0..k_max."""
-    out = []
-    level = data
-    for _ in range(k_max + 1):
-        comp_axes = tuple(range(lattice.ndim_active, level.ndim))
-        norms = np.sqrt(np.sum(level * level, axis=comp_axes))
-        out.append(float(np.max(norms)))
-        level = np.stack([lattice.partial_array(level, ax)
-                          for ax in lattice.active_axes], axis=-1)
+    """Sup-norms of the flat derivative stacks of orders 0..k_max.
+
+    The order-k stack holds d_{a1} ... d_{ak} data for every ordered k-tuple
+    of active axes. Flat partials commute, so each multiset of axes is
+    differentiated once and its squared norm weighted by the number of
+    orderings, k! / prod(alpha_j!) for axis multiplicities alpha_j: in 3-D,
+    orders 1..3 take 3, 6 and 10 fields instead of 3, 9 and 27.
+    """
+    comp_axes = tuple(range(lattice.ndim_active, data.ndim))
+    out = [float(np.sqrt(np.max(np.sum(data * data, axis=comp_axes))))]
+    level = {(): data}  # nondecreasing tuple of axis positions -> derivative
+    for k in range(1, k_max + 1):
+        level = {axes + (pos,): lattice.partial_array(field, lattice.active_axes[pos])
+                 for axes, field in level.items()
+                 for pos in range(axes[-1] if axes else 0, lattice.ndim_active)}
+        sq = sum(factorial(k) // prod(factorial(axes.count(p)) for p in set(axes))
+                 * np.sum(field * field, axis=comp_axes) for axes, field in level.items())
+        out.append(float(np.sqrt(np.max(sq))))
     return tuple(out)
 
 

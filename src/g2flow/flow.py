@@ -114,16 +114,17 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
     to remove the discretization-level antisymmetric residue.
     """
     t = riemann.torsion_of(structure)
-    conn = riemann.connection_of(structure)
-    lat = structure.lattice
     g, g_inv = structure.g, structure.g_inv
-    nabla_t = riemann.covariant_derivative_array(t, "dd", conn.gamma, lat)
-    phi_mix = np.einsum("...jab,...am,...bn->...jmn",
-                        expand_form(structure.phi.data, 3), g_inv, g_inv)
+    batch = g.shape[:-2]
+    # phi_j^mn = g^am phi_jab g^bn, one (7, 7) sandwich per j
+    phi_mix = (np.swapaxes(g_inv, -1, -2)[..., None, :, :]
+               @ expand_form(structure.phi.data, 3) @ g_inv[..., None, :, :])
+    # nabla_m T_ni phi_j^mn: (i, mn) @ (mn, j)
+    nabla_t = riemann.nabla_torsion_of(structure).reshape(batch + (49, 7))
+    grad_term = np.swapaxes(nabla_t, -1, -2) @ np.swapaxes(
+        phi_mix.reshape(batch + (7, 49)), -1, -2)
     t_sq = riemann.tensor_norm_sq(t, "dd", g, g_inv)
-    h = (-np.einsum("...mni,...jmn->...ij", nabla_t, phi_mix)
-         - (t_sq / 3.0)[..., None, None] * g
-         - np.einsum("...ia,...ab,...bj->...ij", t, g_inv, t))
+    h = -grad_term - (t_sq / 3.0)[..., None, None] * g - t @ g_inv @ t
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 

@@ -73,16 +73,10 @@ def contract_slots(t: np.ndarray, mats) -> np.ndarray:
     return t
 
 
-def _apply_table(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_p table[..., p] x[..., p]: the table's leading axes replace x's last."""
-    flat = x @ table.reshape(-1, table.shape[-1]).T
-    return flat.reshape(x.shape[:-1] + table.shape[:-1])
-
-
 def _cubic_contraction(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma."""
-    u = _apply_table(tables.interior_table(3), phi)
-    t = _apply_table(tables.triple_wedge_223(), gamma)
+    u = tables.apply_table(tables.interior_table(3), phi)
+    t = tables.apply_table(tables.triple_wedge_223(), gamma)
     return u @ t @ np.swapaxes(u, -1, -2)
 
 
@@ -186,9 +180,9 @@ def i_phi(h: np.ndarray, phi: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 
     Maps symmetric 2-tensors into the 1 + 27 part; i_phi(g) = 3 phi.
     """
-    phi_full = expand_form(phi, 3)
-    h_mixed = np.einsum("...ia,...al->...il", h, g_inv)
-    p = np.einsum("...il,...ljk->...ijk", h_mixed, phi_full)
+    phi_flat = expand_form(phi, 3).reshape(phi.shape[:-1] + (7, 49))
+    p = (h @ g_inv) @ phi_flat
+    p = p.reshape(p.shape[:-1] + (7, 7))
     full = p + np.einsum("...abc->...cab", p) + np.einsum("...abc->...bca", p)
     return compress_form(full, 3)
 
@@ -206,7 +200,7 @@ def j_phi(gamma: np.ndarray, phi: np.ndarray, vol) -> np.ndarray:
 
 def wedge_components(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndarray:
     """Pointwise wedge on raw compressed components."""
-    return np.einsum("oij,...i,...j->...o", tables.wedge_table(k, l), alpha, beta)
+    return tables.wedge_arrays(alpha, k, beta, l)
 
 
 def project_2form(beta: np.ndarray, phi: np.ndarray, g, g_inv, vol, det_g=None):
@@ -231,8 +225,8 @@ def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray,
     """
     f = form_inner(gamma, phi, 3, g_inv=g_inv, g=g, det_g=det_g) / 7.0
     gamma1 = f[..., None] * phi
-    int_psi = _apply_table(tables.interior_table(4), psi)
-    wedge_phi = _apply_table(tables.wedge_table(3, 3), phi)
+    int_psi = tables.apply_table(tables.interior_table(4), psi)
+    wedge_phi = tables.apply_table(tables.wedge_table(3, 3), phi)
     mat = wedge_phi @ np.swapaxes(int_psi, -1, -2)
     x = np.linalg.solve(mat, wedge_phi @ gamma[..., None])[..., 0]
     gamma7 = (x[..., None, :] @ int_psi)[..., 0, :]
@@ -249,7 +243,7 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     """
     psi_up = raise_form(structure.psi.data, 4, structure.g_inv,
                         g=structure.g, det_g=structure.det_g)
-    int_up = _apply_table(tables.interior_table(4), psi_up)
+    int_up = tables.apply_table(tables.interior_table(4), psi_up)
     t_mixed = compress_form(nabla_phi, 3) @ np.swapaxes(int_up, -1, -2) / 4.0
     return t_mixed @ structure.g
 
@@ -330,11 +324,11 @@ def extract_torsion_forms(structure: G2Structure) -> TorsionData:
 
     # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
     star_v7 = hodge_star(v7, 3, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-    m1_t = 3.0 * np.swapaxes(_apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
+    m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
     tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
 
-    wedge_psi = _apply_table(tables.wedge_table(1, 4), psi.data)
+    wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi.data)
     rho = dpsi.data - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
-    m2 = _apply_table(tables.wedge_table(2, 3), phi.data)
+    m2 = tables.apply_table(tables.wedge_table(2, 3), phi.data)
     tau2 = np.linalg.solve(m2, rho[..., None])[..., 0]
     return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)

@@ -2,10 +2,13 @@
 
 The blob layout is site-major in lexicographic site order with the component
 index minor, exactly the in-memory layout of FormField data; the sidecar
-records the lattice spec, field degree, endianness tag and format version.
+records the lattice spec, field degree, endianness tag, format version and
+the blob's byte length and sha256.
 """
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +32,28 @@ def lattice_from_dict(d: dict) -> Lattice:
                    d["period"], d.get("scheme", "spectral"))
 
 
+def _replace_atomically(path: Path, payload: bytes) -> None:
+    """Write payload to a temporary file beside path, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_form_field(base, field: FormField, extra: dict = None) -> Path:
-    """Write <base>.json + <base>.bin; returns the sidecar path."""
+    """Write <base>.json + <base>.bin; returns the sidecar path.
+
+    Each file is written to a temporary name and renamed into place, the
+    sidecar last, so an interrupted write leaves the previous pair or a blob
+    whose length and sha256 no longer match the sidecar, never a torn file.
+    """
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    blob = np.ascontiguousarray(field.data, dtype="<f8")
-    (base.with_suffix(".bin")).write_bytes(blob.tobytes())
+    raw = np.ascontiguousarray(field.data, dtype="<f8").tobytes()
+    _replace_atomically(base.with_suffix(".bin"), raw)
     sidecar = {
         "version": FORMAT_VERSION,
         "endianness": "little",
@@ -44,11 +63,13 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
         "shape": list(field.data.shape),
         "lattice": lattice_to_dict(field.lattice),
         "blob": base.with_suffix(".bin").name,
+        "blob_bytes": len(raw),
+        "blob_sha256": hashlib.sha256(raw).hexdigest(),
     }
     if extra:
         sidecar["extra"] = extra
     path = base.with_suffix(".json")
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _replace_atomically(path, (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 
@@ -62,5 +83,11 @@ def read_form_field(base):
         raise ValueError("checkpoint must be little-endian")
     lattice = lattice_from_dict(sidecar["lattice"])
     raw = (base.parent / sidecar["blob"]).read_bytes()
+    # Sidecars written before the checksum was recorded carry neither entry.
+    if "blob_bytes" in sidecar and len(raw) != sidecar["blob_bytes"]:
+        raise ValueError(f"checkpoint blob has {len(raw)} bytes, "
+                         f"sidecar records {sidecar['blob_bytes']}")
+    if "blob_sha256" in sidecar and hashlib.sha256(raw).hexdigest() != sidecar["blob_sha256"]:
+        raise ValueError("checkpoint blob does not match the sidecar's sha256")
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(sidecar["shape"])
     return FormField(lattice, sidecar["degree"], data), sidecar.get("extra", {})

@@ -226,8 +226,7 @@ def exterior_derivative(alpha: FormField) -> FormField:
     lat = alpha.lattice
     out = np.zeros(lat.grid_shape + (tables.num_components(k + 1),))
     for axis in lat.active_axes:
-        d_ax = lat.partial_array(alpha.data, axis)
-        out += np.einsum("oi,...i->...o", table[axis - 1], d_ax)
+        out += lat.partial_array(alpha.data, axis) @ table[axis - 1].T
     return FormField(lat, k + 1, out)
 
 
@@ -236,8 +235,7 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     k, l = alpha.degree, beta.degree
     if k + l > 7:
         raise ValueError("wedge degree exceeds 7")
-    table = tables.wedge_table(k, l)
-    data = np.einsum("oij,...i,...j->...o", table, alpha.data, beta.data)
+    data = tables.wedge_arrays(alpha.data, k, beta.data, l)
     return FormField(alpha.lattice, k + l, data)
 
 
@@ -248,8 +246,8 @@ def interior_product(x: TensorField, alpha: FormField) -> FormField:
     k = alpha.degree
     if k < 1:
         raise ValueError("interior product needs degree >= 1")
-    table = tables.interior_table(k)
-    data = np.einsum("ioj,...i,...j->...o", table, x.data, alpha.data)
+    per_axis = tables.apply_table(tables.interior_table(k), alpha.data)  # e_i . alpha
+    data = (x.data[..., None, :] @ per_axis)[..., 0, :]
     return FormField(alpha.lattice, k - 1, data)
 
 

@@ -41,28 +41,44 @@ def metric_partials(g: np.ndarray, lattice: Lattice) -> np.ndarray:
 def christoffels(g: np.ndarray, g_inv: np.ndarray, lattice: Lattice) -> ConnectionData:
     """Levi-Civita connection of g: Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk)/2."""
     dg = metric_partials(g, lattice)
-    s = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg)
-    return ConnectionData(0.5 * np.einsum("...il,...ljk->...ijk", g_inv, s))
-
-
-_SLOT_LETTERS = "abcdefgh"
+    # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
+    s = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
+    s -= dg
+    gamma = g_inv @ s.reshape(s.shape[:-3] + (7, 49))
+    gamma *= 0.5
+    return ConnectionData(gamma.reshape(s.shape))
 
 
 def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarray,
                                lattice: Lattice) -> np.ndarray:
-    """Covariant derivative, new derivative slot first: out[..., m, slots]."""
+    """Covariant derivative, new derivative slot first: out[..., m, slots].
+
+    out[m, a1..ar] = d_m t[a1..ar] + sum over slots s of the connection term:
+    Gamma^x_mz t[..z..] for an upper slot, -Gamma^z_mx t[..z..] for a lower
+    one, with z in slot s and x its free index. Each slot term is one batched
+    matmul, (49, 7) @ (7, 7^(r-1)) per site: the (m, x) pairs of the
+    connection matrix against the data with slot s moved to the front. Every
+    slot writes into the same (..., 7, 7, 7^(r-1)) buffer, whose view with x
+    moved back to slot s is then added to out.
+    """
     r = len(variance)
-    letters = _SLOT_LETTERS[:r]
     out = np.zeros(lattice.grid_shape + (7,) * (r + 1))
     for axis in lattice.active_axes:
         out[(Ellipsis, axis - 1) + (slice(None),) * r] = lattice.partial_array(data, axis)
+    if r == 0:
+        return out
+    batch = gamma.shape[:-3]
+    conn = {}
+    if "u" in variance:  # up[m, x, z] = Gamma^x_mz
+        conn["u"] = np.swapaxes(gamma, -3, -2).reshape(batch + (49, 7))
+    if "d" in variance:  # down[m, x, z] = -Gamma^z_mx
+        conn["d"] = -np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
+    rest = 7 ** (r - 1)
+    buf = np.empty(np.broadcast_shapes(batch, data.shape[:-r]) + (49, rest))
     for s, var in enumerate(variance):
-        x = letters[s]
-        rest = letters[:s] + "z" + letters[s + 1:]
-        if var == "u":
-            out += np.einsum(f"...{x}mz,...{rest}->...m{letters}", gamma, data)
-        else:
-            out -= np.einsum(f"...zm{x},...{rest}->...m{letters}", gamma, data)
+        front = np.moveaxis(data, s - r, -r).reshape(data.shape[:-r] + (7, rest))
+        np.matmul(conn[var], front, out=buf)
+        out += np.moveaxis(buf.reshape(buf.shape[:-2] + (7,) * (r + 1)), -r, s - r)
     return out
 
 
@@ -80,17 +96,25 @@ def covariant_derivative(field, conn: ConnectionData):
 
 def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,
               lattice: Lattice) -> CurvatureData:
-    """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula."""
+    """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
+
+    Both Gamma Gamma terms come from one per-site (49, 7) @ (7, 49) product,
+    into which dGamma is added in place; R^i_jkl is then the difference of two
+    transposed views of it, and Rm = g @ R over the upper index.
+    """
     gamma = conn.gamma
-    dgamma = np.zeros(lattice.grid_shape + (7, 7, 7, 7))
-    for axis in lattice.active_axes:
-        dgamma[..., axis - 1, :, :, :] = lattice.partial_array(gamma, axis)
+    batch = gamma.shape[:-3]
+    # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
     # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
-    r_up = (np.einsum("...kilj->...ijkl", dgamma)
-            - np.einsum("...likj->...ijkl", dgamma)
-            + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
-            - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma))
-    rm = np.einsum("...im,...mjkl->...ijkl", g, r_up)
+    #         = a[i, k, l, j] - a[i, l, k, j].
+    a = gamma.reshape(batch + (49, 7)) @ gamma.reshape(batch + (7, 49))
+    a = a.reshape(batch + (7, 7, 7, 7))
+    for axis in lattice.active_axes:
+        a[..., :, axis - 1, :, :] += lattice.partial_array(gamma, axis)
+    a = np.moveaxis(a, -1, -3)  # a view indexed [i, j, k, l]
+    r_up = a - np.swapaxes(a, -1, -2)
+    del a
+    rm = (g @ r_up.reshape(batch + (7, 343))).reshape(r_up.shape)
     ric = np.einsum("...kjkl->...jl", r_up)
     scalar = np.einsum("...jl,...jl->...", g_inv, ric)
     return CurvatureData(rm=rm, ric=ric, scalar=scalar)
@@ -134,6 +158,15 @@ def torsion_of(structure) -> np.ndarray:
     return cache["torsion"]
 
 
+def nabla_torsion_of(structure) -> np.ndarray:
+    """Covariant derivative of the full torsion, (nabla T)[..., m, i, j], cached."""
+    cache = structure._cache
+    if "nabla_torsion" not in cache:
+        cache["nabla_torsion"] = covariant_derivative_array(
+            torsion_of(structure), "dd", connection_of(structure).gamma, structure.lattice)
+    return cache["nabla_torsion"]
+
+
 def curvature_of(structure) -> CurvatureData:
     cache = structure._cache
     if "curv" not in cache:
@@ -165,9 +198,6 @@ def deturck_vector(structure, reference, a_const: float = 0.0) -> TensorField:
 def lambda_monitor(structure) -> np.ndarray:
     """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric."""
     curv = curvature_of(structure)
-    conn = connection_of(structure)
-    nabla_t = covariant_derivative_array(torsion_of(structure), "dd",
-                                         conn.gamma, structure.lattice)
     rm_sq = tensor_norm_sq(curv.rm, "dddd", structure.g, structure.g_inv)
-    nt_sq = tensor_norm_sq(nabla_t, "ddd", structure.g, structure.g_inv)
+    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), "ddd", structure.g, structure.g_inv)
     return np.sqrt(rm_sq + nt_sq)

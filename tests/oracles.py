@@ -102,6 +102,64 @@ def metric_inner(a, b, k, g):
         / factorial(k)
 
 
+def interior_compressed(x, comp, k):
+    """(x . a)_J = x^i a_{iJ}: contract the first slot of the full tensor."""
+    rest = "abcdef"[:k - 1]
+    full = full_from_compressed(comp, k)
+    out = np.einsum(f"...i,...i{rest}->...{rest}", x, full)
+    return out[..., None] if k == 1 else compressed_from_full(out, k - 1)
+
+
+def covariant_derivative(data, variance, gamma, partials):
+    """nabla_m t from the index formula, one einsum per slot.
+
+    partials[..., m, slots] holds d_m t. An upper slot adds
+    Gamma^x_mz t[..z..], a lower slot subtracts Gamma^z_mx t[..z..].
+    """
+    letters = "abcdefg"[:len(variance)]
+    out = np.array(partials, dtype=float)
+    for s, var in enumerate(variance):
+        x = letters[s]
+        rest = letters[:s] + "z" + letters[s + 1:]
+        if var == "u":
+            out = out + np.einsum(f"...{x}mz,...{rest}->...m{letters}", gamma, data)
+        else:
+            out = out - np.einsum(f"...zm{x},...{rest}->...m{letters}", gamma, data)
+    return out
+
+
+def curvature(gamma, dgamma, g, g_inv):
+    """(Rm, Ric, R) from dgamma[..., k, i, j, l] = d_k Gamma^i_jl.
+
+    R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj
+    - Gamma^i_lm Gamma^m_kj, Rm_ijkl = g_im R^m_jkl, Ric_jl = R^k_jkl and
+    R = g^jl Ric_jl.
+    """
+    r_up = (np.einsum("...kilj->...ijkl", dgamma)
+            - np.einsum("...likj->...ijkl", dgamma)
+            + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+            - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma))
+    rm = np.einsum("...im,...mjkl->...ijkl", g, r_up)
+    ric = np.einsum("...kjkl->...jl", r_up)
+    return rm, ric, np.einsum("...jl,...jl->...", g_inv, ric)
+
+
+def ordered_ck_stack(partial, axes, data, n_grid, k_max):
+    """Sup-norms of the ordered derivative stacks d_{a1} .. d_{ak} data, k = 0..k_max.
+
+    partial(field, axis) differentiates along one axis; every ordered tuple
+    of `axes` gets its own field, stacked on a trailing axis per order.
+    """
+    out = []
+    level = data
+    for k in range(k_max + 1):
+        comp_axes = tuple(range(n_grid, level.ndim))
+        out.append(float(np.max(np.sqrt(np.sum(level * level, axis=comp_axes)))))
+        if k < k_max:
+            level = np.stack([partial(level, ax) for ax in axes], axis=-1)
+    return tuple(out)
+
+
 def pullback_3form(a_matrix, comp):
     """(A^* alpha)_ijk = A^a_i A^b_j A^c_k alpha_abc on compressed storage."""
     full = full_from_compressed(comp, 3)

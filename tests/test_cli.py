@@ -178,26 +178,65 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     # on a sample/checkpoint boundary so the resumed run continues the grid.
     # 0.01 is not dyadic: ten summed steps fall short of 0.1 by roundoff, and
     # the partial run must still pass through the same times as the full one.
+    # A sample every step gives the 21 samples the decay fit needs, so the
+    # summary's fit must also cover the samples from before the resume.
     control_full = {"t_end": 0.2, "dt": 0.01, "checkpoint_every": 10}
-    full_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "full")},
+    full_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "full"),
+                                                  "sample_interval": 1},
                                 control=control_full)
     assert cli.main(["flow", str(full_path)]) == 0
     full_lines = (tmp_path / "full" / "series.jsonl").read_text().splitlines()
+    full_summary = json.loads((tmp_path / "full" / "summary.json").read_text())
+    assert full_summary["decay"]["fitted_rate"] is not None
 
     # interrupted at a smaller t_end, then resumed from its final checkpoint
-    part_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part")},
+    part_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part"),
+                                                  "sample_interval": 1},
                                 control={"t_end": 0.1, "dt": 0.01,
                                          "checkpoint_every": 10})
     assert cli.main(["flow", str(part_path)]) == 0
     ckpts = sorted((tmp_path / "part" / "checkpoints").glob("step_*.json"))
     resume_from = ckpts[-1]
-    resume_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part")},
+    with open(tmp_path / "part" / "series.jsonl", "a") as fh:
+        fh.write('{"ck_theta": [0.1, ')  # a sample torn by an interrupted write
+    resume_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part"),
+                                                    "sample_interval": 1},
                                   control=control_full)
     assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
     part_lines = (tmp_path / "part" / "series.jsonl").read_text().splitlines()
 
-    # the union of partial + resumed samples reproduces the uninterrupted series
+    # the union of partial + resumed samples reproduces the uninterrupted
+    # series, and the summary is fitted on all of it
     assert part_lines == full_lines
+    part_summary = json.loads((tmp_path / "part" / "summary.json").read_text())
+    assert part_summary == full_summary
+
+    # resuming again from the earlier checkpoint replaces the samples after it
+    assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
+    assert (tmp_path / "part" / "series.jsonl").read_text().splitlines() == full_lines
+    assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
+
+
+def test_flow_resume_from_non_flow_checkpoint_exit_2(tmp_path, capsys):
+    # the reference checkpoint has no t/step/kind/deturck_a
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01})
+    assert cli.main(["flow", str(path)]) == 0
+    reference = tmp_path / "out" / "checkpoints" / "reference.json"
+    assert cli.main(["flow", str(path), "--resume", str(reference)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"lattice": {"points_per_axis": 32}},
+                                      {"flow": {"kind": "laplacian"}},
+                                      {"flow": {"deturck_a": 0.5}}])
+def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
+                                              "checkpoint_every": 5})
+    assert cli.main(["flow", str(path)]) == 0
+    resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
+    other, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01}, **override)
+    assert cli.main(["flow", str(other), "--resume", str(resume_from)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_flow_step_failure_exit_3(tmp_path, capsys):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from g2flow import diagnostics, flow
+from g2flow import diagnostics, flow, riemann
 from g2flow import g2algebra as g2
 from g2flow import tables
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
+import oracles
 from conftest import closed_perturbed_phi
 from test_flow import lowest_mode_initial
 
@@ -107,7 +108,6 @@ def test_snapshot_scalar_identity_perturbed(rng):
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=5e-3))
     ref = g2.flat_reference(lat)
     rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "laplacian"))
-    from g2flow import riemann
     max_r = np.max(np.abs(riemann.curvature_of(st).scalar))
     assert rec.scalar_identity_residual <= 1e-6 * max_r
     assert rec.l2_theta > 0
@@ -136,6 +136,36 @@ def test_ck_channels_derivative_scaling():
     cks = diagnostics.ck_channels(lat, theta.data)
     for a, b in zip(cks, cks[1:]):
         assert b / a == pytest.approx(2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("axes,n,scheme", [((1,), 16, "spectral"), ((1, 2), 8, "fd4"),
+                                           ((1, 2, 3), 8, "spectral"), ((2, 5, 7), 6, "fd4")])
+def test_ck_channels_match_ordered_stack(rng, axes, n, scheme):
+    lat = Lattice(axes, n, TWO_PI, scheme=scheme)
+    theta = rng.standard_normal(lat.grid_shape + (35,))
+    got = diagnostics.ck_channels(lat, theta)
+    expect = oracles.ordered_ck_stack(lat.partial_array, lat.active_axes, theta,
+                                      lat.ndim_active, 3)
+    assert len(got) == 4
+    # the multiset sum reorders the additions: a few ulp
+    assert np.allclose(got, expect, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
+    # nabla phi (for the torsion) and nabla T (shared by the intrinsic
+    # Laplacian and the lambda monitor), nothing else
+    calls = []
+    original = riemann.covariant_derivative_array
+
+    def counted(data, variance, gamma, lattice):
+        calls.append(variance)
+        return original(data, variance, gamma, lattice)
+
+    monkeypatch.setattr(riemann, "covariant_derivative_array", counted)
+    lat = Lattice((1, 2), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
+    assert sorted(calls) == ["dd", "ddd"]
 
 
 def test_record_round_trip():

@@ -58,6 +58,33 @@ def test_checkpoint_rejects_other_version(tmp_path, rng):
         ckpt.read_form_field(tmp_path / "f")
 
 
+def test_checkpoint_rejects_truncated_blob(tmp_path, rng):
+    lat = Lattice((1,), 8, TWO_PI)
+    ckpt.write_form_field(tmp_path / "f", band_limited_form(lat, 3, rng))
+    blob = tmp_path / "f.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="bytes"):
+        ckpt.read_form_field(tmp_path / "f")
+
+
+def test_checkpoint_rejects_flipped_byte(tmp_path, rng):
+    lat = Lattice((1,), 8, TWO_PI)
+    ckpt.write_form_field(tmp_path / "f", band_limited_form(lat, 3, rng))
+    blob = tmp_path / "f.bin"
+    raw = bytearray(blob.read_bytes())
+    raw[100] ^= 0x01
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="sha256"):
+        ckpt.read_form_field(tmp_path / "f")
+
+
+def test_checkpoint_write_leaves_no_temporary_files(tmp_path, rng):
+    lat = Lattice((1,), 8, TWO_PI)
+    for _ in range(2):  # the second write replaces the first pair
+        ckpt.write_form_field(tmp_path / "f", band_limited_form(lat, 3, rng))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "f.json"]
+
+
 CANONICAL = {
     "lattice": {"active_axes": [1], "points_per_axis": 32,
                 "period": TWO_PI, "scheme": "spectral"},

@@ -199,6 +199,24 @@ def test_interior_product_basis_and_nilpotence(rng):
     assert interior_product(xr, interior_product(xr, alpha)).max_norm() < 1e-13
 
 
+@pytest.mark.parametrize("k,l", [(0, 3), (1, 1), (1, 4), (2, 2), (2, 3), (3, 4), (2, 5)])
+def test_wedge_matches_shuffle_oracle(rng, k, l):
+    lat = Lattice((1, 2), 8, TWO_PI)
+    a = FormField(lat, k, rng.standard_normal(lat.grid_shape + (tables.num_components(k),)))
+    b = FormField(lat, l, rng.standard_normal(lat.grid_shape + (tables.num_components(l),)))
+    expect = oracles.wedge_compressed(a.data, k, b.data, l)
+    assert np.max(np.abs(wedge(a, b).data - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_interior_product_matches_full_tensor_oracle(rng, k):
+    lat = Lattice((1, 2), 8, TWO_PI)
+    alpha = FormField(lat, k, rng.standard_normal(lat.grid_shape + (tables.num_components(k),)))
+    x = rng.standard_normal(lat.grid_shape + (7,))
+    res = interior_product(TensorField(lat, "u", x), alpha)
+    assert np.max(np.abs(res.data - oracles.interior_compressed(x, alpha.data, k))) < 1e-13
+
+
 def test_basis_interior_model_form():
     lat = Lattice((1,), 8, TWO_PI)
     x = np.zeros(lat.grid_shape + (7,))

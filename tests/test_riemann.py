@@ -88,6 +88,41 @@ def test_nabla_psi_formula(closed_structure):
     assert np.max(np.abs(npsi - rhs)) < 1e-8 * scale
 
 
+def _stacked_partials(lat, data):
+    """d[..., m, slots] = d_m data; zero along inactive axes."""
+    a = lat.ndim_active
+    out = np.zeros(lat.grid_shape + (7,) + data.shape[a:])
+    for ax in lat.active_axes:
+        out[(slice(None),) * a + (ax - 1,)] = lat.partial_array(data, ax)
+    return out
+
+
+@pytest.mark.parametrize("variance", ["", "u", "d", "ud", "ddd", "dddd"])
+def test_covariant_derivative_matches_index_formula(rng, variance):
+    # Gamma is not symmetric in its lower pair, so a swapped slot shows
+    lat = Lattice((1, 3), 8, TWO_PI)
+    gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
+    assert np.max(np.abs(gamma - np.swapaxes(gamma, -1, -2))) > 0.1
+    data = rng.standard_normal(lat.grid_shape + (7,) * len(variance))
+    got = riemann.covariant_derivative_array(data, variance, gamma, lat)
+    expect = oracles.covariant_derivative(data, variance, gamma, _stacked_partials(lat, data))
+    assert got.shape == lat.grid_shape + (7,) * (len(variance) + 1)
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_curvature_matches_index_formula(rng, scheme):
+    lat = Lattice((2, 3), 8, TWO_PI, scheme=scheme)
+    gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
+    a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
+    g = np.swapaxes(a, -1, -2) @ a
+    g_inv = np.linalg.inv(g)
+    curv = riemann.curvature(riemann.ConnectionData(gamma), g, g_inv, lat)
+    rm, ric, scalar = oracles.curvature(gamma, _stacked_partials(lat, gamma), g, g_inv)
+    for got, want in ((curv.rm, rm), (curv.ric, ric), (curv.scalar, scalar)):
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def test_form_field_covariant_derivative_shape(closed_structure):
     st, lat = closed_structure
     out = riemann.covariant_derivative(st.phi, riemann.connection_of(st))
