@@ -64,10 +64,12 @@ class FlowState:
 class StepControl:
     """Time-step policy.
 
-    With dt unset the step is cfl_coefficient * (L/n)^2 / s where s is the
-    largest eigenvalue of g^{-1} over all sites (the symbol of the Hodge
-    Laplacian is bounded by s |k|^2; cfl_coefficient <= 0.28 keeps the
-    largest resolved mode inside the RK4 stability interval).
+    With dt unset the step is cfl_coefficient * (L/n)^2 / (a s) where a is
+    the number of active axes and s the largest eigenvalue of g^{-1} over all
+    sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and the
+    largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
+    a (1.372 / h)^2 (fd4), so cfl_coefficient <= 0.28 keeps it inside the
+    RK4 stability interval [-2.785, 0] on every lattice.
     """
 
     t_end: float
@@ -167,8 +169,10 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
     if control.dt is not None:
         dt = control.dt
     else:
-        h = state.structure.lattice.spacing
-        dt = control.cfl_coefficient * h * h / max_metric_speed(state.structure)
+        lattice = state.structure.lattice
+        h = lattice.spacing
+        dt = (control.cfl_coefficient * h * h
+              / (lattice.ndim_active * max_metric_speed(state.structure)))
     dt = min(dt, control.max_dt)
     if state.t + dt > control.t_end * (1.0 + END_RTOL):
         dt = control.t_end - state.t

@@ -182,9 +182,13 @@ def i_phi(h: np.ndarray, phi: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """
     phi_flat = expand_form(phi, 3).reshape(phi.shape[:-1] + (7, 49))
     p = (h @ g_inv) @ phi_flat
-    p = p.reshape(p.shape[:-1] + (7, 7))
-    full = p + np.einsum("...abc->...cab", p) + np.einsum("...abc->...bca", p)
-    return compress_form(full, 3)
+    p = p.reshape(p.shape[:-2] + (343,))
+    # flat positions 49i + 7j + k of increasing ijk, and of jki and kij
+    # (base-7 digits rotated left once and twice)
+    ijk = tables.compress_positions(3)
+    jki = ijk % 49 * 7 + ijk // 49
+    kij = jki % 49 * 7 + jki // 49
+    return p[..., ijk] + p[..., jki] + p[..., kij]
 
 
 def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, vol) -> np.ndarray:

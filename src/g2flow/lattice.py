@@ -4,18 +4,65 @@ Fields are constant along inactive axes, so storage and differentiation are
 reduced to the active grid while the fiber algebra stays fully 7-dimensional.
 Grid layout is site-major (one grid axis per active coordinate axis) with the
 component axes trailing, in lexicographic multi-index order.
+
+Both derivative schemes are one cached (n, n) circulant matrix per
+(scheme, n, period), applied along a grid axis by batched matmul
+(`derivative_matrix`, `Lattice.partial_array`).
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from . import tables
 
 TWO_PI = 2.0 * np.pi
 
 SCHEMES = ("spectral", "fd4")
+
+# OpenBLAS's default single-thread limit on m*n*k of one gemm (see partial_array).
+_GEMM_LIMIT = 65536 * 4
+
+
+@lru_cache(maxsize=None)
+def derivative_matrix(scheme: str, n: int, period: float) -> np.ndarray:
+    """Read-only (n, n) circulant D[j, l] = c[(j - l) mod n] with (D f)_j = f'(x_j).
+
+    spectral (n even): c[m] = (pi/L) (-1)^m cot(pi m/n), c[0] = c[n/2] = 0,
+    the derivative of the band-limited interpolant with the Nyquist mode
+    zeroed (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3).
+    fd4: c[+-1] = -+8/(12h), c[+-2] = +-1/(12h), the centered 4th-order stencil.
+    The eigenvalue of D on the Fourier mode exp(2 pi i k j/n) is the DFT of c
+    at k, i.e. i times the scheme's symbol.
+    """
+    m = np.arange(n)
+    c = np.zeros(n)
+    if scheme == "spectral":
+        c[1:] = (np.pi / period) * (-1.0) ** m[1:] / np.tan(np.pi * m[1:] / n)
+        c[n // 2] = 0.0
+    elif scheme == "fd4":
+        h = period / n
+        c[[1, -1, 2, -2]] = np.array([-8.0, 8.0, 1.0, -1.0]) / (12.0 * h)
+    else:
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    mat = c[(m[:, None] - m[None, :]) % n]
+    mat.flags.writeable = False
+    return mat
+
+
+def _gemm_width(n: int, trailing: tuple) -> int:
+    """Columns W of each (n, n) @ (n, W) product along a grid axis.
+
+    The longest product of trailing axes with n*n*W <= _GEMM_LIMIT, and at
+    least one column.
+    """
+    width = 1
+    for size in reversed(trailing):
+        if n * n * width * size > _GEMM_LIMIT:
+            break
+        width *= size
+    return width
 
 
 @dataclass(frozen=True)
@@ -85,26 +132,46 @@ class Lattice:
         return x.reshape(shape)
 
     def partial_array(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """d/dx_axis of gridded data (trailing component axes untouched)."""
+        """d/dx_axis of gridded data (trailing component axes untouched).
+
+        One code path for both schemes: the circulant derivative_matrix D
+        multiplies the grid axis. The first slice along the axis is
+        subtracted beforehand (D kills constants), so data that is constant
+        along the axis gives exactly 0.0 rather than roundoff.
+
+        The axis is moved next to a block of W trailing entries as a strided
+        view (no copy), and np.matmul computes one (n, n) @ (n, W) product
+        per block (_gemm_width): about one per site of the other axes, fewer
+        components where one site is too much (1-D, 343 components, n >= 32),
+        down to one column. One large gemm over the whole array would take
+        BLAS's threaded path, whose start-up stalls cost milliseconds per
+        call on a busy host.
+
+        Cost: dense D is O(n) work per point, against O(log n) for an FFT.
+        Median per call over every axis, in a fresh process on a 2-CPU Xeon,
+        against the scipy rfft pair it replaced: 1.6 against 3.5 ms for
+        (8, 8, 8, 7, 7, 7) data, 0.05 against 0.26 ms for (8, 8, 8, 35),
+        1.7 against 2.7 ms for (64, 64, 35) and 7 against 17 ms for
+        (32, 32, 32, 35). It loses at large n, where the blocks narrow:
+        18 against 9 ms for (128, 128, 35); 1-D with 343 components breaks
+        even at n=128 and costs 3.5 against 1.5 ms at n=256, 17 against
+        2.2 ms at n=512 and 80 against 5 ms at n=1024.
+        """
         if axis not in self.active_axes:
             return np.zeros_like(data)
         i = self.active_axes.index(axis)
-        if self.scheme == "spectral":
-            n = self.points_per_axis
-            freq = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
-            mult = 1j * (TWO_PI / self.period) * freq
-            mult[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-            shape = [1] * data.ndim
-            shape[i] = mult.size
-            spec = scipy.fft.rfft(data, axis=i)
-            spec *= mult.reshape(shape)
-            return scipy.fft.irfft(spec, n=n, axis=i)
-        h = self.spacing
-        p1 = np.roll(data, -1, axis=i)
-        p2 = np.roll(data, -2, axis=i)
-        m1 = np.roll(data, 1, axis=i)
-        m2 = np.roll(data, 2, axis=i)
-        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+        n = self.points_per_axis
+        shape = data.shape
+        trailing = shape[i + 1:]
+        width = _gemm_width(n, trailing)
+        blocks = (n ** i, n, int(np.prod(trailing, dtype=np.int64)) // width, width)
+        shifted = np.empty(shape)
+        np.subtract(data, data[(slice(None),) * i + (slice(0, 1),)], out=shifted)
+        out = np.empty(shape)
+        np.matmul(derivative_matrix(self.scheme, n, self.period),
+                  shifted.reshape(blocks).transpose(0, 2, 1, 3),
+                  out=out.reshape(blocks).transpose(0, 2, 1, 3))
+        return out
 
     def integrate(self, values: np.ndarray, vol_density=None) -> float:
         """Riemann sum of a scalar field against vol_density (default 1).

@@ -160,6 +160,50 @@ def ordered_ck_stack(partial, axes, data, n_grid, k_max):
     return tuple(out)
 
 
+def i_phi(h, comp, g_inv):
+    """h_i^l phi_ljk + h_j^l phi_lki + h_k^l phi_lij on the full tensor, h_i^l = h_im g^ml."""
+    full = full_from_compressed(comp, 3)
+    t = np.einsum("...im,...ml,...ljk->...ijk", h, g_inv, full)
+    out = t + np.einsum("...jki->...ijk", t) + np.einsum("...kij->...ijk", t)
+    return compressed_from_full(out, 3)
+
+
+def fft_partial(data, axis, period):
+    """d/dx along grid axis `axis` (0-based) of periodic samples, by numpy.fft.
+
+    Mode k is multiplied by i k 2 pi / period; on an even grid the Nyquist
+    mode is dropped.
+    """
+    n = data.shape[axis]
+    mult = 1j * (2.0 * np.pi / period) * np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        mult[n // 2] = 0.0
+    shape = [1] * data.ndim
+    shape[axis] = n
+    return np.fft.ifft(np.fft.fft(data, axis=axis) * mult.reshape(shape), axis=axis).real
+
+
+def fd4_partial(data, axis, period):
+    """(-f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2]) / 12h along grid axis `axis`, by np.roll."""
+    h = period / data.shape[axis]
+
+    def shifted(s):  # f[j + s]
+        return np.roll(data, -s, axis=axis)
+
+    return (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * h)
+
+
+def derivative_symbol(partial, n):
+    """|sigma(k)|, k = 0..n-1, of a translation-invariant derivative on n points.
+
+    partial(f) differentiates 1-D samples; the FFT of its response to a unit
+    impulse is its Fourier multiplier.
+    """
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return np.abs(np.fft.fft(partial(impulse)))
+
+
 def pullback_3form(a_matrix, comp):
     """(A^* alpha)_ijk = A^a_i A^b_j A^c_k alpha_abc on compressed storage."""
     full = full_from_compressed(comp, 3)

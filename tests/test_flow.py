@@ -8,6 +8,7 @@ from g2flow import g2algebra as g2
 from g2flow import riemann, tables
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
+import oracles
 from conftest import band_limited_form, closed_perturbed_phi
 
 TWO_PI = 2.0 * np.pi
@@ -276,6 +277,29 @@ def test_run_flow_ends_at_non_dyadic_t_end(dt, steps):
     assert records[-1].t == final.t
     assert flow.reached_end(final.t, control)
     assert done == [steps]
+
+
+@pytest.mark.parametrize("scheme, oracle", [("spectral", oracles.fft_partial),
+                                            ("fd4", oracles.fd4_partial)])
+def test_default_step_inside_rk4_interval(scheme, oracle):
+    # dt * lambda_max <= 2.785 (RK4's real stability interval) for the default
+    # and the largest documented cfl_coefficient; lambda_max = s a max|sigma|^2
+    # with s = 1/scale^2 for phi = scale^3 phi0 (g = scale^2 I)
+    scale, period = 1.25, 1.7
+    ns = (8, 10, 16, 32) if scheme == "spectral" else (5, 6, 7, 9, 16, 32)
+    for a in (1, 2, 3):
+        for n in ns:
+            if a == 3 and n > 16:
+                continue  # 32^3 sites add run time and no new symbol
+            lat = Lattice(tuple(range(1, a + 1)), n, period, scheme)
+            st = g2.G2Structure.from_phi(FormField.constant(lat, 3, scale ** 3 * g2.PHI0))
+            assert np.isclose(flow.max_metric_speed(st), scale ** -2)
+            sigma = oracles.derivative_symbol(lambda f: oracle(f, 0, period), n)
+            lam_max = a * np.max(sigma) ** 2 / scale ** 2
+            for c in (0.2, 0.28):
+                control = flow.StepControl(t_end=np.inf, cfl_coefficient=c)
+                dt = flow.propose_dt(flow.FlowState(0.0, st, st, "deturck"), control)
+                assert dt * lam_max <= 2.785, (scheme, a, n, c)
 
 
 def test_step_clamped_to_short_remainder_lands_on_t_end():

@@ -287,6 +287,20 @@ def test_i_phi_of_metric_is_three_phi(curved_batch):
     assert np.max(np.abs(g2.i_phi(np.zeros_like(g), phi, g_inv))) == 0.0
 
 
+def test_i_phi_matches_einsum_oracle(rng, curved_batch):
+    # random symmetric h, GL+ metrics and both the pulled-back and random 3-forms
+    phi, a, g, g_inv, vol, psi = curved_batch
+    h = rng.standard_normal((200, 7, 7))
+    h = h + np.swapaxes(h, -1, -2)
+    for form in (phi, rng.standard_normal((200, 35))):
+        expect = oracles.i_phi(h, form, g_inv)
+        got = g2.i_phi(h, form, g_inv)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    # one unbatched 3-form against the batch of h and metrics
+    expect = oracles.i_phi(h, np.broadcast_to(g2.PHI0, phi.shape), g_inv)
+    assert np.max(np.abs(g2.i_phi(h, g2.PHI0, g_inv) - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 def test_i_phi_lands_in_one_plus_27(rng, curved_batch):
     phi, a, g, g_inv, vol, psi = curved_batch
     h = rng.standard_normal((200, 7, 7))

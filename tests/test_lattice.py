@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from g2flow import tables
+from g2flow import lattice, tables
 from g2flow.g2algebra import PHI0, PSI0
-from g2flow.lattice import (FormField, Lattice, TensorField, exterior_derivative,
-                            integrate, interior_product, partial_derivative, wedge)
+from g2flow.lattice import (FormField, Lattice, TensorField, derivative_matrix,
+                            exterior_derivative, integrate, interior_product,
+                            partial_derivative, wedge)
 
 import oracles
 from conftest import band_limited_form
@@ -96,6 +97,77 @@ def test_fd4_error_bounded_by_h4():
     h = lat.period / n
     # |error| <= h^4/30 for sin (fifth derivative has unit amplitude)
     assert np.max(np.abs(df.data - np.cos(x))) <= h ** 4 / 30 * 1.05
+
+
+DERIVATIVE_ORACLES = {"spectral": oracles.fft_partial, "fd4": oracles.fd4_partial}
+COMPONENT_SHAPES = ((), (35,), (7, 7), (7, 7, 7))
+
+
+@pytest.mark.parametrize("period", [TWO_PI, 1.7])
+@pytest.mark.parametrize("axes, scheme, n", [
+    ((3,), "spectral", 32), ((3,), "spectral", 64), ((3,), "spectral", 256),
+    ((3,), "fd4", 7), ((2, 5), "spectral", 16), ((2, 5), "fd4", 8),
+    ((1, 4, 7), "spectral", 8), ((1, 4, 7), "fd4", 6),
+])
+def test_partial_array_matches_oracle(axes, scheme, n, period, rng):
+    # every active axis and component shape, against numpy.fft / np.roll;
+    # 1-D n=64 and n=256 with 343 components take gemm blocks narrower than
+    # one site (49 and 1 columns)
+    lat = Lattice(axes, n, period, scheme)
+    oracle = DERIVATIVE_ORACLES[scheme]
+    for comp in COMPONENT_SHAPES:
+        data = rng.standard_normal(lat.grid_shape + comp)
+        for pos, axis in enumerate(axes):
+            got = lat.partial_array(data, axis)
+            expect = oracle(data, pos, period)
+            assert got.shape == data.shape
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_gemm_blocks_stay_under_single_thread_limit():
+    # (n, trailing axes) -> W: whole sites while n*n*W fits, then fewer
+    # components, down to one column
+    cases = {(8, (8, 8, 7, 7, 7)): 8 * 343, (16, (16, 35)): 16 * 35, (32, (7, 7, 7)): 49,
+             (64, (7, 7, 7)): 49, (128, (128, 35)): 1, (32, ()): 1}
+    for (n, trailing), width in cases.items():
+        assert lattice._gemm_width(n, trailing) == width
+        assert n * n * width <= lattice._GEMM_LIMIT
+
+
+@pytest.mark.parametrize("scheme, n", [("spectral", 16), ("fd4", 7)])
+def test_partial_exactly_zero_along_constant_axis(scheme, n, rng):
+    # varies along the other axes only; given as a broadcast (strided) view
+    lat = Lattice((1, 2, 3), n, 1.7, scheme)
+    full_shape = lat.grid_shape + (7, 7)
+    for pos, axis in enumerate(lat.active_axes):
+        shape = list(full_shape)
+        shape[pos] = 1
+        data = np.broadcast_to(rng.standard_normal(shape), full_shape)
+        assert np.all(lat.partial_array(data, axis) == 0.0)
+        other = lat.active_axes[(pos + 1) % 3]
+        assert np.max(np.abs(lat.partial_array(data, other))) > 0.1
+
+
+@pytest.mark.parametrize("n", [8, 10, 16])
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_derivative_matrix_symbol(scheme, n):
+    # sin/cos modes |k| < n/2 map to sigma(k) cos/-sigma(k) sin, with sigma(k) = k w
+    # (spectral) or (8 sin kh - sin 2kh)/6h (fd4); the Nyquist mode maps to 0
+    period = 1.7
+    h, w = period / n, TWO_PI / period
+    x = h * np.arange(n)
+    d = derivative_matrix(scheme, n, period)
+    assert not d.flags.writeable
+    for k in range(n // 2):
+        kx = k * w * x
+        sigma = k * w if scheme == "spectral" else (8 * np.sin(k * w * h)
+                                                    - np.sin(2 * k * w * h)) / (6 * h)
+        assert np.max(np.abs(d @ np.sin(kx) - sigma * np.cos(kx))) <= 1e-13 * n * w
+        assert np.max(np.abs(d @ np.cos(kx) + sigma * np.sin(kx))) <= 1e-13 * n * w
+        # the eigenvalue on exp(2 pi i k j/n) is the DFT of the first column
+        assert abs(np.fft.fft(d[:, 0])[k] - 1j * sigma) <= 1e-13 * n * w
+    nyquist = np.cos(n // 2 * w * x)
+    assert np.max(np.abs(d @ nyquist)) <= 1e-13 * n * w
 
 
 # --- exterior derivative ------------------------------------------------------
