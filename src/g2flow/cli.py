@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 identity/self-check failure, 2 configuration error,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import diagnostics, flow
 from . import io as ckpt
 from .checks import MUTATIONS, run_identity_suite
 from .config import ConfigError, RunConfig
-from .g2algebra import G2Structure, NotPositive
+from .g2algebra import G2Structure, NotPositive, flat_reference
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -83,7 +84,7 @@ def _decay_svg(path, times, values, title="log10 |theta|^2_L2 vs t"):
     Path(path).write_text(svg)
 
 
-def _write_summary(path, cfg, state, records, steps, stop_reason):
+def _write_summary(path, state, records, steps, stop_reason):
     lat = state.structure.lattice
     lam1 = diagnostics.lambda1_exact_forms(lat)
     last = records[-1]
@@ -114,25 +115,26 @@ def _write_summary(path, cfg, state, records, steps, stop_reason):
     return summary
 
 
-# Sidecar entries a flow checkpoint carries (see checkpoint_cb in cmd_flow).
-RESUME_KEYS = ("t", "step", "kind", "deturck_a")
+def _flow_extra(cfg, t, step) -> dict:
+    """Sidecar entries of a flow checkpoint: its time, its step and cfg's flow section."""
+    return {"t": t, "step": step, **asdict(cfg.flow)}
 
 
-def _resume_state(path, cfg, lattice):
+def _resume_state(path, cfg):
     """(structure, t, step) of a flow checkpoint; ConfigError unless it fits cfg."""
     try:
         phi, extra = ckpt.read_form_field(Path(path).with_suffix(""))
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    missing = [key for key in RESUME_KEYS if key not in extra]
+    missing = [key for key in _flow_extra(cfg, None, None) if key not in extra]
     if missing:
         raise ConfigError(f"checkpoint {path} is not a flow state: "
                           f"no {', '.join(missing)} in its sidecar")
     if phi.degree != 3:
         raise ConfigError(f"checkpoint {path} holds a {phi.degree}-form, not a 3-form")
-    if phi.lattice != lattice:
-        raise ConfigError(f"checkpoint lattice {phi.lattice} differs from the config's {lattice}")
-    for key, want in (("kind", cfg.flow.kind), ("deturck_a", cfg.flow.deturck_a)):
+    if phi.lattice != cfg.lattice:
+        raise ConfigError(f"checkpoint lattice {phi.lattice} differs from the config's {cfg.lattice}")
+    for key, want in asdict(cfg.flow).items():
         if extra[key] != want:
             raise ConfigError(f"checkpoint {key} {extra[key]!r} differs from the config's {want!r}")
     try:
@@ -159,12 +161,10 @@ def _drop_samples_after(series_path, t0):
 def cmd_flow(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
-        lattice = cfg.validate()
-        reference = cfg.build_reference(lattice)
-        control = cfg.build_control()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    reference = flat_reference(cfg.lattice)
 
     out = Path(cfg.output.directory)
     ckpt_dir = out / "checkpoints"
@@ -174,7 +174,7 @@ def cmd_flow(args) -> int:
     t0, step0, emit_initial = 0.0, 0, True
     if args.resume:
         try:
-            initial, t0, step0 = _resume_state(args.resume, cfg, lattice)
+            initial, t0, step0 = _resume_state(args.resume, cfg)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -183,7 +183,7 @@ def cmd_flow(args) -> int:
         _drop_samples_after(series_path, t0)
     else:
         try:
-            initial = cfg.build_initial(lattice, reference)
+            initial = cfg.build_initial(reference)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -195,8 +195,7 @@ def cmd_flow(args) -> int:
     def checkpoint_cb(state, step):
         base = ckpt_dir / f"step_{step:08d}"
         ckpt.write_form_field(base, state.structure.phi,
-                              extra={"t": state.t, "step": step, "kind": state.kind,
-                                     "deturck_a": state.deturck_a})
+                              extra=_flow_extra(cfg, state.t, step))
         last_ckpt["path"] = str(base.with_suffix(".json"))
         last_ckpt["step"] = step
 
@@ -206,7 +205,7 @@ def cmd_flow(args) -> int:
 
         try:
             state, _ = flow.run_flow(
-                initial, reference, cfg.flow.kind, control,
+                initial, reference, cfg.flow.kind, cfg.control,
                 sample_interval=cfg.output.sample_interval,
                 deturck_a=cfg.flow.deturck_a, record_cb=record_cb,
                 checkpoint_cb=checkpoint_cb, t0=t0, step0=step0,
@@ -216,9 +215,7 @@ def cmd_flow(args) -> int:
             if exc.state is not None:
                 base = ckpt_dir / f"failed_step_{exc.step:08d}"
                 ckpt.write_form_field(base, exc.state.structure.phi,
-                                      extra={"t": exc.state.t, "step": exc.step,
-                                             "kind": exc.state.kind,
-                                             "deturck_a": exc.state.deturck_a})
+                                      extra=_flow_extra(cfg, exc.state.t, exc.step))
                 last_ckpt["path"] = str(base.with_suffix(".json"))
             print(f"last checkpoint: {last_ckpt['path']}", file=sys.stderr)
             return EXIT_STEP
@@ -227,9 +224,9 @@ def cmd_flow(args) -> int:
     records = [diagnostics.TimeSeriesRecord.from_dict(json.loads(line))
                for line in series_path.read_text().splitlines()]
     steps = last_ckpt["step"]
-    stop_reason = ("t_end reached" if flow.reached_end(state.t, control)
+    stop_reason = ("t_end reached" if flow.reached_end(state.t, cfg.control)
                    else "theta below stop tolerance")
-    summary = _write_summary(out / "summary.json", cfg, state, records, steps, stop_reason)
+    summary = _write_summary(out / "summary.json", state, records, steps, stop_reason)
     if cfg.output.plot:
         _decay_svg(out / "decay.svg", [r.t for r in records],
                    [r.l2_theta for r in records])
@@ -241,12 +238,11 @@ def cmd_flow(args) -> int:
 def cmd_spectrum(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
-        lattice = cfg.build_lattice()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    analytic = diagnostics.lambda1_exact_forms(lattice)
-    discrete = diagnostics.rayleigh_lowest_mode(lattice)
+    analytic = diagnostics.lambda1_exact_forms(cfg.lattice)
+    discrete = diagnostics.rayleigh_lowest_mode(cfg.lattice)
     print(f"lambda1 analytic: {analytic!r}")
     print(f"lambda1 discrete Rayleigh: {discrete!r}")
     if abs(analytic - discrete) > 1e-8 * max(abs(analytic), 1.0):
@@ -258,18 +254,15 @@ def cmd_spectrum(args) -> int:
 def cmd_perturb(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
-        lattice = cfg.validate()
-        reference = cfg.build_reference(lattice)
-        initial = cfg.build_initial(lattice, reference)
+        reference = flat_reference(cfg.lattice)
+        initial = cfg.build_initial(reference)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(cfg.output.directory)
     ckpt.write_form_field(out / "checkpoints" / "reference", reference.phi)
     path = ckpt.write_form_field(
-        out / "checkpoints" / "initial", initial.phi,
-        extra={"t": 0.0, "step": 0, "kind": cfg.flow.kind,
-               "deturck_a": cfg.flow.deturck_a})
+        out / "checkpoints" / "initial", initial.phi, extra=_flow_extra(cfg, 0.0, 0))
     theta0 = initial.phi.data - reference.phi.data
     print(f"initial checkpoint: {path}")
     print(f"theta0 max-norm: {float(np.max(np.abs(theta0))):.6e}")

@@ -1,34 +1,28 @@
 """Run configuration: a single JSON document describing one experiment.
 
+The lattice and control sections are the library's own Lattice and
+StepControl, built and validated once when the document is loaded; their
+defaults live in those classes.
+
 The perturbation spec is a list of Fourier modes of the 2-form potential
 beta; the initial 3-form is the reference plus d(beta), which keeps the
 initial value closed and in the reference cohomology class by construction.
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tables
-from .g2algebra import G2Structure, NotPositive, flat_reference, is_positive
-from .lattice import FormField, Lattice, exterior_derivative
-
-TWO_PI = 2.0 * math.pi
+from .flow import DEFAULT_DETURCK_A, KINDS, StepControl
+from .g2algebra import G2Structure, NotPositive, flat_reference
+from .lattice import TWO_PI, FormField, Lattice, exterior_derivative
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
-
-
-@dataclass
-class LatticeConfig:
-    active_axes: list
-    points_per_axis: int = 32
-    period: float = TWO_PI
-    scheme: str = "spectral"
 
 
 @dataclass
@@ -40,22 +34,28 @@ class PerturbationMode:
     amplitude: float
     phase: float = 0.0
 
+    def check(self, lattice: Lattice):
+        """Raise ValueError unless the mode fits the lattice."""
+        mode = list(self.mode)
+        if len(mode) != 7:
+            raise ValueError(f"mode vector must have 7 entries, got {mode}")
+        for axis, k in enumerate(mode, start=1):
+            if k and axis not in lattice.active_axes:
+                raise ValueError(f"mode {mode} excites inactive axis {axis}")
+        comp = tuple(int(c) for c in self.component)
+        if len(comp) != 2 or not (1 <= comp[0] < comp[1] <= 7):
+            raise ValueError(
+                f"component must be an increasing 1-based pair, got {self.component}")
+
 
 @dataclass
 class FlowConfig:
     kind: str = "deturck"
-    deturck_a: float = 0.0
+    deturck_a: float = DEFAULT_DETURCK_A
 
-
-@dataclass
-class ControlConfig:
-    t_end: float = 10.0
-    dt: float = None           # fixed step when set; otherwise the CFL policy
-    cfl_coefficient: float = 0.2
-    max_dt: float = None
-    stop_tolerance: float = 1e-10
-    checkpoint_every: int = 200
-    max_halvings: int = 10
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown flow kind {self.kind!r}")
 
 
 @dataclass
@@ -67,12 +67,11 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    lattice: LatticeConfig
+    lattice: Lattice
     flow: FlowConfig = field(default_factory=FlowConfig)
     perturbation: list = field(default_factory=list)
-    control: ControlConfig = field(default_factory=ControlConfig)
+    control: StepControl = field(default_factory=StepControl)
     output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
@@ -80,17 +79,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Build and validate every section; unknown top-level keys are ignored."""
         try:
-            return cls(
-                lattice=LatticeConfig(**d["lattice"]),
+            cfg = cls(
+                lattice=Lattice(**d["lattice"]),
                 flow=FlowConfig(**d.get("flow", {})),
                 perturbation=[PerturbationMode(**m) for m in d.get("perturbation", [])],
-                control=ControlConfig(**d.get("control", {})),
+                control=StepControl(**d.get("control", {})),
                 output=OutputConfig(**d.get("output", {})),
-                seed=int(d.get("seed", 0)),
             )
+            for m in cfg.perturbation:
+                m.check(cfg.lattice)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad config structure: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cfg
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -111,74 +115,26 @@ class RunConfig:
         return cls.from_json(path.read_text())
 
     # -- construction ------------------------------------------------------
-    def build_lattice(self) -> Lattice:
-        lc = self.lattice
-        try:
-            return Lattice(tuple(lc.active_axes), lc.points_per_axis,
-                           lc.period, lc.scheme)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def build_reference(self, lattice: Lattice = None) -> G2Structure:
-        return flat_reference(lattice or self.build_lattice())
-
-    def build_beta(self, lattice: Lattice) -> FormField:
+    def build_beta(self) -> FormField:
+        lattice = self.lattice
         data = np.zeros(lattice.grid_shape + (21,))
         pos2 = tables.index_position(2)
         for m in self.perturbation:
-            mode = list(m.mode)
-            if len(mode) != 7:
-                raise ConfigError(f"mode vector must have 7 entries, got {mode}")
-            for axis, k in enumerate(mode, start=1):
-                if k and axis not in lattice.active_axes:
-                    raise ConfigError(
-                        f"mode {mode} excites inactive axis {axis}")
-            comp = tuple(int(c) for c in m.component)
-            if len(comp) != 2 or not (1 <= comp[0] < comp[1] <= 7):
-                raise ConfigError(f"component must be an increasing 1-based pair, got {m.component}")
+            i, j = (int(c) - 1 for c in m.component)
             arg = m.phase * np.ones(lattice.grid_shape)
             for axis in lattice.active_axes:
-                k = mode[axis - 1]
+                k = m.mode[axis - 1]
                 if k:
                     arg = arg + (TWO_PI * k / lattice.period) * lattice.coordinate(axis)
-            data[..., pos2[(comp[0] - 1, comp[1] - 1)]] += (
+            data[..., pos2[(i, j)]] += (
                 m.amplitude * np.broadcast_to(np.sin(arg), lattice.grid_shape))
         return FormField(lattice, 2, data)
 
-    def build_initial(self, lattice: Lattice = None,
-                      reference: G2Structure = None) -> G2Structure:
+    def build_initial(self, reference: G2Structure = None) -> G2Structure:
         """Reference plus d(beta), validated positive."""
-        lattice = lattice or self.build_lattice()
-        reference = reference or self.build_reference(lattice)
-        theta0 = exterior_derivative(self.build_beta(lattice))
-        phi0 = reference.phi + theta0
-        if not np.all(is_positive(phi0.data)):
-            raise ConfigError("perturbation amplitude breaks positivity of the initial form")
+        reference = reference or flat_reference(self.lattice)
+        phi0 = reference.phi + exterior_derivative(self.build_beta())
         try:
             return G2Structure.from_phi(phi0)
         except NotPositive as exc:
             raise ConfigError(f"initial form not positive: {exc}") from exc
-
-    def build_control(self):
-        from .flow import StepControl
-
-        c = self.control
-        if c.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if c.dt is not None and c.dt <= 0:
-            raise ConfigError("dt must be positive when given")
-        return StepControl(
-            t_end=c.t_end, dt=c.dt, cfl_coefficient=c.cfl_coefficient,
-            max_dt=c.max_dt if c.max_dt is not None else np.inf,
-            stop_tolerance=c.stop_tolerance, checkpoint_every=c.checkpoint_every,
-            max_halvings=c.max_halvings)
-
-    def validate(self):
-        lattice = self.build_lattice()
-        from .flow import KINDS
-
-        if self.flow.kind not in KINDS:
-            raise ConfigError(f"unknown flow kind {self.flow.kind!r}")
-        self.build_control()
-        self.build_beta(lattice)
-        return lattice

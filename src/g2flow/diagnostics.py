@@ -11,7 +11,7 @@ import numpy as np
 
 from . import flow, riemann
 from .g2algebra import G2Structure
-from .lattice import Lattice
+from .lattice import Lattice, derivative_symbol
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,16 +61,6 @@ class DecayFit:
     lambda1: float
 
 
-def hitchin_functional(structure: G2Structure) -> float:
-    """Total volume (1/7) int phi ^ *phi; cross-checked against int sqrt(det g)."""
-    via_wedge = _hitchin_via_wedge(structure)
-    via_volume = total_volume(structure)
-    gap = abs(via_wedge - via_volume)
-    if gap > 1e-10 * max(abs(via_volume), 1e-300):
-        raise RuntimeError(f"volume functional self-check failed: gap {gap:.3e}")
-    return via_volume
-
-
 def _hitchin_via_wedge(structure: G2Structure) -> float:
     from .g2algebra import wedge_components
 
@@ -82,13 +72,25 @@ def total_volume(structure: G2Structure) -> float:
     return structure.lattice.integrate(structure.vol)
 
 
-def lambda1_exact_forms(lattice: Lattice) -> float:
-    """First Hodge-Laplacian eigenvalue on exact 3-forms of the flat torus.
+def _lowest_exact_mode(lattice: Lattice) -> tuple:
+    """(k, sigma(k)^2) of least squared symbol over the modes 1 <= k < n/2 of one axis."""
+    n = lattice.points_per_axis
+    sq = derivative_symbol(lattice.scheme, n, lattice.period)[1:(n + 1) // 2] ** 2
+    k = int(np.argmin(sq))
+    return k + 1, float(sq[k])
 
-    Exact forms d(beta) built from a Fourier mode k have eigenvalue
-    |k|^2 (2 pi / L)^2; the lowest nonzero integer mode gives (2 pi / L)^2.
+
+def lambda1_exact_forms(lattice: Lattice) -> float:
+    """First discrete Hodge-Laplacian eigenvalue on exact 3-forms of the flat torus.
+
+    d(beta) built from a Fourier mode k has eigenvalue sum_a sigma(k_a)^2 in
+    the scheme's symbol (lattice.derivative_symbol); modes with sigma = 0 give
+    d(beta) = 0. So lambda1 is the least sigma(k)^2 over 1 <= k < n/2 on one
+    axis: (2 pi / L)^2 for spectral and sigma(1)^2 for fd4 at even n. The fd4
+    symbol bends back down towards k = n/2, so at odd n its least value is
+    at k = (n - 1)/2.
     """
-    return (TWO_PI / lattice.period) ** 2
+    return _lowest_exact_mode(lattice)[1]
 
 
 def flat_l2(lattice: Lattice, data: np.ndarray) -> float:
@@ -120,7 +122,11 @@ def ck_channels(lattice: Lattice, data: np.ndarray, k_max: int = 3) -> tuple:
 
 
 def rayleigh_lowest_mode(lattice: Lattice) -> float:
-    """Discrete Rayleigh quotient of the flat Hodge Laplacian on the lowest exact mode."""
+    """Discrete Rayleigh quotient of the flat Hodge Laplacian on the lowest exact mode.
+
+    The mode is sin(2 pi k x / L) along the first active axis, with k that of
+    lambda1_exact_forms.
+    """
     from .g2algebra import flat_reference
     from .lattice import FormField, exterior_derivative
     from . import tables
@@ -130,7 +136,8 @@ def rayleigh_lowest_mode(lattice: Lattice) -> float:
     pair = tuple(sorted({1, 2, 3} - {axis}))[:2] if axis <= 3 else (1, 2)
     pos = tables.index_position(2)[tuple(p - 1 for p in pair)]
     beta = np.zeros(lattice.grid_shape + (21,))
-    beta[..., pos] = np.broadcast_to(np.sin(TWO_PI / lattice.period
+    k = _lowest_exact_mode(lattice)[0]
+    beta[..., pos] = np.broadcast_to(np.sin(TWO_PI * k / lattice.period
                                             * lattice.coordinate(axis)),
                                      lattice.grid_shape)
     theta = exterior_derivative(FormField(lattice, 2, beta))

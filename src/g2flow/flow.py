@@ -69,16 +69,23 @@ class StepControl:
     sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and the
     largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
     a (1.372 / h)^2 (fd4), so cfl_coefficient <= 0.28 keeps it inside the
-    RK4 stability interval [-2.785, 0] on every lattice.
+    RK4 stability interval [-2.785, 0] on every lattice. A set dt is used
+    as is; max_dt, when set, caps either step.
     """
 
-    t_end: float
+    t_end: float = 10.0
     dt: float = None
     cfl_coefficient: float = 0.2
-    max_dt: float = np.inf
+    max_dt: float = None
     stop_tolerance: float = 1e-10
     checkpoint_every: int = 200
     max_halvings: int = 10
+
+    def __post_init__(self):
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError("dt must be positive when given")
 
 
 def coexact_part(structure: G2Structure) -> FormField:
@@ -173,7 +180,8 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
         h = lattice.spacing
         dt = (control.cfl_coefficient * h * h
               / (lattice.ndim_active * max_metric_speed(state.structure)))
-    dt = min(dt, control.max_dt)
+    if control.max_dt is not None:
+        dt = min(dt, control.max_dt)
     if state.t + dt > control.t_end * (1.0 + END_RTOL):
         dt = control.t_end - state.t
     return dt
@@ -230,37 +238,38 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     an interrupted run; emit_initial=False suppresses the duplicate sample at
     the resume point.
     """
-    from .diagnostics import diagnostic_snapshot
+    from .diagnostics import diagnostic_snapshot, flat_l2
 
     state = FlowState(t=t0, structure=initial, reference=reference,
                       kind=kind, deturck_a=deturck_a)
     records = []
 
     def sample(st):
+        """Record a snapshot; returns its l2_theta for the stop test."""
         rec = diagnostic_snapshot(st)
         records.append(rec)
         if record_cb is not None:
             record_cb(rec)
-        return rec
+        return rec.l2_theta
 
     if emit_initial:
-        rec = sample(state)
+        l2 = sample(state)
     else:
-        rec = diagnostic_snapshot(state)
+        l2 = flat_l2(state.structure.lattice, state.theta())
     step = step0
     try:
-        while not reached_end(state.t, control) and np.sqrt(rec.l2_theta) >= control.stop_tolerance:
+        while not reached_end(state.t, control) and np.sqrt(l2) >= control.stop_tolerance:
             state = step_rk4(state, control)
             step += 1
             if step % sample_interval == 0:
-                rec = sample(state)
+                l2 = sample(state)
             if checkpoint_cb is not None and step % control.checkpoint_every == 0:
                 checkpoint_cb(state, step)
     except StepFailed as exc:
         exc.step = step
         raise
     if step % sample_interval != 0:
-        rec = sample(state)
+        sample(state)
     if checkpoint_cb is not None:
         checkpoint_cb(state, step)
     return state, records

@@ -80,7 +80,7 @@ def _cubic_contraction(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return u @ t @ np.swapaxes(u, -1, -2)
 
 
-def metric_from_phi(phi: np.ndarray, check: bool = True):
+def metric_from_phi(phi: np.ndarray):
     """Metric and volume density of a positive 3-form.
 
     b_ij is the coefficient of the coordinate 7-form in
@@ -94,15 +94,14 @@ def metric_from_phi(phi: np.ndarray, check: bool = True):
     """
     b = _cubic_contraction(phi, phi)
     det_b = np.linalg.det(b)
-    if check and np.any(det_b <= 0.0):
+    if np.any(det_b <= 0.0):
         raise NotPositive(f"det b <= 0 at {int(np.sum(det_b <= 0.0))} site(s)")
-    scale = np.where(det_b > 0.0, np.abs(det_b), 1.0) ** (-1.0 / 9.0)
+    scale = det_b ** (-1.0 / 9.0)
     g = _METRIC_SCALE * b * scale[..., None, None]
-    if check:
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise NotPositive("metric candidate is not positive-definite") from None
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise NotPositive("metric candidate is not positive-definite") from None
     vol = _VOL_SCALE / scale
     return g, vol
 

@@ -51,6 +51,28 @@ def derivative_matrix(scheme: str, n: int, period: float) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def derivative_symbol(scheme: str, n: int, period: float) -> np.ndarray:
+    """Read-only symbol sigma(k) of derivative_matrix, k in DFT order.
+
+    D maps exp(i kappa x) to i sigma(k) exp(i kappa x), kappa = 2 pi k / L,
+    so sigma is the DFT of D's first column divided by i. In closed form,
+    with h = L / n: spectral, sigma = kappa for |k| < n/2 and 0 at the
+    Nyquist mode; fd4, sigma = (8 sin(kappa h) - sin(2 kappa h)) / (6 h).
+    """
+    k = (np.arange(n) + n // 2) % n - n // 2  # 0, 1, ..., then the negative k
+    if scheme == "spectral":
+        sigma = (TWO_PI / period) * k
+        sigma[n // 2] = 0.0
+    elif scheme == "fd4":
+        kh = TWO_PI * k / n
+        sigma = (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * period / n)
+    else:
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    sigma.flags.writeable = False
+    return sigma
+
+
 def _gemm_width(n: int, trailing: tuple) -> int:
     """Columns W of each (n, n) @ (n, W) product along a grid axis.
 
@@ -75,8 +97,8 @@ class Lattice:
     """
 
     active_axes: tuple
-    points_per_axis: int
-    period: float
+    points_per_axis: int = 32
+    period: float = TWO_PI
     scheme: str = "spectral"
 
     def __post_init__(self):
@@ -106,10 +128,6 @@ class Lattice:
     @property
     def grid_shape(self) -> tuple:
         return (self.points_per_axis,) * self.ndim_active
-
-    @property
-    def site_count(self) -> int:
-        return self.points_per_axis ** self.ndim_active
 
     @property
     def spacing(self) -> float:
@@ -259,10 +277,6 @@ class TensorField:
         if self.data.shape != expected:
             raise ValueError(f"tensor data shape {self.data.shape}, expected {expected}")
         object.__setattr__(self, "data", _freeze(self.data))
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0

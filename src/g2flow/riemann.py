@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2algebra
-from .lattice import FormField, Lattice, TensorField
+from .lattice import Lattice, TensorField
 
 
 @dataclass
@@ -80,18 +80,6 @@ def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarra
         np.matmul(conn[var], front, out=buf)
         out += np.moveaxis(buf.reshape(buf.shape[:-2] + (7,) * (r + 1)), -r, s - r)
     return out
-
-
-def covariant_derivative(field, conn: ConnectionData):
-    """Covariant derivative of a FormField or TensorField (one extra lower slot)."""
-    if isinstance(field, FormField):
-        data = g2algebra.expand_form(field.data, field.degree)
-        variance = "d" * field.degree
-        lattice = field.lattice
-    else:
-        data, variance, lattice = field.data, field.variance, field.lattice
-    out = covariant_derivative_array(data, variance, conn.gamma, lattice)
-    return TensorField(lattice, "d" + variance, out)
 
 
 def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,

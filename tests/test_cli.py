@@ -104,6 +104,31 @@ def test_spectrum_half_period(tmp_path, capsys):
     assert "analytic: 4.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, lambda1", [(16, "0.99844"), (9, "0.65070")])
+def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
+    # lambda1 is the least discrete fd4 symbol, which the Rayleigh quotient
+    # reproduces, not the continuum 1.0
+    path, _ = write_config(tmp_path, lattice={"points_per_axis": n, "scheme": "fd4"})
+    assert cli.main(["spectrum", str(path)]) == 0
+    assert f"analytic: {lambda1}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["flow", "spectrum", "perturb"])
+@pytest.mark.parametrize("override", [{"control": {"t_end": 0.0}},
+                                      {"control": {"t_end": -0.5}},
+                                      {"control": {"dt": 0.0}},
+                                      {"control": {"dt": -0.01}},
+                                      {"lattice": {"points_per_axis": 7}},
+                                      {"flow": {"kind": "ricci"}}],
+                         ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
+                              "odd_spectral_n", "kind"])
+def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
+    path, _ = write_config(tmp_path, **override)
+    assert cli.main([command, str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_bad_config_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")

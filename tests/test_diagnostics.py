@@ -15,12 +15,17 @@ from test_flow import lowest_mode_initial
 TWO_PI = 2.0 * np.pi
 
 
+def snapshot_volumes(structure):
+    """(hitchin_h, total_volume) of a snapshot: (1/7) int phi ^ psi and int sqrt(det g)."""
+    rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, structure, structure, "deturck"))
+    return rec.hitchin_h, rec.total_volume
+
+
 def test_hitchin_flat_reference_volume():
     lat = Lattice((1,), 32, TWO_PI)
-    ref = g2.flat_reference(lat)
-    h = diagnostics.hitchin_functional(ref)
+    h, vol = snapshot_volumes(g2.flat_reference(lat))
     assert abs(h - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
-    assert abs(diagnostics.total_volume(ref) - h) < 1e-12 * h
+    assert abs(vol - h) < 1e-12 * h
 
 
 def test_hitchin_scaling_homogeneity():
@@ -29,17 +34,21 @@ def test_hitchin_scaling_homogeneity():
     lam = 1.7
     base = g2.flat_reference(lat)
     scaled = g2.G2Structure.from_phi(lam * base.phi)
-    h0 = diagnostics.hitchin_functional(base)
-    h1 = diagnostics.hitchin_functional(scaled)
+    h0, _ = snapshot_volumes(base)
+    h1, vol1 = snapshot_volumes(scaled)
     assert abs(h1 - lam ** (7.0 / 3.0) * h0) < 1e-10 * h1
+    assert abs(vol1 - h1) < 1e-10 * h1
 
 
-def test_hitchin_cross_check_raises_on_inconsistency():
+def test_hitchin_and_volume_channels_disagree_on_inconsistent_structure():
+    # the two channels are independent: a volume density inconsistent with
+    # phi moves total_volume and leaves hitchin_h, so they no longer agree
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
     broken = g2.G2Structure(ref.phi, ref.g, ref.g_inv, ref.vol * 1.001, ref.psi)
-    with pytest.raises(RuntimeError):
-        diagnostics.hitchin_functional(broken)
+    h, vol = snapshot_volumes(broken)
+    assert abs(h - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
+    assert abs(vol - 1.001 * h) < 1e-10 * h
 
 
 @pytest.mark.parametrize("period,expect", [(TWO_PI, 1.0), (np.pi, 4.0)])
@@ -54,6 +63,21 @@ def test_rayleigh_matches_lambda1(period):
     analytic = diagnostics.lambda1_exact_forms(lat)
     discrete = diagnostics.rayleigh_lowest_mode(lat)
     assert abs(discrete - analytic) < 1e-10 * analytic
+
+
+@pytest.mark.parametrize("n, k_low", [(16, 1), (32, 1), (5, 2), (9, 4), (15, 7)])
+@pytest.mark.parametrize("period", [TWO_PI, 1.7])
+def test_fd4_lambda1_is_least_discrete_symbol(n, k_low, period):
+    # the fd4 symbol from the oracle stencil, not the continuum (2 pi / L)^2;
+    # at odd n it is least at k = (n - 1)/2, below sigma(1)^2
+    lat = Lattice((1,), n, period, scheme="fd4")
+    sigma = oracles.derivative_symbol(lambda f: oracles.fd4_partial(f, 0, period), n)
+    expect = sigma[k_low] ** 2
+    assert expect == np.min(sigma[1:(n + 1) // 2] ** 2)
+    analytic = diagnostics.lambda1_exact_forms(lat)
+    assert abs(analytic - expect) < 1e-13 * expect
+    assert analytic < (TWO_PI / period) ** 2
+    assert abs(diagnostics.rayleigh_lowest_mode(lat) - analytic) < 1e-12 * analytic
 
 
 def test_fit_decay_rate_exact_exponential():

@@ -312,6 +312,25 @@ def test_step_clamped_to_short_remainder_lands_on_t_end():
     assert flow.step_rk4(state, control).t == 0.1
 
 
+def test_resumed_run_flow_snapshots_only_the_samples_it_records(monkeypatch):
+    # the stop test at the resume point reads |theta|_L2 without a snapshot
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-3)
+    ref = g2.flat_reference(lat)
+    snapshot = diagnostics.diagnostic_snapshot
+    calls = []
+    monkeypatch.setattr(diagnostics, "diagnostic_snapshot",
+                        lambda state: calls.append(state.t) or snapshot(state))
+    written = []
+    control = flow.StepControl(t_end=0.1, dt=0.01)
+    _, records = flow.run_flow(st, ref, "deturck", control, sample_interval=2,
+                               record_cb=written.append, t0=0.04, step0=4,
+                               emit_initial=False)
+    assert len(calls) == len(written) == len(records) == 3  # steps 6, 8 and 10
+    assert calls == [r.t for r in written]
+    assert min(calls) > 0.04
+
+
 def test_run_flow_immediate_stop_at_reference():
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)

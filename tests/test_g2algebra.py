@@ -5,23 +5,13 @@ import pytest
 
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
+from g2flow.checks import _random_pullbacks as pullback_batch
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
 import oracles
 from conftest import band_limited_form, closed_perturbed_phi
 
 TWO_PI = 2.0 * np.pi
-
-
-def pullback_batch(rng, n, scale=0.15):
-    a = np.eye(7) + scale * rng.standard_normal((n, 7, 7))
-    bad = np.linalg.cond(a) > 20.0
-    while np.any(bad):
-        a[bad] = np.eye(7) + scale * rng.standard_normal((int(bad.sum()), 7, 7))
-        bad = np.linalg.cond(a) > 20.0
-    neg = np.linalg.det(a) < 0
-    a[neg, :, 0] *= -1.0
-    return a
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ import pytest
 
 from g2flow import io as ckpt
 from g2flow.config import ConfigError, RunConfig
+from g2flow.flow import StepControl
+from g2flow.g2algebra import flat_reference
 from g2flow.lattice import FormField, Lattice
 
 from conftest import band_limited_form
@@ -104,28 +106,64 @@ def test_config_round_trip_is_identity():
     assert RunConfig.from_json(again.to_json()) == again
 
 
+def test_config_sections_are_library_objects():
+    # lattice and control are built once, with the library's own defaults;
+    # the unread top-level "seed" is ignored and not written back
+    cfg = RunConfig.from_dict(CANONICAL)
+    assert cfg.lattice == Lattice((1,), 32, TWO_PI, "spectral")
+    assert cfg.control == StepControl(t_end=10.0)
+    assert cfg.control.max_dt is None and cfg.control.dt is None
+    minimal = RunConfig.from_dict({"lattice": {"active_axes": [2]}})
+    assert minimal.lattice == Lattice((2,))
+    assert minimal.control == StepControl()
+    text = cfg.to_json()
+    assert "seed" not in json.loads(text)
+    assert "Infinity" not in text and "NaN" not in text  # strict JSON
+
+
+@pytest.mark.parametrize("section, override", [
+    ("lattice", {"points_per_axis": 7}),
+    ("lattice", {"active_axes": [3, 1]}),
+    ("lattice", {"scheme": "fd2"}),
+    ("lattice", {"period": 0.0}),
+    ("lattice", {"spacing": 0.1}),
+    ("control", {"t_end": "soon"}),
+    ("control", {"max_step": 0.1}),
+])
+def test_config_rejects_bad_section(section, override):
+    bad = json.loads(json.dumps(CANONICAL))
+    bad[section].update(override)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(bad)
+
+
+def test_step_control_validates_itself():
+    with pytest.raises(ValueError, match="t_end"):
+        StepControl(t_end=0.0)
+    with pytest.raises(ValueError, match="dt"):
+        StepControl(t_end=1.0, dt=-1e-3)
+
+
 def test_config_builds_initial_structure():
     cfg = RunConfig.from_dict(CANONICAL)
-    lat = cfg.build_lattice()
-    initial = cfg.build_initial(lat)
-    theta = initial.phi.data - cfg.build_reference(lat).phi.data
+    initial = cfg.build_initial()
+    theta = initial.phi.data - flat_reference(cfg.lattice).phi.data
+    assert initial.lattice == cfg.lattice
     assert np.max(np.abs(theta)) == pytest.approx(1e-3, rel=1e-10)
 
 
 def test_config_rejects_mode_on_inactive_axis():
     bad = json.loads(json.dumps(CANONICAL))
     bad["perturbation"][0]["mode"] = [0, 1, 0, 0, 0, 0, 0]
-    cfg = RunConfig.from_dict(bad)
-    with pytest.raises(ConfigError):
-        cfg.build_beta(cfg.build_lattice())
+    with pytest.raises(ConfigError, match="inactive axis"):
+        RunConfig.from_dict(bad)
 
 
 def test_config_rejects_bad_component():
     bad = json.loads(json.dumps(CANONICAL))
     bad["perturbation"][0]["component"] = [3, 2]
-    cfg = RunConfig.from_dict(bad)
-    with pytest.raises(ConfigError):
-        cfg.build_beta(cfg.build_lattice())
+    with pytest.raises(ConfigError, match="component"):
+        RunConfig.from_dict(bad)
 
 
 def test_config_rejects_positivity_breaking_amplitude():
@@ -148,8 +186,8 @@ def test_config_rejects_bad_json(tmp_path):
 def test_config_rejects_bad_kind():
     bad = json.loads(json.dumps(CANONICAL))
     bad["flow"]["kind"] = "ricci"
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(bad).validate()
+    with pytest.raises(ConfigError, match="ricci"):
+        RunConfig.from_dict(bad)
 
 
 def test_config_multi_mode_beta_sum():
@@ -157,8 +195,8 @@ def test_config_multi_mode_beta_sum():
     d["perturbation"].append({"mode": [2, 0, 0, 0, 0, 0, 0], "component": [4, 5],
                               "amplitude": 2e-3, "phase": 0.25})
     cfg = RunConfig.from_dict(d)
-    lat = cfg.build_lattice()
-    beta = cfg.build_beta(lat)
+    lat = cfg.lattice
+    beta = cfg.build_beta()
     from g2flow import tables
     x = lat.coordinate(1)
     pos = tables.index_position(2)

@@ -6,8 +6,8 @@ import pytest
 from g2flow import lattice, tables
 from g2flow.g2algebra import PHI0, PSI0
 from g2flow.lattice import (FormField, Lattice, TensorField, derivative_matrix,
-                            exterior_derivative, integrate, interior_product,
-                            partial_derivative, wedge)
+                            derivative_symbol, exterior_derivative, integrate,
+                            interior_product, partial_derivative, wedge)
 
 import oracles
 from conftest import band_limited_form
@@ -35,7 +35,6 @@ def test_lattice_validation():
 
 def test_site_count_and_weights():
     lat = Lattice((1, 3), 16, 1.0)
-    assert lat.site_count == 256
     assert lat.grid_shape == (16, 16)
     assert np.isclose(lat.cell_weight, (1.0 / 16) ** 2 * TWO_PI ** 5)
 
@@ -168,6 +167,23 @@ def test_derivative_matrix_symbol(scheme, n):
         assert abs(np.fft.fft(d[:, 0])[k] - 1j * sigma) <= 1e-13 * n * w
     nyquist = np.cos(n // 2 * w * x)
     assert np.max(np.abs(d @ nyquist)) <= 1e-13 * n * w
+
+
+@pytest.mark.parametrize("period", [TWO_PI, 1.7])
+@pytest.mark.parametrize("scheme, ns", [("spectral", (8, 10, 16, 32, 64)),
+                                        ("fd4", (5, 6, 9, 16, 33))])
+def test_derivative_symbol_is_dft_of_matrix_column(scheme, ns, period):
+    # the closed form equals DFT(first column of D) / i, odd in k, 0 at k = 0
+    for n in ns:
+        sigma = derivative_symbol(scheme, n, period)
+        assert not sigma.flags.writeable
+        assert sigma.shape == (n,) and sigma[0] == 0.0
+        dft = np.fft.fft(derivative_matrix(scheme, n, period)[:, 0])
+        scale = np.max(np.abs(sigma))
+        assert np.max(np.abs(dft - 1j * sigma)) <= 1e-13 * scale, (scheme, n)
+        assert np.max(np.abs(sigma[1:] + sigma[1:][::-1])) <= 1e-13 * scale
+    if scheme == "spectral":
+        assert derivative_symbol(scheme, 16, period)[8] == 0.0  # Nyquist
 
 
 # --- exterior derivative ------------------------------------------------------

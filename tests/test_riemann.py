@@ -5,7 +5,7 @@ import pytest
 
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
-from g2flow.lattice import FormField, Lattice, TensorField
+from g2flow.lattice import FormField, Lattice
 
 import oracles
 from conftest import closed_perturbed_phi
@@ -66,10 +66,10 @@ def test_metric_compatibility(closed_structure):
 
 def test_covariant_derivative_constant_scalar(closed_structure):
     st, lat = closed_structure
-    f = TensorField(lat, "", np.ones(lat.grid_shape))
-    df = riemann.covariant_derivative(f, riemann.connection_of(st))
-    assert df.max_norm() == 0.0
-    assert df.variance == "d"
+    gamma = riemann.connection_of(st).gamma
+    df = riemann.covariant_derivative_array(np.ones(lat.grid_shape), "", gamma, lat)
+    assert df.shape == lat.grid_shape + (7,)
+    assert np.max(np.abs(df)) == 0.0
 
 
 def test_nabla_psi_formula(closed_structure):
@@ -125,9 +125,12 @@ def test_curvature_matches_index_formula(rng, scheme):
 
 def test_form_field_covariant_derivative_shape(closed_structure):
     st, lat = closed_structure
-    out = riemann.covariant_derivative(st.phi, riemann.connection_of(st))
-    assert out.variance == "dddd"
-    assert out.data.shape == lat.grid_shape + (7,) * 4
+    phi_full = g2.expand_form(st.phi.data, 3)
+    gamma = riemann.connection_of(st).gamma
+    out = riemann.covariant_derivative_array(phi_full, "ddd", gamma, lat)
+    assert out.shape == lat.grid_shape + (7,) * 4
+    # nabla_m phi stays alternating in the form's three slots
+    assert np.max(np.abs(out + np.swapaxes(out, -1, -2))) < 1e-12 * np.max(np.abs(out))
 
 
 # --- curvature -------------------------------------------------------------------
