@@ -3,16 +3,16 @@
 __version__ = "0.1.0"
 
 from .lattice import (FormField, Lattice, TensorField, exterior_derivative,
-                      integrate, interior_product, partial_derivative, wedge)
-from .g2algebra import (G2Structure, NotPositive, PHI0, PSI0, TorsionData,
+                      interior_product, partial_derivative, wedge)
+from .g2algebra import (G2Structure, Metric, NotPositive, PHI0, PSI0, TorsionData,
                         extract_torsion_forms, flat_reference, full_torsion,
                         hodge_star, i_phi, is_positive, j_phi, metric_from_phi,
                         project_2form, project_3form)
 
 __all__ = [
-    "FormField", "Lattice", "TensorField", "exterior_derivative", "integrate",
+    "FormField", "Lattice", "TensorField", "exterior_derivative",
     "interior_product", "partial_derivative", "wedge",
-    "G2Structure", "NotPositive", "PHI0", "PSI0", "TorsionData",
+    "G2Structure", "Metric", "NotPositive", "PHI0", "PSI0", "TorsionData",
     "extract_torsion_forms", "flat_reference", "full_torsion", "hodge_star",
     "i_phi", "is_positive", "j_phi", "metric_from_phi", "project_2form",
     "project_3form",

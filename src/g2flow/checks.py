@@ -86,11 +86,8 @@ class SuiteContext:
             a_t = np.swapaxes(a, -1, -2)
             full = g2.contract_slots(g2.expand_form(self.phi0, 3), (a_t,) * 3)
             phi = g2.compress_form(full, 3)
-            g, vol = g2.metric_from_phi(phi)
-            g_inv = np.linalg.inv(g)
-            det_g = vol * vol
-            psi = g2.hodge_star(phi, 3, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-            self._pointwise = (phi, a, g, g_inv, vol, det_g, psi)
+            m = g2.metric_from_phi(phi)
+            self._pointwise = (phi, a, m, g2.hodge_star(phi, 3, m))
         return self._pointwise
 
     def closed_structure(self):
@@ -108,8 +105,8 @@ class SuiteContext:
 # --- pointwise battery -------------------------------------------------------
 
 def _check_metric_model(rng, ctx):
-    g, vol = g2.metric_from_phi(ctx.phi0)
-    return max(float(np.max(np.abs(g - np.eye(7)))), abs(float(vol) - 1.0))
+    m = g2.metric_from_phi(ctx.phi0)
+    return max(float(np.max(np.abs(m.g - np.eye(7)))), abs(float(m.vol) - 1.0))
 
 
 def _check_star_model(rng, ctx):
@@ -117,13 +114,13 @@ def _check_star_model(rng, ctx):
 
 
 def _check_i_phi_metric(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    return float(np.max(np.abs(g2.i_phi(g, phi, g_inv) - 3.0 * phi)))
+    phi, _, m, psi = ctx.pointwise()
+    return float(np.max(np.abs(g2.i_phi(m.g, phi, m) - 3.0 * phi)))
 
 
 def _check_j_phi_phi(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    return float(np.max(np.abs(g2.j_phi(phi, phi, vol) - 6.0 * g)))
+    phi, _, m, psi = ctx.pointwise()
+    return float(np.max(np.abs(g2.j_phi(phi, phi, m) - 6.0 * m.g)))
 
 
 def _random_symmetric(rng, n):
@@ -132,54 +129,50 @@ def _random_symmetric(rng, n):
 
 
 def _check_j_i_identity(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
+    phi, _, m, psi = ctx.pointwise()
     h = _random_symmetric(rng, ctx.n)
-    jih = g2.j_phi(g2.i_phi(h, phi, g_inv), phi, vol)
-    expect = 4.0 * h + 2.0 * np.einsum("...ij,...ij->...", g_inv, h)[..., None, None] * g
+    jih = g2.j_phi(g2.i_phi(h, phi, m), phi, m)
+    expect = 4.0 * h + 2.0 * np.einsum("...ij,...ij->...", m.g_inv, h)[..., None, None] * m.g
     return float(np.max(np.abs(jih - expect)))
 
 
 def _check_norm_identity(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
+    phi, _, m, psi = ctx.pointwise()
     h = _random_symmetric(rng, ctx.n)
-    ih = g2.i_phi(h, phi, g_inv)
-    lhs = g2.form_inner(ih, ih, 3, g_inv=g_inv, g=g, det_g=det_g)
-    hm = np.einsum("...ia,...aj->...ij", h, g_inv)
+    ih = g2.i_phi(h, phi, m)
+    lhs = g2.form_inner(ih, ih, 3, m)
+    hm = np.einsum("...ia,...aj->...ij", h, m.g_inv)
     rhs = np.einsum("...ii->...", hm) ** 2 + 2.0 * np.einsum("...ik,...ki->...", hm, hm)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def _check_i_phi_type(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
+    phi, _, m, psi = ctx.pointwise()
     h = _random_symmetric(rng, ctx.n)
-    _, part7, _ = g2.project_3form(g2.i_phi(h, phi, g_inv), phi, psi,
-                                   g, g_inv, vol, det_g=det_g)
+    _, part7, _ = g2.project_3form(g2.i_phi(h, phi, m), phi, psi, m)
     return float(np.max(np.abs(part7)))
 
 
 def _check_metric_equivariance(rng, ctx):
-    phi, a, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    return float(np.max(np.abs(g - np.einsum("...ai,...aj->...ij", a, a))))
+    phi, a, m, psi = ctx.pointwise()
+    return float(np.max(np.abs(m.g - np.einsum("...ai,...aj->...ij", a, a))))
 
 
 def _check_phi_norm(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    r1 = np.abs(g2.form_inner(phi, phi, 3, g_inv=g_inv, g=g, det_g=det_g) - 7.0)
-    r2 = np.abs(g2.form_inner(psi, psi, 4, g_inv=g_inv, g=g, det_g=det_g) - 7.0)
+    phi, _, m, psi = ctx.pointwise()
+    r1 = np.abs(g2.form_inner(phi, phi, 3, m) - 7.0)
+    r2 = np.abs(g2.form_inner(psi, psi, 4, m) - 7.0)
     return float(max(np.max(r1), np.max(r2)))
 
 
 def _check_star_involution(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    m = min(ctx.n, 128)
-    sel = (slice(None, m),)
+    phi, _, m, psi = ctx.pointwise()
+    n = min(ctx.n, 128)
+    m = m[:n]
     worst = 0.0
     for k in range(0, 8):
-        alpha = rng.standard_normal((m, tables.num_components(k)))
-        ss = g2.hodge_star(
-            g2.hodge_star(alpha, k, g=g[sel], g_inv=g_inv[sel], vol=vol[sel],
-                          det_g=det_g[sel]),
-            7 - k, g=g[sel], g_inv=g_inv[sel], vol=vol[sel], det_g=det_g[sel])
+        alpha = rng.standard_normal((n, tables.num_components(k)))
+        ss = g2.hodge_star(g2.hodge_star(alpha, k, m), 7 - k, m)
         worst = max(worst, float(np.max(np.abs(ss - alpha))))
     return worst
 
@@ -192,38 +185,34 @@ def _check_positivity(rng, ctx):
 
 
 def _check_projection_completeness(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
+    phi, _, m, psi = ctx.pointwise()
     beta = rng.standard_normal((ctx.n, 21))
-    b7, b14 = g2.project_2form(beta, phi, g, g_inv, vol, det_g=det_g)
+    b7, b14 = g2.project_2form(beta, phi, m)
     worst = float(np.max(np.abs(b7 + b14 - beta)))
-    worst = max(worst, float(np.max(np.abs(
-        g2.form_inner(b7, b14, 2, g_inv=g_inv, g=g, det_g=det_g)))))
+    worst = max(worst, float(np.max(np.abs(g2.form_inner(b7, b14, 2, m)))))
     gamma = rng.standard_normal((ctx.n, 35))
-    p1, p7, p27 = g2.project_3form(gamma, phi, psi, g, g_inv, vol, det_g=det_g)
+    p1, p7, p27 = g2.project_3form(gamma, phi, psi, m)
     worst = max(worst, float(np.max(np.abs(p1 + p7 + p27 - gamma))))
     for x, y in ((p1, p7), (p1, p27), (p7, p27)):
-        worst = max(worst, float(np.max(np.abs(
-            g2.form_inner(x, y, 3, g_inv=g_inv, g=g, det_g=det_g)))))
+        worst = max(worst, float(np.max(np.abs(g2.form_inner(x, y, 3, m)))))
     return worst
 
 
 def _check_traces_2form(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    m = min(ctx.n, 64)
-    basis = np.broadcast_to(np.eye(21), (m, 21, 21))
-    b7, b14 = g2.project_2form(basis, phi[:m, None], g[:m, None], g_inv[:m, None],
-                               vol[:m, None], det_g=det_g[:m, None])
+    phi, _, m, psi = ctx.pointwise()
+    n = min(ctx.n, 64)
+    basis = np.broadcast_to(np.eye(21), (n, 21, 21))
+    b7, b14 = g2.project_2form(basis, phi[:n, None], m[:n, None])
     t7 = np.einsum("...cc->...", b7)
     t14 = np.einsum("...cc->...", b14)
     return float(max(np.max(np.abs(t7 - 7.0)), np.max(np.abs(t14 - 14.0))))
 
 
 def _check_traces_3form(rng, ctx):
-    phi, _, g, g_inv, vol, det_g, psi = ctx.pointwise()
-    m = min(ctx.n, 64)
-    basis = np.broadcast_to(np.eye(35), (m, 35, 35))
-    p1, p7, p27 = g2.project_3form(basis, phi[:m, None], psi[:m, None], g[:m, None],
-                                   g_inv[:m, None], vol[:m, None], det_g=det_g[:m, None])
+    phi, _, m, psi = ctx.pointwise()
+    n = min(ctx.n, 64)
+    basis = np.broadcast_to(np.eye(35), (n, 35, 35))
+    p1, p7, p27 = g2.project_3form(basis, phi[:n, None], psi[:n, None], m[:n, None])
     res = [np.max(np.abs(np.einsum("...cc->...", p) - t))
            for p, t in ((p1, 1.0), (p7, 7.0), (p27, 27.0))]
     return float(max(res))
@@ -297,7 +286,7 @@ def _check_flat_weitzenboeck(rng, ctx):
 def _check_scalar_identity(rng, ctx):
     st, lat = ctx.closed_structure()
     t = riemann.torsion_of(st)
-    t_sq = riemann.tensor_norm_sq(t, "dd", st.g, st.g_inv)
+    t_sq = riemann.tensor_norm_sq(t, "dd", st)
     curv = riemann.curvature_of(st)
     return float(np.max(np.abs(curv.scalar + t_sq)) / max(np.max(np.abs(curv.scalar)), 1e-300))
 
@@ -365,7 +354,7 @@ def _check_torsion_assembly(rng, ctx):
     t = riemann.torsion_of(st)
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
-    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st.vol) / 4.0
+    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0
     assembly = ((td.tau0[..., None, None] / 4.0) * st.g - tau1_phi - bar_tau3
                 - 0.5 * g2.expand_form(td.tau2, 2))
     return float(np.max(np.abs(t - assembly)))

@@ -137,11 +137,16 @@ def _resume_state(path, cfg):
     for key, want in asdict(cfg.flow).items():
         if extra[key] != want:
             raise ConfigError(f"checkpoint {key} {extra[key]!r} differs from the config's {want!r}")
+    t, step = extra["t"], extra["step"]
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t):
+        raise ConfigError(f"checkpoint t {t!r} is not a finite number")
+    if isinstance(step, bool) or not isinstance(step, int):
+        raise ConfigError(f"checkpoint step {step!r} is not an integer")
     try:
         initial = G2Structure.from_phi(phi)
     except NotPositive as exc:
         raise ConfigError(f"checkpoint form not positive: {exc}") from exc
-    return initial, extra["t"], extra["step"]
+    return initial, t, step
 
 
 def _drop_samples_after(series_path, t0):
@@ -159,11 +164,7 @@ def _drop_samples_after(series_path, t0):
 
 
 def cmd_flow(args) -> int:
-    try:
-        cfg = RunConfig.from_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = RunConfig.from_file(args.config)
     reference = flat_reference(cfg.lattice)
 
     out = Path(cfg.output.directory)
@@ -173,20 +174,12 @@ def cmd_flow(args) -> int:
 
     t0, step0, emit_initial = 0.0, 0, True
     if args.resume:
-        try:
-            initial, t0, step0 = _resume_state(args.resume, cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        initial, t0, step0 = _resume_state(args.resume, cfg)
         emit_initial = False
         series_mode = "a"
         _drop_samples_after(series_path, t0)
     else:
-        try:
-            initial = cfg.build_initial(reference)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        initial = cfg.build_initial(reference)
         series_mode = "w"
 
     ckpt.write_form_field(ckpt_dir / "reference", reference.phi)
@@ -236,11 +229,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        cfg = RunConfig.from_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = RunConfig.from_file(args.config)
     analytic = diagnostics.lambda1_exact_forms(cfg.lattice)
     discrete = diagnostics.rayleigh_lowest_mode(cfg.lattice)
     print(f"lambda1 analytic: {analytic!r}")
@@ -252,13 +241,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    try:
-        cfg = RunConfig.from_file(args.config)
-        reference = flat_reference(cfg.lattice)
-        initial = cfg.build_initial(reference)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = RunConfig.from_file(args.config)
+    reference = flat_reference(cfg.lattice)
+    initial = cfg.build_initial(reference)
     out = Path(cfg.output.directory)
     ckpt.write_form_field(out / "checkpoints" / "reference", reference.phi)
     path = ckpt.write_form_field(
@@ -300,7 +285,11 @@ def main(argv=None) -> int:
     p_pert.set_defaults(fn=cmd_perturb)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

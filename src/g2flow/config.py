@@ -64,6 +64,10 @@ class OutputConfig:
     sample_interval: int = 10
     plot: bool = False
 
+    def __post_init__(self):
+        if not self.sample_interval >= 1:
+            raise ValueError("sample_interval must be at least 1")
+
 
 @dataclass
 class RunConfig:

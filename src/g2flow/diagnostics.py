@@ -183,7 +183,7 @@ def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:
     theta = state.theta()
 
     t_tensor = riemann.torsion_of(structure)
-    t_sq = riemann.tensor_norm_sq(t_tensor, "dd", structure.g, structure.g_inv)
+    t_sq = riemann.tensor_norm_sq(t_tensor, "dd", structure)
     curv = riemann.curvature_of(structure)
 
     rhs_hodge = flow.laplacian_phi_hodge(structure)

@@ -86,6 +86,14 @@ class StepControl:
             raise ValueError("t_end must be positive")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive when given")
+        if not self.cfl_coefficient > 0:
+            raise ValueError("cfl_coefficient must be positive")
+        if self.max_dt is not None and not self.max_dt > 0:
+            raise ValueError("max_dt must be positive when given")
+        if not self.checkpoint_every >= 1:
+            raise ValueError("checkpoint_every must be at least 1")
+        if not self.max_halvings >= 0:
+            raise ValueError("max_halvings must not be negative")
 
 
 def coexact_part(structure: G2Structure) -> FormField:
@@ -132,7 +140,7 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
     nabla_t = riemann.nabla_torsion_of(structure).reshape(batch + (49, 7))
     grad_term = np.swapaxes(nabla_t, -1, -2) @ np.swapaxes(
         phi_mix.reshape(batch + (7, 49)), -1, -2)
-    t_sq = riemann.tensor_norm_sq(t, "dd", g, g_inv)
+    t_sq = riemann.tensor_norm_sq(t, "dd", structure)
     h = -grad_term - (t_sq / 3.0)[..., None, None] * g - t @ g_inv @ t
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
@@ -142,7 +150,7 @@ def laplacian_phi_intrinsic(structure: G2Structure) -> FormField:
     dphi_max = exterior_derivative(structure.phi).max_norm()
     if dphi_max > 1e-6 * max(structure.phi.max_norm(), 1e-300):
         raise NotClosed(f"dphi max-norm {dphi_max:.3e} too large for the closed formula")
-    data = i_phi(intrinsic_h(structure), structure.phi.data, structure.g_inv)
+    data = i_phi(intrinsic_h(structure), structure.phi.data, structure)
     return FormField(structure.lattice, 3, data)
 
 
@@ -226,7 +234,7 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
 
 
 def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
-             control: StepControl, sample_interval: int = 10,
+             control: StepControl, sample_interval: int,
              deturck_a: float = DEFAULT_DETURCK_A,
              record_cb=None, checkpoint_cb=None,
              t0: float = 0.0, step0: int = 0, emit_initial: bool = True):

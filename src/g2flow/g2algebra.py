@@ -80,8 +80,28 @@ def _cubic_contraction(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return u @ t @ np.swapaxes(u, -1, -2)
 
 
-def metric_from_phi(phi: np.ndarray):
-    """Metric and volume density of a positive 3-form.
+class Metric:
+    """A metric field: g, its inverse g_inv and volume density vol = sqrt(det g).
+
+    The three arrays share their leading (site) axes; metric[sel] selects
+    along those axes in all three at once.
+    """
+
+    def __init__(self, g: np.ndarray, g_inv: np.ndarray, vol):
+        self.g = g
+        self.g_inv = g_inv
+        self.vol = vol
+
+    @property
+    def det_g(self) -> np.ndarray:
+        return self.vol * self.vol
+
+    def __getitem__(self, sel) -> "Metric":
+        return Metric(self.g[sel], self.g_inv[sel], self.vol[sel])
+
+
+def metric_from_phi(phi: np.ndarray) -> Metric:
+    """Metric of a positive 3-form, with its inverse and volume density.
 
     b_ij is the coefficient of the coordinate 7-form in
     (e_i . phi) ^ (e_j . phi) ^ phi; the returned metric is
@@ -102,8 +122,7 @@ def metric_from_phi(phi: np.ndarray):
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotPositive("metric candidate is not positive-definite") from None
-    vol = _VOL_SCALE / scale
-    return g, vol
+    return Metric(g, np.linalg.inv(g), _VOL_SCALE / scale)
 
 
 def is_positive(phi: np.ndarray):
@@ -127,7 +146,7 @@ def _apply_metric(alpha: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
     return compress_form(contract_slots(expand_form(alpha, k), (m,) * k), k)
 
 
-def raise_form(alpha: np.ndarray, k: int, g_inv: np.ndarray, g=None, det_g=None) -> np.ndarray:
+def raise_form(alpha: np.ndarray, k: int, metric: Metric) -> np.ndarray:
     """All-indices-raised compressed k-form.
 
     For k <= 3 the form is expanded and each slot contracted with g_inv. For
@@ -137,50 +156,35 @@ def raise_form(alpha: np.ndarray, k: int, g_inv: np.ndarray, g=None, det_g=None)
     expanded beyond three slots.
     """
     if k <= 3:
-        return _apply_metric(alpha, k, g_inv)
-    if g is None:
-        g = np.linalg.inv(g_inv)
-    if det_g is None:
-        det_g = np.linalg.det(g)
-    lowered = _apply_metric(_complement(alpha, k), 7 - k, g)
-    return _complement(lowered, 7 - k) / np.asarray(det_g)[..., None]
+        return _apply_metric(alpha, k, metric.g_inv)
+    lowered = _apply_metric(_complement(alpha, k), 7 - k, metric.g)
+    return _complement(lowered, 7 - k) / np.asarray(metric.det_g)[..., None]
 
 
-def form_inner(alpha: np.ndarray, beta: np.ndarray, k: int, g_inv=None, g=None, det_g=None):
+def form_inner(alpha: np.ndarray, beta: np.ndarray, k: int, metric: Metric):
     """Pointwise metric inner product of two compressed k-forms."""
-    raised = alpha if g_inv is None else raise_form(alpha, k, g_inv, g=g, det_g=det_g)
-    return np.einsum("...i,...i->...", raised, beta)
+    return np.einsum("...i,...i->...", raise_form(alpha, k, metric), beta)
 
 
-def hodge_star(alpha: np.ndarray, k: int, g=None, g_inv=None, vol=None, det_g=None) -> np.ndarray:
+def hodge_star(alpha: np.ndarray, k: int, metric: Metric = None) -> np.ndarray:
     """Metric Hodge star in the fixed orientation dx^1 ^ ... ^ dx^7.
 
     The star is vol times the euclidean complement of the raised form (see
-    raise_form). With no metric arguments it is euclidean. vol is
-    sqrt(det g) and is computed from g when not supplied.
+    raise_form). With no metric it is the euclidean star.
     """
-    if g is None and g_inv is None:
-        raised = alpha
-        if vol is None:
-            vol = 1.0
-    else:
-        if g_inv is None:
-            g_inv = np.linalg.inv(g)
-        if det_g is None:
-            det_g = np.linalg.det(g) if g is not None else 1.0 / np.linalg.det(g_inv)
-        if vol is None:
-            vol = np.sqrt(det_g)
-        raised = raise_form(alpha, k, g_inv, g=g, det_g=det_g)
-    return _complement(raised, k) * np.asarray(vol)[..., None]
+    if metric is None:
+        return _complement(alpha, k)
+    raised = raise_form(alpha, k, metric)
+    return _complement(raised, k) * np.asarray(metric.vol)[..., None]
 
 
-def i_phi(h: np.ndarray, phi: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     """3-form i_phi(h) with components h_i^l phi_ljk + h_j^l phi_lki + h_k^l phi_lij.
 
     Maps symmetric 2-tensors into the 1 + 27 part; i_phi(g) = 3 phi.
     """
     phi_flat = expand_form(phi, 3).reshape(phi.shape[:-1] + (7, 49))
-    p = (h @ g_inv) @ phi_flat
+    p = (h @ metric.g_inv) @ phi_flat
     p = p.reshape(p.shape[:-2] + (343,))
     # flat positions 49i + 7j + k of increasing ijk, and of jki and kij
     # (base-7 digits rotated left once and twice)
@@ -190,14 +194,14 @@ def i_phi(h: np.ndarray, phi: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     return p[..., ijk] + p[..., jki] + p[..., kij]
 
 
-def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, vol) -> np.ndarray:
+def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma)."""
-    return _cubic_contraction(phi, gamma) / np.asarray(vol)[..., None, None]
+    return _cubic_contraction(phi, gamma) / np.asarray(metric.vol)[..., None, None]
 
 
-def j_phi(gamma: np.ndarray, phi: np.ndarray, vol) -> np.ndarray:
+def j_phi(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     """Symmetric part of j_phi; inverse of i_phi up to 4 id + 2 tr."""
-    raw = j_phi_raw(gamma, phi, vol)
+    raw = j_phi_raw(gamma, phi, metric)
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
@@ -206,27 +210,26 @@ def wedge_components(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.
     return tables.wedge_arrays(alpha, k, beta, l)
 
 
-def project_2form(beta: np.ndarray, phi: np.ndarray, g, g_inv, vol, det_g=None):
+def project_2form(beta: np.ndarray, phi: np.ndarray, metric: Metric):
     """Split a 2-form into its 7- and 14-dimensional type components.
 
     Uses the eigen-projectors of L: beta -> *(beta ^ phi), which acts as +2
     on the 7-part and -1 on the 14-part.
     """
     w = wedge_components(beta, 2, phi, 3)
-    l_beta = hodge_star(w, 5, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+    l_beta = hodge_star(w, 5, metric)
     beta7 = (l_beta + beta) / 3.0
     return beta7, beta - beta7
 
 
-def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray,
-                  g, g_inv, vol, det_g=None):
+def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: Metric):
     """Split a 3-form into (1, 7, 27) type components.
 
     The 1-part is <gamma,phi> phi / 7; the 7-part is X . psi for the vector X
     solving the 7-component linear system (X . psi) ^ phi = gamma ^ phi; the
     27-part is the remainder.
     """
-    f = form_inner(gamma, phi, 3, g_inv=g_inv, g=g, det_g=det_g) / 7.0
+    f = form_inner(gamma, phi, 3, metric) / 7.0
     gamma1 = f[..., None] * phi
     int_psi = tables.apply_table(tables.interior_table(4), psi)
     wedge_phi = tables.apply_table(tables.wedge_table(3, 3), phi)
@@ -244,8 +247,7 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     so the sum runs over increasing lmn with weight 3!/24: psi is raised in
     compressed storage and psi^jlmn is the interior product e_j . psi^.
     """
-    psi_up = raise_form(structure.psi.data, 4, structure.g_inv,
-                        g=structure.g, det_g=structure.det_g)
+    psi_up = raise_form(structure.psi.data, 4, structure)
     int_up = tables.apply_table(tables.interior_table(4), psi_up)
     t_mixed = compress_form(nabla_phi, 3) @ np.swapaxes(int_up, -1, -2) / 4.0
     return t_mixed @ structure.g
@@ -262,44 +264,33 @@ class TorsionData:
     T: np.ndarray = None
 
 
-class G2Structure:
-    """A positive 3-form field with its cached derived geometry."""
+class G2Structure(Metric):
+    """A positive 3-form field: its metric, its 4-form psi and cached derived geometry."""
 
-    def __init__(self, phi: FormField, g, g_inv, vol, psi: FormField):
+    def __init__(self, phi: FormField, metric: Metric, psi: FormField):
+        super().__init__(metric.g, metric.g_inv, metric.vol)
         self.phi = phi
-        self.g = g
-        self.g_inv = g_inv
-        self.vol = vol
         self.psi = psi
         self._cache = {}
 
     @classmethod
     def from_phi(cls, phi: FormField) -> "G2Structure":
-        g, vol = metric_from_phi(phi.data)
-        g_inv = np.linalg.inv(g)
-        det_g = vol * vol
-        psi_data = hodge_star(phi.data, 3, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-        psi = FormField(phi.lattice, 4, psi_data)
-        return cls(phi, g, g_inv, vol, psi)
+        metric = metric_from_phi(phi.data)
+        psi = FormField(phi.lattice, 4, hodge_star(phi.data, 3, metric))
+        return cls(phi, metric, psi)
 
     @property
     def lattice(self) -> Lattice:
         return self.phi.lattice
 
-    @property
-    def det_g(self) -> np.ndarray:
-        return self.vol * self.vol
-
     def star(self, alpha: FormField) -> FormField:
-        data = hodge_star(alpha.data, alpha.degree, g=self.g, g_inv=self.g_inv,
-                          vol=self.vol, det_g=self.det_g)
+        data = hodge_star(alpha.data, alpha.degree, self)
         return FormField(self.lattice, 7 - alpha.degree, data)
 
     def inner(self, alpha: FormField, beta: FormField) -> np.ndarray:
         if alpha.degree != beta.degree:
             raise ValueError("degree mismatch")
-        return form_inner(alpha.data, beta.data, alpha.degree,
-                          g_inv=self.g_inv, g=self.g, det_g=self.det_g)
+        return form_inner(alpha.data, beta.data, alpha.degree, self)
 
 
 def flat_reference(lattice: Lattice) -> G2Structure:
@@ -316,17 +307,16 @@ def extract_torsion_forms(structure: G2Structure) -> TorsionData:
     dpsi - 4 tau1 ^ psi = tau2 ^ phi, a pointwise 21 x 21 linear system.
     """
     phi, psi = structure.phi, structure.psi
-    g, g_inv, vol, det_g = structure.g, structure.g_inv, structure.vol, structure.det_g
     dphi = exterior_derivative(phi)
     dpsi = exterior_derivative(psi)
 
-    v3 = hodge_star(dphi.data, 4, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-    v1, v7, v27 = project_3form(v3, phi.data, psi.data, g, g_inv, vol, det_g=det_g)
-    tau0 = form_inner(v3, phi.data, 3, g_inv=g_inv, g=g, det_g=det_g) / 7.0
+    v3 = hodge_star(dphi.data, 4, structure)
+    v1, v7, v27 = project_3form(v3, phi.data, psi.data, structure)
+    tau0 = form_inner(v3, phi.data, 3, structure) / 7.0
     tau3 = v27
 
     # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
-    star_v7 = hodge_star(v7, 3, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+    star_v7 = hodge_star(v7, 3, structure)
     m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
     tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
 

@@ -9,6 +9,7 @@ the blob's byte length and sha256.
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,20 +17,6 @@ import numpy as np
 from .lattice import FormField, Lattice
 
 FORMAT_VERSION = 1
-
-
-def lattice_to_dict(lattice: Lattice) -> dict:
-    return {
-        "active_axes": list(lattice.active_axes),
-        "points_per_axis": lattice.points_per_axis,
-        "period": lattice.period,
-        "scheme": lattice.scheme,
-    }
-
-
-def lattice_from_dict(d: dict) -> Lattice:
-    return Lattice(tuple(d["active_axes"]), d["points_per_axis"],
-                   d["period"], d.get("scheme", "spectral"))
 
 
 def _replace_atomically(path: Path, payload: bytes) -> None:
@@ -61,7 +48,7 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
         "kind": "form",
         "degree": field.degree,
         "shape": list(field.data.shape),
-        "lattice": lattice_to_dict(field.lattice),
+        "lattice": asdict(field.lattice),
         "blob": base.with_suffix(".bin").name,
         "blob_bytes": len(raw),
         "blob_sha256": hashlib.sha256(raw).hexdigest(),
@@ -81,7 +68,10 @@ def read_form_field(base):
         raise ValueError(f"unsupported checkpoint version {sidecar.get('version')}")
     if sidecar.get("endianness") != "little":
         raise ValueError("checkpoint must be little-endian")
-    lattice = lattice_from_dict(sidecar["lattice"])
+    try:
+        lattice = Lattice(**sidecar["lattice"])
+    except TypeError as exc:  # a missing, unknown or mistyped lattice entry
+        raise ValueError(f"bad checkpoint lattice: {exc}") from exc
     raw = (base.parent / sidecar["blob"]).read_bytes()
     # Sidecars written before the checksum was recorded carry neither entry.
     if "blob_bytes" in sidecar and len(raw) != sidecar["blob_bytes"]:

@@ -331,12 +331,3 @@ def interior_product(x: TensorField, alpha: FormField) -> FormField:
     data = (x.data[..., None, :] @ per_axis)[..., 0, :]
     return FormField(alpha.lattice, k - 1, data)
 
-
-def integrate(f: FormField, metric=None, vol_density=None) -> float:
-    """Integral of a scalar (degree-0) field over the torus."""
-    if f.degree != 0:
-        raise ValueError("integrate expects a degree-0 field")
-    values = f.data[..., 0]
-    if vol_density is None and metric is not None:
-        vol_density = np.sqrt(np.linalg.det(metric))
-    return f.lattice.integrate(values, vol_density)

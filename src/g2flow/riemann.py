@@ -108,14 +108,15 @@ def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,
     return CurvatureData(rm=rm, ric=ric, scalar=scalar)
 
 
-def raise_all(t: np.ndarray, variance: str, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+def raise_all(t: np.ndarray, variance: str, metric: g2algebra.Metric) -> np.ndarray:
     """Flip every slot: lower slots raised with g_inv, upper slots lowered with g."""
-    return g2algebra.contract_slots(t, [g_inv if var == "d" else g for var in variance])
+    return g2algebra.contract_slots(
+        t, [metric.g_inv if var == "d" else metric.g for var in variance])
 
 
-def tensor_norm_sq(t: np.ndarray, variance: str, g: np.ndarray, g_inv: np.ndarray):
-    """Pointwise squared norm of a tensor field in the metric g."""
-    dual = raise_all(t, variance, g, g_inv)
+def tensor_norm_sq(t: np.ndarray, variance: str, metric: g2algebra.Metric):
+    """Pointwise squared norm of a tensor field in the metric."""
+    dual = raise_all(t, variance, metric)
     axes = tuple(range(-len(variance), 0))
     return np.sum(dual * t, axis=axes)
 
@@ -186,6 +187,6 @@ def deturck_vector(structure, reference, a_const: float = 0.0) -> TensorField:
 def lambda_monitor(structure) -> np.ndarray:
     """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric."""
     curv = curvature_of(structure)
-    rm_sq = tensor_norm_sq(curv.rm, "dddd", structure.g, structure.g_inv)
-    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), "ddd", structure.g, structure.g_inv)
+    rm_sq = tensor_norm_sq(curv.rm, "dddd", structure)
+    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), "ddd", structure)
     return np.sqrt(rm_sq + nt_sq)

@@ -119,9 +119,17 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"dt": 0.0}},
                                       {"control": {"dt": -0.01}},
                                       {"lattice": {"points_per_axis": 7}},
-                                      {"flow": {"kind": "ricci"}}],
+                                      {"flow": {"kind": "ricci"}},
+                                      {"control": {"cfl_coefficient": 0.0}},
+                                      {"control": {"max_dt": 0.0}},
+                                      {"control": {"max_dt": -0.1}},
+                                      {"control": {"checkpoint_every": 0}},
+                                      {"control": {"max_halvings": -1}},
+                                      {"output": {"sample_interval": 0}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
-                              "odd_spectral_n", "kind"])
+                              "odd_spectral_n", "kind", "cfl0", "max_dt0",
+                              "max_dt_negative", "checkpoint_every0",
+                              "max_halvings_negative", "sample_interval0"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
@@ -261,6 +269,24 @@ def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
     resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
     other, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01}, **override)
     assert cli.main(["flow", str(other), "--resume", str(resume_from)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [("lattice", "points_per_axis", "16"),
+                                                 ("lattice", "spacing", 0.1),
+                                                 ("extra", "t", "x"),
+                                                 ("extra", "t", float("nan")),
+                                                 ("extra", "step", 2.5)])
+def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, key, value):
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
+                                              "checkpoint_every": 5})
+    assert cli.main(["flow", str(path)]) == 0
+    resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
+    sidecar = json.loads(resume_from.read_text())
+    sidecar[section][key] = value
+    resume_from.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -45,7 +45,7 @@ def test_hitchin_and_volume_channels_disagree_on_inconsistent_structure():
     # phi moves total_volume and leaves hitchin_h, so they no longer agree
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
-    broken = g2.G2Structure(ref.phi, ref.g, ref.g_inv, ref.vol * 1.001, ref.psi)
+    broken = g2.G2Structure(ref.phi, g2.Metric(ref.g, ref.g_inv, ref.vol * 1.001), ref.psi)
     h, vol = snapshot_volumes(broken)
     assert abs(h - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
     assert abs(vol - 1.001 * h) < 1e-10 * h

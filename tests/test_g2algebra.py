@@ -18,10 +18,8 @@ TWO_PI = 2.0 * np.pi
 def curved_batch():
     a = pullback_batch(np.random.default_rng(77), 200)
     phi = oracles.pullback_3form(a, g2.PHI0)
-    g, vol = g2.metric_from_phi(phi)
-    g_inv = np.linalg.inv(g)
-    psi = g2.hodge_star(phi, 3, g=g, g_inv=g_inv, vol=vol, det_g=vol * vol)
-    return phi, a, g, g_inv, vol, psi
+    m = g2.metric_from_phi(phi)
+    return phi, a, m, g2.hodge_star(phi, 3, m)
 
 
 # --- model forms ---------------------------------------------------------------
@@ -39,30 +37,32 @@ def test_model_form_components():
 # --- metric map ----------------------------------------------------------------
 
 def test_metric_of_model_form_is_identity():
-    g, vol = g2.metric_from_phi(g2.PHI0)
-    assert np.max(np.abs(g - np.eye(7))) < 1e-14
-    assert abs(vol - 1.0) < 1e-14
+    m = g2.metric_from_phi(g2.PHI0)
+    assert np.max(np.abs(m.g - np.eye(7))) < 1e-14
+    assert np.max(np.abs(m.g_inv - np.eye(7))) < 1e-14
+    assert abs(m.vol - 1.0) < 1e-14
 
 
 def test_metric_equivariance_under_pullbacks(rng):
     # oracle applies the pullback to the euclidean metric directly: A^T A
     a = pullback_batch(rng, 100)
     phi = oracles.pullback_3form(a, g2.PHI0)
-    g, vol = g2.metric_from_phi(phi)
+    m = g2.metric_from_phi(phi)
     expect = np.einsum("...ai,...aj->...ij", a, a)
-    assert np.max(np.abs(g - expect)) < 1e-10
-    assert np.max(np.abs(vol - np.abs(np.linalg.det(a)))) < 1e-10
+    assert np.max(np.abs(m.g - expect)) < 1e-10
+    assert np.max(np.abs(m.g @ m.g_inv - np.eye(7))) < 1e-12
+    assert np.max(np.abs(m.vol - np.abs(np.linalg.det(a)))) < 1e-10
 
 
 def test_metric_scaling_homogeneity():
     # lambda = 8 gives g = 4 id (g scales as lambda^(2/3)); cross-checked
     # against the pullback oracle with A = 2 id
-    g8, vol8 = g2.metric_from_phi(8.0 * g2.PHI0)
-    assert np.max(np.abs(g8 - 4.0 * np.eye(7))) < 1e-12
+    m8 = g2.metric_from_phi(8.0 * g2.PHI0)
+    assert np.max(np.abs(m8.g - 4.0 * np.eye(7))) < 1e-12
     a = 2.0 * np.eye(7)[None]
     phi = oracles.pullback_3form(a, g2.PHI0)
     assert np.max(np.abs(phi[0] - 8.0 * g2.PHI0)) < 1e-12
-    assert abs(vol8 - 2.0 ** 7) < 1e-10
+    assert abs(m8.vol - 2.0 ** 7) < 1e-10
 
 
 def test_not_positive_raised():
@@ -86,45 +86,39 @@ def test_star_model_phi_is_model_psi():
 
 
 def test_star_one_is_volume_form(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    ones = np.ones(vol.shape + (1,))
-    star1 = g2.hodge_star(ones, 0, g=g, g_inv=g_inv, vol=vol, det_g=vol * vol)
-    assert np.max(np.abs(star1[..., 0] - vol)) < 1e-12
+    phi, a, m, psi = curved_batch
+    ones = np.ones(m.vol.shape + (1,))
+    star1 = g2.hodge_star(ones, 0, m)
+    assert np.max(np.abs(star1[..., 0] - m.vol)) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(8))
 def test_star_involution_random_metric(rng, k):
-    a = pullback_batch(rng, 100)
-    g = np.einsum("...ai,...aj->...ij", a, a)
-    g_inv = np.linalg.inv(g)
-    det_g = np.linalg.det(g)
-    vol = np.sqrt(det_g)
+    m = _random_metric(rng, (100,))
     alpha = rng.standard_normal((100, tables.num_components(k)))
-    ss = g2.hodge_star(g2.hodge_star(alpha, k, g=g, g_inv=g_inv, vol=vol, det_g=det_g),
-                       7 - k, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+    ss = g2.hodge_star(g2.hodge_star(alpha, k, m), 7 - k, m)
     assert np.max(np.abs(ss - alpha)) < 1e-11
 
 
 def _random_metric(rng, shape):
     a = pullback_batch(rng, int(np.prod(shape))).reshape(shape + (7, 7))
     g = np.einsum("...ai,...aj->...ij", a, a)
-    det_g = np.linalg.det(g)
-    return g, np.linalg.inv(g), np.sqrt(det_g), det_g
+    return g2.Metric(g, np.linalg.inv(g), np.sqrt(np.linalg.det(g)))
 
 
 @pytest.mark.parametrize("metric_shape,form_shape", [((3,), (3,)), ((2, 1), (2, 3))])
 @pytest.mark.parametrize("k", range(8))
 def test_star_and_inner_match_table_free_oracle(rng, k, metric_shape, form_shape):
     # the projector-trace checks pass g of shape (m, 1, 7, 7) with forms (m, C, C_k)
-    g, g_inv, vol, det_g = _random_metric(rng, metric_shape)
+    m = _random_metric(rng, metric_shape)
     alpha = rng.standard_normal(form_shape + (tables.num_components(k),))
     beta = rng.standard_normal(form_shape + (tables.num_components(k),))
-    star = g2.hodge_star(alpha, k, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-    expect = oracles.metric_hodge_star(alpha, k, g)
+    star = g2.hodge_star(alpha, k, m)
+    expect = oracles.metric_hodge_star(alpha, k, m.g)
     assert star.shape == expect.shape
     assert np.max(np.abs(star - expect)) < 1e-12 * np.max(np.abs(expect))
-    inner = g2.form_inner(alpha, beta, k, g_inv=g_inv, g=g, det_g=det_g)
-    expect = oracles.metric_inner(alpha, beta, k, g)
+    inner = g2.form_inner(alpha, beta, k, m)
+    expect = oracles.metric_inner(alpha, beta, k, m.g)
     assert inner.shape == expect.shape
     assert np.max(np.abs(inner - expect)) < 1e-12 * np.max(np.abs(expect))
 
@@ -140,14 +134,11 @@ def test_star_and_inner_expand_at_most_three_slots(rng, monkeypatch):
         return expand_table(k)
 
     monkeypatch.setattr(tables, "expand_table", recording)
-    g, g_inv, vol, det_g = _random_metric(rng, (4,))
+    m = _random_metric(rng, (4,))
     for k in range(8):
         alpha = rng.standard_normal((4, tables.num_components(k)))
-        g2.hodge_star(alpha, k, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
-        g2.hodge_star(alpha, k, g=g)
-        g2.hodge_star(alpha, k, g_inv=g_inv)
-        g2.form_inner(alpha, alpha, k, g_inv=g_inv, g=g, det_g=det_g)
-        g2.form_inner(alpha, alpha, k, g_inv=g_inv)
+        g2.hodge_star(alpha, k, m)
+        g2.form_inner(alpha, alpha, k, m)
     assert requested and max(requested) <= 3
 
 
@@ -162,19 +153,18 @@ def test_contract_slots_matches_einsum(rng):
 
 
 def test_wedge_with_star_gives_inner_product(rng, curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     alpha = rng.standard_normal((200, 35))
     beta = rng.standard_normal((200, 35))
-    top = g2.wedge_components(alpha, 3, g2.hodge_star(
-        beta, 3, g=g, g_inv=g_inv, vol=vol, det_g=vol * vol), 4)
-    ip = g2.form_inner(alpha, beta, 3, g_inv=g_inv, g=g, det_g=vol * vol)
-    assert np.max(np.abs(top[..., 0] - ip * vol)) < 1e-10 * np.max(np.abs(top))
+    top = g2.wedge_components(alpha, 3, g2.hodge_star(beta, 3, m), 4)
+    ip = g2.form_inner(alpha, beta, 3, m)
+    assert np.max(np.abs(top[..., 0] - ip * m.vol)) < 1e-10 * np.max(np.abs(top))
 
 
 def test_structure_norms_are_seven(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    n_phi = g2.form_inner(phi, phi, 3, g_inv=g_inv, g=g, det_g=vol * vol)
-    n_psi = g2.form_inner(psi, psi, 4, g_inv=g_inv, g=g, det_g=vol * vol)
+    phi, a, m, psi = curved_batch
+    n_phi = g2.form_inner(phi, phi, 3, m)
+    n_psi = g2.form_inner(psi, psi, 4, m)
     assert np.max(np.abs(n_phi - 7.0)) < 1e-10
     assert np.max(np.abs(n_psi - 7.0)) < 1e-10
 
@@ -182,32 +172,29 @@ def test_structure_norms_are_seven(curved_batch):
 # --- type projections -----------------------------------------------------------
 
 def test_project_2form_eigenbasis(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    det_g = vol * vol
+    phi, a, m, psi = curved_batch
     # X . phi is pure 7-type for all basis vectors X
     for i in range(7):
         x = np.zeros((1, 7))
         x[0, i] = 1.0
         xphi = np.einsum("iop,si,sp->so", tables.interior_table(3), x,
                          phi[:1])
-        b7, b14 = g2.project_2form(xphi, phi[:1], g[:1], g_inv[:1], vol[:1],
-                                   det_g=det_g[:1])
+        b7, b14 = g2.project_2form(xphi, phi[:1], m[:1])
         assert np.max(np.abs(b14)) < 1e-11
         assert np.max(np.abs(b7 - xphi)) < 1e-11
 
 
 def test_project_2form_defining_relations(rng, curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    det_g = vol * vol
+    phi, a, m, psi = curved_batch
     beta = rng.standard_normal((200, 21))
-    b7, b14 = g2.project_2form(beta, phi, g, g_inv, vol, det_g=det_g)
+    b7, b14 = g2.project_2form(beta, phi, m)
     assert np.max(np.abs(b7 + b14 - beta)) < 1e-12
     # beta7 ^ phi = 2 * beta7 and beta14 ^ psi = 0
     w7 = g2.wedge_components(b7, 2, phi, 3)
-    star_b7 = g2.hodge_star(b7, 2, g=g, g_inv=g_inv, vol=vol, det_g=det_g)
+    star_b7 = g2.hodge_star(b7, 2, m)
     assert np.max(np.abs(w7 - 2.0 * star_b7)) < 1e-10 * max(np.max(np.abs(w7)), 1)
     assert np.max(np.abs(g2.wedge_components(b14, 2, psi, 4))) < 1e-10 * np.max(np.abs(beta))
-    ip = g2.form_inner(b7, b14, 2, g_inv=g_inv, g=g, det_g=det_g)
+    ip = g2.form_inner(b7, b14, 2, m)
     assert np.max(np.abs(ip)) < 1e-11 * np.max(np.abs(beta)) ** 2
 
 
@@ -216,38 +203,34 @@ def test_projector_matrices_2form_eigen_oracle(rng):
     # with multiplicities 7 and 14; projector traces are 7 and 14
     a = pullback_batch(rng, 1)
     phi = oracles.pullback_3form(a, g2.PHI0)[0]
-    g, vol = g2.metric_from_phi(phi)
-    g_inv = np.linalg.inv(g)
-    det_g = vol * vol
+    m = g2.metric_from_phi(phi)
     basis = np.eye(21)
-    lmat = g2.hodge_star(g2.wedge_components(basis, 2, phi, 3), 5,
-                         g=g, g_inv=g_inv, vol=vol, det_g=det_g).T
+    lmat = g2.hodge_star(g2.wedge_components(basis, 2, phi, 3), 5, m).T
     eig = np.sort(np.linalg.eigvals(lmat).real)
     assert np.allclose(eig[:14], -1.0, atol=1e-9)
     assert np.allclose(eig[14:], 2.0, atol=1e-9)
-    b7, b14 = g2.project_2form(basis, phi, g, g_inv, vol, det_g=det_g)
+    b7, b14 = g2.project_2form(basis, phi, m)
     assert abs(np.trace(b7) - 7.0) < 1e-10
     assert abs(np.trace(b14) - 14.0) < 1e-10
 
 
 def test_project_3form_parts(curved_batch, rng):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    det_g = vol * vol
+    phi, a, m, psi = curved_batch
     # gamma = phi -> (phi, 0, 0)
-    p1, p7, p27 = g2.project_3form(phi, phi, psi, g, g_inv, vol, det_g=det_g)
+    p1, p7, p27 = g2.project_3form(phi, phi, psi, m)
     assert np.max(np.abs(p1 - phi)) < 1e-10
     assert np.max(np.abs(p7)) < 1e-10
     assert np.max(np.abs(p27)) < 1e-10
     # gamma = X . psi -> pure 7-type
     x = rng.standard_normal((200, 7))
     xpsi = np.einsum("iop,...i,...p->...o", tables.interior_table(4), x, psi)
-    q1, q7, q27 = g2.project_3form(xpsi, phi, psi, g, g_inv, vol, det_g=det_g)
+    q1, q7, q27 = g2.project_3form(xpsi, phi, psi, m)
     assert np.max(np.abs(q1)) < 1e-9
     assert np.max(np.abs(q27)) < 1e-9
     assert np.max(np.abs(q7 - xpsi)) < 1e-9
     # 27-part kills both wedges
     gamma = rng.standard_normal((200, 35))
-    r1, r7, r27 = g2.project_3form(gamma, phi, psi, g, g_inv, vol, det_g=det_g)
+    r1, r7, r27 = g2.project_3form(gamma, phi, psi, m)
     assert np.max(np.abs(r1 + r7 + r27 - gamma)) < 1e-11
     assert np.max(np.abs(g2.wedge_components(r27, 3, phi, 3))) < 1e-10 * np.max(np.abs(gamma))
     assert np.max(np.abs(g2.wedge_components(r27, 3, psi, 4))) < 1e-10 * np.max(np.abs(gamma))
@@ -256,11 +239,10 @@ def test_project_3form_parts(curved_batch, rng):
 def test_projector_matrices_3form_traces(rng):
     a = pullback_batch(rng, 1)
     phi = oracles.pullback_3form(a, g2.PHI0)[0]
-    g, vol = g2.metric_from_phi(phi)
-    g_inv = np.linalg.inv(g)
-    psi = g2.hodge_star(phi, 3, g=g, g_inv=g_inv, vol=vol, det_g=vol * vol)
+    m = g2.metric_from_phi(phi)
+    psi = g2.hodge_star(phi, 3, m)
     basis = np.eye(35)
-    p1, p7, p27 = g2.project_3form(basis, phi, psi, g, g_inv, vol, det_g=vol * vol)
+    p1, p7, p27 = g2.project_3form(basis, phi, psi, m)
     for p, t in ((p1, 1.0), (p7, 7.0), (p27, 27.0)):
         assert abs(np.trace(p) - t) < 1e-9
         # projector idempotence via the eigen-decomposition oracle
@@ -272,67 +254,66 @@ def test_projector_matrices_3form_traces(rng):
 # --- i_phi / j_phi --------------------------------------------------------------
 
 def test_i_phi_of_metric_is_three_phi(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    assert np.max(np.abs(g2.i_phi(g, phi, g_inv) - 3.0 * phi)) < 1e-12
-    assert np.max(np.abs(g2.i_phi(np.zeros_like(g), phi, g_inv))) == 0.0
+    phi, a, m, psi = curved_batch
+    assert np.max(np.abs(g2.i_phi(m.g, phi, m) - 3.0 * phi)) < 1e-12
+    assert np.max(np.abs(g2.i_phi(np.zeros_like(m.g), phi, m))) == 0.0
 
 
 def test_i_phi_matches_einsum_oracle(rng, curved_batch):
     # random symmetric h, GL+ metrics and both the pulled-back and random 3-forms
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     h = rng.standard_normal((200, 7, 7))
     h = h + np.swapaxes(h, -1, -2)
     for form in (phi, rng.standard_normal((200, 35))):
-        expect = oracles.i_phi(h, form, g_inv)
-        got = g2.i_phi(h, form, g_inv)
+        expect = oracles.i_phi(h, form, m.g_inv)
+        got = g2.i_phi(h, form, m)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
     # one unbatched 3-form against the batch of h and metrics
-    expect = oracles.i_phi(h, np.broadcast_to(g2.PHI0, phi.shape), g_inv)
-    assert np.max(np.abs(g2.i_phi(h, g2.PHI0, g_inv) - expect)) <= 1e-13 * np.max(np.abs(expect))
+    expect = oracles.i_phi(h, np.broadcast_to(g2.PHI0, phi.shape), m.g_inv)
+    assert np.max(np.abs(g2.i_phi(h, g2.PHI0, m) - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_i_phi_lands_in_one_plus_27(rng, curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     h = rng.standard_normal((200, 7, 7))
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    _, part7, _ = g2.project_3form(g2.i_phi(h, phi, g_inv), phi, psi, g, g_inv,
-                                   vol, det_g=vol * vol)
+    _, part7, _ = g2.project_3form(g2.i_phi(h, phi, m), phi, psi, m)
     assert np.max(np.abs(part7)) < 1e-11 * np.max(np.abs(h))
 
 
 def test_j_phi_of_phi_is_six_metric(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
-    assert np.max(np.abs(g2.j_phi(phi, phi, vol) - 6.0 * g)) < 1e-11
+    phi, a, m, psi = curved_batch
+    assert np.max(np.abs(g2.j_phi(phi, phi, m) - 6.0 * m.g)) < 1e-11
 
 
 def test_j_i_inverse_identity(rng, curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     h = rng.standard_normal((200, 7, 7))
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    jih = g2.j_phi(g2.i_phi(h, phi, g_inv), phi, vol)
-    tr = np.einsum("...ij,...ij->...", g_inv, h)
-    assert np.max(np.abs(jih - 4.0 * h - 2.0 * tr[..., None, None] * g)) < 1e-10
+    jih = g2.j_phi(g2.i_phi(h, phi, m), phi, m)
+    tr = np.einsum("...ij,...ij->...", m.g_inv, h)
+    assert np.max(np.abs(jih - 4.0 * h - 2.0 * tr[..., None, None] * m.g)) < 1e-10
 
 
 def test_j_raw_antisymmetric_on_7_type(curved_batch):
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     for i in range(7):
         x = np.zeros((1, 7))
         x[0, i] = 1.0
         xpsi = np.einsum("iop,si,sp->so", tables.interior_table(4), x, psi[:1])
-        raw = g2.j_phi_raw(xpsi, phi[:1], vol[:1])
+        raw = g2.j_phi_raw(xpsi, phi[:1], m[:1])
         sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
         assert np.max(np.abs(sym)) < 1e-10
 
 
 def test_laplacian_norm_identity(rng, curved_batch):
     # |i_phi(h)|^2 = (tr h)^2 + 2 h_i^k h_k^i
-    phi, a, g, g_inv, vol, psi = curved_batch
+    phi, a, m, psi = curved_batch
     h = rng.standard_normal((200, 7, 7))
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    ih = g2.i_phi(h, phi, g_inv)
-    lhs = g2.form_inner(ih, ih, 3, g_inv=g_inv, g=g, det_g=vol * vol)
-    hm = np.einsum("...ia,...aj->...ij", h, g_inv)
+    ih = g2.i_phi(h, phi, m)
+    lhs = g2.form_inner(ih, ih, 3, m)
+    hm = np.einsum("...ia,...aj->...ij", h, m.g_inv)
     rhs = np.einsum("...ii->...", hm) ** 2 + 2.0 * np.einsum("...ik,...ki->...", hm, hm)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
@@ -421,8 +402,8 @@ def test_torsion_form_assembly_generic(rng):
     t = riemann.torsion_of(st)
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
-    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st.vol) / 4.0
-    assert np.max(np.abs(g2.i_phi(bar_tau3, st.phi.data, st.g_inv) - td.tau3)) < 1e-12
+    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0
+    assert np.max(np.abs(g2.i_phi(bar_tau3, st.phi.data, st) - td.tau3)) < 1e-12
     assembly = ((td.tau0[..., None, None] / 4.0) * st.g - tau1_phi - bar_tau3
                 - 0.5 * g2.expand_form(td.tau2, 2))
     assert np.max(np.abs(t - assembly)) < 1e-9
@@ -436,8 +417,7 @@ def _assert_defining_equations(st, td, tol):
     w23 = tables.wedge_table(2, 3)
     rhs1 = (td.tau0[..., None] * st.psi.data
             + 3.0 * np.einsum("oaj,...a,...j->...o", w13, td.tau1, st.phi.data)
-            + g2.hodge_star(td.tau3, 3, g=st.g, g_inv=st.g_inv, vol=st.vol,
-                            det_g=st.det_g))
+            + g2.hodge_star(td.tau3, 3, st))
     scale1 = max(np.max(np.abs(dphi.data)), np.max(np.abs(st.phi.data)))
     assert np.max(np.abs(dphi.data - rhs1)) < tol * scale1
     rhs2 = (4.0 * np.einsum("oaj,...a,...j->...o", w14, td.tau1, st.psi.data)

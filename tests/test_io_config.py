@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g2flow import io as ckpt
-from g2flow.config import ConfigError, RunConfig
+from g2flow.config import ConfigError, OutputConfig, RunConfig
 from g2flow.flow import StepControl
 from g2flow.g2algebra import flat_reference
 from g2flow.lattice import FormField, Lattice
@@ -38,6 +38,17 @@ def test_checkpoint_sidecar_fields(tmp_path, rng):
     assert sidecar["degree"] == 2
     assert sidecar["lattice"]["active_axes"] == [1]
     assert sidecar["shape"] == [8, 21]
+
+
+def test_checkpoint_without_scheme_reads_as_spectral(tmp_path, rng):
+    # sidecars written before fd4 existed carry no scheme entry
+    lat = Lattice((1,), 8, TWO_PI)
+    path = ckpt.write_form_field(tmp_path / "f", band_limited_form(lat, 2, rng))
+    sidecar = json.loads(path.read_text())
+    del sidecar["lattice"]["scheme"]
+    path.write_text(json.dumps(sidecar))
+    back, _ = ckpt.read_form_field(tmp_path / "f")
+    assert back.lattice == lat
 
 
 def test_checkpoint_blob_little_endian_layout(tmp_path):
@@ -142,6 +153,18 @@ def test_step_control_validates_itself():
         StepControl(t_end=0.0)
     with pytest.raises(ValueError, match="dt"):
         StepControl(t_end=1.0, dt=-1e-3)
+    with pytest.raises(ValueError, match="cfl_coefficient"):
+        StepControl(cfl_coefficient=0.0)
+    for max_dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="max_dt"):
+            StepControl(max_dt=max_dt)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        StepControl(checkpoint_every=0)
+    with pytest.raises(ValueError, match="max_halvings"):
+        StepControl(max_halvings=-1)
+    StepControl(max_halvings=0)  # a single attempt per step is a valid policy
+    with pytest.raises(ValueError, match="sample_interval"):
+        OutputConfig(sample_interval=0)
 
 
 def test_config_builds_initial_structure():

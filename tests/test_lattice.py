@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from g2flow import lattice, tables
-from g2flow.g2algebra import PHI0, PSI0
+from g2flow.g2algebra import PHI0, PSI0, flat_reference
 from g2flow.lattice import (FormField, Lattice, TensorField, derivative_matrix,
-                            derivative_symbol, exterior_derivative, integrate,
+                            derivative_symbol, exterior_derivative,
                             interior_product, partial_derivative, wedge)
 
 import oracles
@@ -322,16 +322,15 @@ def test_basis_interior_model_form():
 
 def test_integrate_unit_volume():
     lat = Lattice((1,), 32, TWO_PI)
-    f = FormField(lat, 0, np.ones(lat.grid_shape + (1,)))
-    metric = np.broadcast_to(np.eye(7), lat.grid_shape + (7, 7))
-    assert abs(integrate(f, metric=metric) - TWO_PI ** 7) < 1e-12 * TWO_PI ** 7
+    vol = flat_reference(lat).vol
+    assert abs(lat.integrate(np.ones(lat.grid_shape), vol_density=vol)
+               - TWO_PI ** 7) < 1e-12 * TWO_PI ** 7
 
 
 def test_integrate_sin_squared_is_half_volume():
     lat = Lattice((1,), 32, TWO_PI)
-    x = lat.coordinate(1)[..., None]
-    f = FormField(lat, 0, np.sin(TWO_PI * x / lat.period) ** 2)
-    assert abs(integrate(f) - 0.5 * TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
+    f = np.sin(TWO_PI * lat.coordinate(1) / lat.period) ** 2
+    assert abs(lat.integrate(f) - 0.5 * TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
 
 
 def test_integrate_trig_polynomial_against_symbolic_value(rng):
@@ -346,12 +345,11 @@ def test_integrate_trig_polynomial_against_symbolic_value(rng):
             continue
         data = data + rng.normal() * np.broadcast_to(
             np.cos(k1 * x1 + k2 * x2 + rng.uniform(0, TWO_PI)), lat.grid_shape)
-    f = FormField(lat, 0, data[..., None])
-    assert abs(integrate(f) - c0 * TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
+    assert abs(lat.integrate(data) - c0 * TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
 
 
 def test_integrate_deterministic_repeat(rng):
     lat = Lattice((1, 2), 16, TWO_PI)
-    f = band_limited_form(lat, 0, rng)
-    vals = {integrate(f) for _ in range(10)}
+    f = band_limited_form(lat, 0, rng).data[..., 0]
+    vals = {lat.integrate(f) for _ in range(10)}
     assert len(vals) == 1

@@ -213,7 +213,7 @@ def test_ricci_formula_closed_g2(closed_structure):
 def test_scalar_curvature_identity(closed_structure):
     st, lat = closed_structure
     t = riemann.torsion_of(st)
-    t_sq = riemann.tensor_norm_sq(t, "dd", st.g, st.g_inv)
+    t_sq = riemann.tensor_norm_sq(t, "dd", st)
     curv = riemann.curvature_of(st)
     assert np.max(np.abs(curv.scalar + t_sq)) < 1e-6 * np.max(np.abs(curv.scalar))
 
