@@ -137,6 +137,10 @@ def _resume_state(path, cfg):
     for key, want in asdict(cfg.flow).items():
         if extra[key] != want:
             raise ConfigError(f"checkpoint {key} {extra[key]!r} differs from the config's {want!r}")
+    # Older sidecars record the gauge's trace weight; only its zero is this gauge.
+    if extra.get("deturck_a", 0.0) != 0:
+        raise ConfigError(f"checkpoint deturck_a {extra['deturck_a']!r} is not the "
+                          "fixed DeTurck gauge (0)")
     t, step = extra["t"], extra["step"]
     if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t):
         raise ConfigError(f"checkpoint t {t!r} is not a finite number")
@@ -199,8 +203,7 @@ def cmd_flow(args) -> int:
         try:
             state, _ = flow.run_flow(
                 initial, reference, cfg.flow.kind, cfg.control,
-                sample_interval=cfg.output.sample_interval,
-                deturck_a=cfg.flow.deturck_a, record_cb=record_cb,
+                sample_interval=cfg.output.sample_interval, record_cb=record_cb,
                 checkpoint_cb=checkpoint_cb, t0=t0, step0=step0,
                 emit_initial=emit_initial)
         except flow.StepFailed as exc:

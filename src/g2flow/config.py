@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tables
-from .flow import DEFAULT_DETURCK_A, KINDS, StepControl
+from .flow import KINDS, StepControl
 from .g2algebra import G2Structure, NotPositive, flat_reference
 from .lattice import TWO_PI, FormField, Lattice, exterior_derivative
 
@@ -51,7 +51,6 @@ class PerturbationMode:
 @dataclass
 class FlowConfig:
     kind: str = "deturck"
-    deturck_a: float = DEFAULT_DETURCK_A
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,7 +64,10 @@ class OutputConfig:
     plot: bool = False
 
     def __post_init__(self):
-        if not self.sample_interval >= 1:
+        n = self.sample_interval
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"sample_interval must be an integer, got {n!r}")
+        if not n >= 1:
             raise ValueError("sample_interval must be at least 1")
 
 

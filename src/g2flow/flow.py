@@ -23,11 +23,6 @@ HARMONIC_TOL = 1e-10
 # t_end has reached it, and a step past it by no more keeps its full dt.
 END_RTOL = 1e-9
 
-# Weight of the trace direction in the gauge vector (see
-# riemann.deturck_vector); zero makes the gauge-fixed flow linearize to the
-# negative rough Laplacian at a torsion-free point.
-DEFAULT_DETURCK_A = 0.0
-
 
 class NotClosed(Exception):
     """Raised when a closed-structure formula is applied to a non-closed form."""
@@ -50,7 +45,6 @@ class FlowState:
     structure: G2Structure
     reference: G2Structure
     kind: str
-    deturck_a: float = DEFAULT_DETURCK_A
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,6 +84,10 @@ class StepControl:
             raise ValueError("cfl_coefficient must be positive")
         if self.max_dt is not None and not self.max_dt > 0:
             raise ValueError("max_dt must be positive when given")
+        for name in ("checkpoint_every", "max_halvings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.checkpoint_every >= 1:
             raise ValueError("checkpoint_every must be at least 1")
         if not self.max_halvings >= 0:
@@ -159,7 +157,7 @@ def flow_rhs(state: FlowState) -> FormField:
     structure = state.structure
     sigma = coexact_part(structure)
     if state.kind == "deturck":
-        v = riemann.deturck_vector(structure, state.reference, state.deturck_a)
+        v = riemann.deturck_vector(structure, state.reference)
         sigma = sigma + interior_product(v, structure.phi)
     return exterior_derivative(sigma)
 
@@ -235,7 +233,6 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
 
 def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
              control: StepControl, sample_interval: int,
-             deturck_a: float = DEFAULT_DETURCK_A,
              record_cb=None, checkpoint_cb=None,
              t0: float = 0.0, step0: int = 0, emit_initial: bool = True):
     """Integrate to t_end (or to stop_tolerance on |theta|_L2), sampling diagnostics.
@@ -248,8 +245,7 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     """
     from .diagnostics import diagnostic_snapshot, flat_l2
 
-    state = FlowState(t=t0, structure=initial, reference=reference,
-                      kind=kind, deturck_a=deturck_a)
+    state = FlowState(t=t0, structure=initial, reference=reference, kind=kind)
     records = []
 
     def sample(st):

@@ -61,7 +61,12 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
 
 
 def read_form_field(base):
-    """Read a checkpointed field; returns (FormField, extra_dict)."""
+    """Read a checkpointed field; returns (FormField, extra_dict).
+
+    A sidecar entry of the wrong type (a string degree, a float shape entry,
+    a number for the blob name, an unknown lattice key) raises ValueError,
+    like every other malformed sidecar.
+    """
     base = Path(base)
     sidecar = json.loads(base.with_suffix(".json").read_text())
     if sidecar.get("version") != FORMAT_VERSION:
@@ -70,14 +75,15 @@ def read_form_field(base):
         raise ValueError("checkpoint must be little-endian")
     try:
         lattice = Lattice(**sidecar["lattice"])
-    except TypeError as exc:  # a missing, unknown or mistyped lattice entry
-        raise ValueError(f"bad checkpoint lattice: {exc}") from exc
-    raw = (base.parent / sidecar["blob"]).read_bytes()
-    # Sidecars written before the checksum was recorded carry neither entry.
-    if "blob_bytes" in sidecar and len(raw) != sidecar["blob_bytes"]:
-        raise ValueError(f"checkpoint blob has {len(raw)} bytes, "
-                         f"sidecar records {sidecar['blob_bytes']}")
-    if "blob_sha256" in sidecar and hashlib.sha256(raw).hexdigest() != sidecar["blob_sha256"]:
-        raise ValueError("checkpoint blob does not match the sidecar's sha256")
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(sidecar["shape"])
-    return FormField(lattice, sidecar["degree"], data), sidecar.get("extra", {})
+        raw = (base.parent / sidecar["blob"]).read_bytes()
+        # Sidecars written before the checksum was recorded carry neither entry.
+        if "blob_bytes" in sidecar and len(raw) != sidecar["blob_bytes"]:
+            raise ValueError(f"checkpoint blob has {len(raw)} bytes, "
+                             f"sidecar records {sidecar['blob_bytes']}")
+        if ("blob_sha256" in sidecar
+                and hashlib.sha256(raw).hexdigest() != sidecar["blob_sha256"]):
+            raise ValueError("checkpoint blob does not match the sidecar's sha256")
+        data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(sidecar["shape"])
+        return FormField(lattice, sidecar["degree"], data), sidecar.get("extra", {})
+    except TypeError as exc:
+        raise ValueError(f"bad checkpoint sidecar entry: {exc}") from exc

@@ -113,6 +113,8 @@ class Lattice:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown derivative scheme {self.scheme!r}")
         n = self.points_per_axis
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"points_per_axis must be an integer, got {n!r}")
         if self.scheme == "spectral":
             if n < 8 or n % 2:
                 raise ValueError("spectral scheme needs even n >= 8")
@@ -262,26 +264,6 @@ class FormField:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
-@dataclass(frozen=True)
-class TensorField:
-    """Dense tensor field; variance is a string of 'u'/'d' slot markers."""
-
-    lattice: Lattice
-    variance: str
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if any(c not in "ud" for c in self.variance):
-            raise ValueError("variance markers must be 'u' or 'd'")
-        expected = self.lattice.grid_shape + (7,) * len(self.variance)
-        if self.data.shape != expected:
-            raise ValueError(f"tensor data shape {self.data.shape}, expected {expected}")
-        object.__setattr__(self, "data", _freeze(self.data))
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
-
 def _check_same(a, b):
     if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise ValueError("fields live on different lattices")
@@ -289,13 +271,11 @@ def _check_same(a, b):
         raise ValueError("degree mismatch")
 
 
-def partial_derivative(f, axis: int):
+def partial_derivative(f: FormField, axis: int) -> FormField:
     """Componentwise coordinate derivative along `axis` (1..7)."""
     if not 1 <= axis <= 7:
         raise ValueError("axis must be in 1..7")
-    if isinstance(f, FormField):
-        return f.replace_data(f.lattice.partial_array(f.data, axis))
-    return TensorField(f.lattice, f.variance, f.lattice.partial_array(f.data, axis))
+    return f.replace_data(f.lattice.partial_array(f.data, axis))
 
 
 def exterior_derivative(alpha: FormField) -> FormField:
@@ -320,14 +300,12 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     return FormField(alpha.lattice, k + l, data)
 
 
-def interior_product(x: TensorField, alpha: FormField) -> FormField:
-    """Contraction of a vector field into the first slot of a k-form."""
-    if x.variance != "u":
-        raise ValueError("interior product needs a contravariant vector field")
+def interior_product(x: np.ndarray, alpha: FormField) -> FormField:
+    """Contraction of the vector field x[..., i] = X^i into the first slot of a k-form."""
     k = alpha.degree
     if k < 1:
         raise ValueError("interior product needs degree >= 1")
     per_axis = tables.apply_table(tables.interior_table(k), alpha.data)  # e_i . alpha
-    data = (x.data[..., None, :] @ per_axis)[..., 0, :]
+    data = (x[..., None, :] @ per_axis)[..., 0, :]
     return FormField(alpha.lattice, k - 1, data)
 

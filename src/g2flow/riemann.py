@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2algebra
-from .lattice import Lattice, TensorField
-
-
-@dataclass
-class ConnectionData:
-    """Christoffel symbols Gamma^i_jk (index order: upper, lower, lower)."""
-
-    gamma: np.ndarray
+from .lattice import Lattice
 
 
 @dataclass
@@ -38,15 +31,18 @@ def metric_partials(g: np.ndarray, lattice: Lattice) -> np.ndarray:
     return out
 
 
-def christoffels(g: np.ndarray, g_inv: np.ndarray, lattice: Lattice) -> ConnectionData:
-    """Levi-Civita connection of g: Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk)/2."""
+def christoffels(g: np.ndarray, g_inv: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Levi-Civita connection of g: Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk)/2.
+
+    Index order of the returned array: upper, lower, lower.
+    """
     dg = metric_partials(g, lattice)
     # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
     s = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
     s -= dg
     gamma = g_inv @ s.reshape(s.shape[:-3] + (7, 49))
     gamma *= 0.5
-    return ConnectionData(gamma.reshape(s.shape))
+    return gamma.reshape(s.shape)
 
 
 def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarray,
@@ -82,7 +78,7 @@ def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarra
     return out
 
 
-def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,
+def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
               lattice: Lattice) -> CurvatureData:
     """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
 
@@ -90,7 +86,6 @@ def curvature(conn: ConnectionData, g: np.ndarray, g_inv: np.ndarray,
     into which dGamma is added in place; R^i_jkl is then the difference of two
     transposed views of it, and Rm = g @ R over the upper index.
     """
-    gamma = conn.gamma
     batch = gamma.shape[:-3]
     # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
     # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
@@ -121,7 +116,8 @@ def tensor_norm_sq(t: np.ndarray, variance: str, metric: g2algebra.Metric):
     return np.sum(dual * t, axis=axes)
 
 
-def connection_of(structure) -> ConnectionData:
+def connection_of(structure) -> np.ndarray:
+    """Christoffel symbols of the structure's metric, cached."""
     cache = structure._cache
     if "conn" not in cache:
         cache["conn"] = christoffels(structure.g, structure.g_inv, structure.lattice)
@@ -132,10 +128,9 @@ def nabla_phi_of(structure) -> np.ndarray:
     """Covariant derivative of phi as a full (0,4) array, cached."""
     cache = structure._cache
     if "nabla_phi" not in cache:
-        conn = connection_of(structure)
+        gamma = connection_of(structure)
         full = g2algebra.expand_form(structure.phi.data, 3)
-        cache["nabla_phi"] = covariant_derivative_array(
-            full, "ddd", conn.gamma, structure.lattice)
+        cache["nabla_phi"] = covariant_derivative_array(full, "ddd", gamma, structure.lattice)
     return cache["nabla_phi"]
 
 
@@ -152,7 +147,7 @@ def nabla_torsion_of(structure) -> np.ndarray:
     cache = structure._cache
     if "nabla_torsion" not in cache:
         cache["nabla_torsion"] = covariant_derivative_array(
-            torsion_of(structure), "dd", connection_of(structure).gamma, structure.lattice)
+            torsion_of(structure), "dd", connection_of(structure), structure.lattice)
     return cache["nabla_torsion"]
 
 
@@ -164,24 +159,18 @@ def curvature_of(structure) -> CurvatureData:
     return cache["curv"]
 
 
-def deturck_vector(structure, reference, a_const: float = 0.0) -> TensorField:
-    """Gauge-fixing vector field built from S = Gamma(g) - Gamma(g_ref).
+def deturck_vector(structure, reference) -> np.ndarray:
+    """Gauge-fixing vector field V^i = g^pq S^i_pq, S = Gamma(g) - Gamma(g_ref).
 
-    The base term is the classical connection-difference vector
-    g^pq S^i_pq e_i, whose linearization at a torsion-free point is
-    div h - d(tr h)/2; this is the unique weighting for which the gauge-fixed
-    flow linearizes to the negative rough Laplacian there. a_const adds the
-    complementary trace direction g^kj S^i_ik e_j (zero by default; kept as a
-    knob for convention sensitivity checks). V vanishes at the reference.
+    Returns the (..., 7) array of V^i. This connection-difference vector
+    linearizes at a torsion-free point to div h - d(tr h)/2, the weighting
+    for which the gauge-fixed flow linearizes to the negative rough
+    Laplacian there. V vanishes at the reference.
     """
     if structure.lattice != reference.lattice:
         raise ValueError("structure and reference live on different lattices")
-    s = connection_of(structure).gamma - connection_of(reference).gamma
-    g_inv = structure.g_inv
-    base = np.einsum("...pq,...ipq->...i", g_inv, s)
-    if a_const:
-        base = base + a_const * np.einsum("...kj,...iik->...j", g_inv, s)
-    return TensorField(structure.lattice, "u", base)
+    s = connection_of(structure) - connection_of(reference)
+    return np.einsum("...pq,...ipq->...i", structure.g_inv, s)
 
 
 def lambda_monitor(structure) -> np.ndarray:

@@ -15,7 +15,7 @@ def write_config(tmp_path, **overrides):
     cfg = {
         "lattice": {"active_axes": [1], "points_per_axis": 16,
                     "period": TWO_PI, "scheme": "spectral"},
-        "flow": {"kind": "deturck", "deturck_a": 0.0},
+        "flow": {"kind": "deturck"},
         "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
                           "amplitude": 1e-3, "phase": 0.0}],
         "control": {"t_end": 0.5, "cfl_coefficient": 0.2, "checkpoint_every": 20},
@@ -125,11 +125,19 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"max_dt": -0.1}},
                                       {"control": {"checkpoint_every": 0}},
                                       {"control": {"max_halvings": -1}},
-                                      {"output": {"sample_interval": 0}}],
+                                      {"output": {"sample_interval": 0}},
+                                      {"control": {"max_halvings": 1.5}},
+                                      {"control": {"checkpoint_every": 2.5}},
+                                      {"output": {"sample_interval": 2.5}},
+                                      {"lattice": {"points_per_axis": 16.0}},
+                                      {"flow": {"deturck_a": 0.0}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "checkpoint_every0",
-                              "max_halvings_negative", "sample_interval0"])
+                              "max_halvings_negative", "sample_interval0",
+                              "max_halvings_float", "checkpoint_every_float",
+                              "sample_interval_float", "points_per_axis_float",
+                              "deturck_a"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
@@ -206,13 +214,16 @@ def test_flow_series_bit_identical_across_runs(tmp_path):
     assert a == b
 
 
-def test_flow_resume_reproduces_series_bit_identically(tmp_path):
-    # fixed dt keeps the sample steps aligned; the partial run stops exactly
-    # on a sample/checkpoint boundary so the resumed run continues the grid.
-    # 0.01 is not dyadic: ten summed steps fall short of 0.1 by roundoff, and
-    # the partial run must still pass through the same times as the full one.
-    # A sample every step gives the 21 samples the decay fit needs, so the
-    # summary's fit must also cover the samples from before the resume.
+def _full_and_interrupted_runs(tmp_path):
+    """(series lines, summary) of a full run, and (config, checkpoint) to resume it.
+
+    Fixed dt keeps the sample steps aligned; the partial run stops exactly
+    on a sample/checkpoint boundary so the resumed run continues the grid.
+    0.01 is not dyadic: ten summed steps fall short of 0.1 by roundoff, and
+    the partial run must still pass through the same times as the full one.
+    A sample every step gives the 21 samples the decay fit needs, so the
+    summary's fit must also cover the samples from before the resume.
+    """
     control_full = {"t_end": 0.2, "dt": 0.01, "checkpoint_every": 10}
     full_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "full"),
                                                   "sample_interval": 1},
@@ -222,19 +233,23 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     full_summary = json.loads((tmp_path / "full" / "summary.json").read_text())
     assert full_summary["decay"]["fitted_rate"] is not None
 
-    # interrupted at a smaller t_end, then resumed from its final checkpoint
+    # interrupted at a smaller t_end, to be resumed from its final checkpoint
     part_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part"),
                                                   "sample_interval": 1},
                                 control={"t_end": 0.1, "dt": 0.01,
                                          "checkpoint_every": 10})
     assert cli.main(["flow", str(part_path)]) == 0
-    ckpts = sorted((tmp_path / "part" / "checkpoints").glob("step_*.json"))
-    resume_from = ckpts[-1]
-    with open(tmp_path / "part" / "series.jsonl", "a") as fh:
-        fh.write('{"ck_theta": [0.1, ')  # a sample torn by an interrupted write
+    resume_from = sorted((tmp_path / "part" / "checkpoints").glob("step_*.json"))[-1]
     resume_path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "part"),
                                                     "sample_interval": 1},
                                   control=control_full)
+    return full_lines, full_summary, resume_path, resume_from
+
+
+def test_flow_resume_reproduces_series_bit_identically(tmp_path):
+    full_lines, full_summary, resume_path, resume_from = _full_and_interrupted_runs(tmp_path)
+    with open(tmp_path / "part" / "series.jsonl", "a") as fh:
+        fh.write('{"ck_theta": [0.1, ')  # a sample torn by an interrupted write
     assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
     part_lines = (tmp_path / "part" / "series.jsonl").read_text().splitlines()
 
@@ -250,8 +265,31 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
 
 
+def _set_sidecar_extra(sidecar_path, key, value):
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["extra"][key] = value
+    sidecar_path.write_text(json.dumps(sidecar))
+
+
+def test_flow_resume_from_sidecar_with_zero_deturck_a(tmp_path):
+    # checkpoints of earlier versions record the gauge's trace weight, always 0.0
+    full_lines, full_summary, resume_path, resume_from = _full_and_interrupted_runs(tmp_path)
+    _set_sidecar_extra(resume_from, "deturck_a", 0.0)
+    assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
+    assert (tmp_path / "part" / "series.jsonl").read_text().splitlines() == full_lines
+    assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
+
+
+def test_flow_resume_from_sidecar_with_other_deturck_a_exit_2(tmp_path, capsys):
+    _, _, resume_path, resume_from = _full_and_interrupted_runs(tmp_path)
+    _set_sidecar_extra(resume_from, "deturck_a", 0.5)
+    capsys.readouterr()
+    assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_flow_resume_from_non_flow_checkpoint_exit_2(tmp_path, capsys):
-    # the reference checkpoint has no t/step/kind/deturck_a
+    # the reference checkpoint has no t/step/kind
     path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01})
     assert cli.main(["flow", str(path)]) == 0
     reference = tmp_path / "out" / "checkpoints" / "reference.json"
@@ -260,8 +298,7 @@ def test_flow_resume_from_non_flow_checkpoint_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [{"lattice": {"points_per_axis": 32}},
-                                      {"flow": {"kind": "laplacian"}},
-                                      {"flow": {"deturck_a": 0.5}}])
+                                      {"flow": {"kind": "laplacian"}}])
 def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
     path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
                                               "checkpoint_every": 5})
@@ -276,14 +313,18 @@ def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
                                                  ("lattice", "spacing", 0.1),
                                                  ("extra", "t", "x"),
                                                  ("extra", "t", float("nan")),
-                                                 ("extra", "step", 2.5)])
+                                                 ("extra", "step", 2.5),
+                                                 (None, "degree", "3"),
+                                                 (None, "degree", 3.0),
+                                                 (None, "shape", [16, "35"]),
+                                                 (None, "blob", 5)])
 def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, key, value):
     path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
                                               "checkpoint_every": 5})
     assert cli.main(["flow", str(path)]) == 0
     resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
     sidecar = json.loads(resume_from.read_text())
-    sidecar[section][key] = value
+    (sidecar[section] if section else sidecar)[key] = value  # None: a top-level key
     resume_from.write_text(json.dumps(sidecar))
     capsys.readouterr()
     assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2

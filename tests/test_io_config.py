@@ -101,7 +101,7 @@ def test_checkpoint_write_leaves_no_temporary_files(tmp_path, rng):
 CANONICAL = {
     "lattice": {"active_axes": [1], "points_per_axis": 32,
                 "period": TWO_PI, "scheme": "spectral"},
-    "flow": {"kind": "deturck", "deturck_a": 0.0},
+    "flow": {"kind": "deturck"},
     "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
                       "amplitude": 1e-3, "phase": 0.0}],
     "control": {"t_end": 10.0, "cfl_coefficient": 0.2},
@@ -163,8 +163,15 @@ def test_step_control_validates_itself():
     with pytest.raises(ValueError, match="max_halvings"):
         StepControl(max_halvings=-1)
     StepControl(max_halvings=0)  # a single attempt per step is a valid policy
-    with pytest.raises(ValueError, match="sample_interval"):
-        OutputConfig(sample_interval=0)
+    for name in ("checkpoint_every", "max_halvings"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                StepControl(**{name: value})
+    for value in (0, 2.5, True):
+        with pytest.raises(ValueError, match="sample_interval"):
+            OutputConfig(sample_interval=value)
+    with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+        Lattice((1,), 16.0)
 
 
 def test_config_builds_initial_structure():

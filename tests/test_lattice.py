@@ -5,7 +5,7 @@ import pytest
 
 from g2flow import lattice, tables
 from g2flow.g2algebra import PHI0, PSI0, flat_reference
-from g2flow.lattice import (FormField, Lattice, TensorField, derivative_matrix,
+from g2flow.lattice import (FormField, Lattice, derivative_matrix,
                             derivative_symbol, exterior_derivative,
                             interior_product, partial_derivative, wedge)
 
@@ -44,9 +44,6 @@ def test_fields_are_immutable():
     f = FormField.zero(lat, 2)
     with pytest.raises(ValueError):
         f.data[0, 0] = 1.0
-    t = TensorField(lat, "ud", np.zeros(lat.grid_shape + (7, 7)))
-    with pytest.raises(ValueError):
-        t.data[0, 0, 0] = 1.0
 
 
 # --- partial derivatives ------------------------------------------------------
@@ -276,14 +273,13 @@ def test_interior_product_basis_and_nilpotence(rng):
     e123[tables.index_position(3)[(0, 1, 2)]] = 1.0
     x = np.zeros(lat.grid_shape + (7,))
     x[..., 0] = 1.0
-    xf = TensorField(lat, "u", x)
-    res = interior_product(xf, FormField.constant(lat, 3, e123))
+    res = interior_product(x, FormField.constant(lat, 3, e123))
     expect = np.zeros(21)
     expect[tables.index_position(2)[(1, 2)]] = 1.0
     assert np.allclose(res.data[0], expect)
     # X . (X . alpha) = 0
     alpha = band_limited_form(lat, 4, rng)
-    xr = TensorField(lat, "u", rng.standard_normal(lat.grid_shape + (7,)))
+    xr = rng.standard_normal(lat.grid_shape + (7,))
     assert interior_product(xr, interior_product(xr, alpha)).max_norm() < 1e-13
 
 
@@ -301,7 +297,7 @@ def test_interior_product_matches_full_tensor_oracle(rng, k):
     lat = Lattice((1, 2), 8, TWO_PI)
     alpha = FormField(lat, k, rng.standard_normal(lat.grid_shape + (tables.num_components(k),)))
     x = rng.standard_normal(lat.grid_shape + (7,))
-    res = interior_product(TensorField(lat, "u", x), alpha)
+    res = interior_product(x, alpha)
     assert np.max(np.abs(res.data - oracles.interior_compressed(x, alpha.data, k))) < 1e-13
 
 
@@ -309,7 +305,7 @@ def test_basis_interior_model_form():
     lat = Lattice((1,), 8, TWO_PI)
     x = np.zeros(lat.grid_shape + (7,))
     x[..., 0] = 1.0
-    res = interior_product(TensorField(lat, "u", x), FormField.constant(lat, 3, PHI0))
+    res = interior_product(x, FormField.constant(lat, 3, PHI0))
     expect = np.zeros(21)
     pos = tables.index_position(2)
     expect[pos[(1, 2)]] = 1.0   # e23
