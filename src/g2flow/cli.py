@@ -153,14 +153,14 @@ def _resume_state(path, cfg):
     return initial, t, step
 
 
-def _drop_samples_after(series_path, t0):
-    """Remove samples past t0, which a run resumed at t0 writes again."""
+def _drop_samples_from(series_path, t0):
+    """Remove samples at t0 and later, which a run resumed at t0 writes again."""
     if not series_path.exists():
         return
     kept = []
     for line in series_path.read_text().splitlines(keepends=True):
         try:
-            if json.loads(line)["t"] <= t0:
+            if json.loads(line)["t"] < t0:
                 kept.append(line)
         except (ValueError, KeyError, TypeError):
             pass  # a sample torn by the interrupted run
@@ -176,12 +176,11 @@ def cmd_flow(args) -> int:
     series_path = out / "series.jsonl"
     out.mkdir(parents=True, exist_ok=True)
 
-    t0, step0, emit_initial = 0.0, 0, True
+    t0, step0 = 0.0, 0
     if args.resume:
         initial, t0, step0 = _resume_state(args.resume, cfg)
-        emit_initial = False
         series_mode = "a"
-        _drop_samples_after(series_path, t0)
+        _drop_samples_from(series_path, t0)
     else:
         initial = cfg.build_initial(reference)
         series_mode = "w"
@@ -204,8 +203,7 @@ def cmd_flow(args) -> int:
             state, _ = flow.run_flow(
                 initial, reference, cfg.flow.kind, cfg.control,
                 sample_interval=cfg.output.sample_interval, record_cb=record_cb,
-                checkpoint_cb=checkpoint_cb, t0=t0, step0=step0,
-                emit_initial=emit_initial)
+                checkpoint_cb=checkpoint_cb, t0=t0, step0=step0)
         except flow.StepFailed as exc:
             print(f"integration failed: {exc}", file=sys.stderr)
             if exc.state is not None:
@@ -257,6 +255,16 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def integer(text):  # argparse names the type in its messages
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="g2flow",
@@ -264,8 +272,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run the randomized identity suite")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--n-random", type=int, default=1000,
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_check.add_argument("--n-random", type=_int_at_least(1), default=1000,
                          help="randomized inputs per pointwise identity")
     p_check.add_argument("--report", help="write the JSON report to this path")
     p_check.add_argument("--mutate", choices=MUTATIONS,

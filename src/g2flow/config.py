@@ -36,13 +36,19 @@ class PerturbationMode:
 
     def check(self, lattice: Lattice):
         """Raise ValueError unless the mode fits the lattice."""
-        mode = list(self.mode)
+        mode, comp = list(self.mode), tuple(self.component)
+        for name, entries in (("mode", mode), ("component", comp)):
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
+                raise ValueError(f"{name} entries must be integers, got {entries}")
+        for name in ("amplitude", "phase"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if len(mode) != 7:
             raise ValueError(f"mode vector must have 7 entries, got {mode}")
         for axis, k in enumerate(mode, start=1):
             if k and axis not in lattice.active_axes:
                 raise ValueError(f"mode {mode} excites inactive axis {axis}")
-        comp = tuple(int(c) for c in self.component)
         if len(comp) != 2 or not (1 <= comp[0] < comp[1] <= 7):
             raise ValueError(
                 f"component must be an increasing 1-based pair, got {self.component}")
@@ -126,7 +132,7 @@ class RunConfig:
         data = np.zeros(lattice.grid_shape + (21,))
         pos2 = tables.index_position(2)
         for m in self.perturbation:
-            i, j = (int(c) - 1 for c in m.component)
+            i, j = (c - 1 for c in m.component)
             arg = m.phase * np.ones(lattice.grid_shape)
             for axis in lattice.active_axes:
                 k = m.mode[axis - 1]

@@ -234,16 +234,17 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
 def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
              control: StepControl, sample_interval: int,
              record_cb=None, checkpoint_cb=None,
-             t0: float = 0.0, step0: int = 0, emit_initial: bool = True):
+             t0: float = 0.0, step0: int = 0):
     """Integrate to t_end (or to stop_tolerance on |theta|_L2), sampling diagnostics.
 
     Returns (final_state, records). record_cb/checkpoint_cb, when given, are
     called as record_cb(record) per sample and checkpoint_cb(state, step) per
     control.checkpoint_every accepted steps (and at the end). t0/step0 resume
-    an interrupted run; emit_initial=False suppresses the duplicate sample at
-    the resume point.
+    an interrupted run: its first state is sampled iff step0 is a sample
+    step, as the uninterrupted run sampled it. The stop test reads the last
+    sample, so a resumed and an uninterrupted run stop at the same step.
     """
-    from .diagnostics import diagnostic_snapshot, flat_l2
+    from .diagnostics import diagnostic_snapshot
 
     state = FlowState(t=t0, structure=initial, reference=reference, kind=kind)
     records = []
@@ -256,10 +257,9 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
             record_cb(rec)
         return rec.l2_theta
 
-    if emit_initial:
-        l2 = sample(state)
-    else:
-        l2 = flat_l2(state.structure.lattice, state.theta())
+    # Off the sample grid, the run got past its last sample, which was
+    # therefore above stop_tolerance.
+    l2 = sample(state) if step0 % sample_interval == 0 else np.inf
     step = step0
     try:
         while not reached_end(state.t, control) and np.sqrt(l2) >= control.stop_tolerance:

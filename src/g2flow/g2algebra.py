@@ -6,7 +6,7 @@ randomized test batches and whole lattice fields. Field-level operations
 (torsion-form extraction, the structure cache) live at the bottom.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,13 +109,15 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     gives the identity (for it, b = 6 * id). Volume density scales
     correspondingly as (det b)^(1/9) / 6^(7/9).
 
-    Raises NotPositive when det b <= 0 or the candidate metric fails to be
-    positive-definite, i.e. phi is not in the open GL+ orbit of the model.
+    Raises NotPositive unless det b > 0 (which a NaN fails) and the
+    candidate metric is positive-definite, i.e. unless phi is in the open
+    GL+ orbit of the model.
     """
     b = _cubic_contraction(phi, phi)
     det_b = np.linalg.det(b)
-    if np.any(det_b <= 0.0):
-        raise NotPositive(f"det b <= 0 at {int(np.sum(det_b <= 0.0))} site(s)")
+    bad = ~(det_b > 0.0)
+    if np.any(bad):
+        raise NotPositive(f"det b is not > 0 at {int(np.sum(bad))} site(s)")
     scale = det_b ** (-1.0 / 9.0)
     g = _METRIC_SCALE * b * scale[..., None, None]
     try:
@@ -126,11 +128,12 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
 
 
 def is_positive(phi: np.ndarray):
-    """True where the 3-form defines a positive-definite metric."""
+    """True where the 3-form defines a positive-definite metric; False where b is not finite."""
     b = _cubic_contraction(phi, phi)
-    det_b = np.linalg.det(b)
+    finite = np.all(np.isfinite(b), axis=(-2, -1))
+    b = np.where(finite[..., None, None], b, 0.0)
     eig_min = np.linalg.eigvalsh(b)[..., 0]
-    return (det_b > 0.0) & (eig_min > 0.0)
+    return finite & (np.linalg.det(b) > 0.0) & (eig_min > 0.0)
 
 
 def _complement(alpha: np.ndarray, k: int) -> np.ndarray:
@@ -255,13 +258,12 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TorsionData:
-    """Intrinsic torsion forms; the full tensor T is attached when computed."""
+    """Intrinsic torsion forms tau0..tau3."""
 
     tau0: np.ndarray
     tau1: np.ndarray
     tau2: np.ndarray
     tau3: np.ndarray
-    T: np.ndarray = None
 
 
 class G2Structure(Metric):

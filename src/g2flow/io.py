@@ -63,12 +63,18 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
 def read_form_field(base):
     """Read a checkpointed field; returns (FormField, extra_dict).
 
-    A sidecar entry of the wrong type (a string degree, a float shape entry,
-    a number for the blob name, an unknown lattice key) raises ValueError,
-    like every other malformed sidecar.
+    A sidecar or extra entry that is not a JSON object, or a sidecar entry
+    of the wrong type (a string degree, a float shape entry, a number for
+    the blob name, an unknown lattice key), raises ValueError, like every
+    other malformed sidecar.
     """
     base = Path(base)
     sidecar = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError("checkpoint sidecar is not a JSON object")
+    extra = sidecar.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError("checkpoint sidecar's extra entry is not a JSON object")
     if sidecar.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {sidecar.get('version')}")
     if sidecar.get("endianness") != "little":
@@ -84,6 +90,6 @@ def read_form_field(base):
                 and hashlib.sha256(raw).hexdigest() != sidecar["blob_sha256"]):
             raise ValueError("checkpoint blob does not match the sidecar's sha256")
         data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(sidecar["shape"])
-        return FormField(lattice, sidecar["degree"], data), sidecar.get("extra", {})
+        return FormField(lattice, sidecar["degree"], data), extra
     except TypeError as exc:
         raise ValueError(f"bad checkpoint sidecar entry: {exc}") from exc

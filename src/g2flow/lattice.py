@@ -102,8 +102,10 @@ class Lattice:
     scheme: str = "spectral"
 
     def __post_init__(self):
-        axes = tuple(int(ax) for ax in self.active_axes)
+        axes = tuple(self.active_axes)
         object.__setattr__(self, "active_axes", axes)
+        if any(isinstance(ax, bool) or not isinstance(ax, int) for ax in axes):
+            raise ValueError(f"active axes must be integers, got {axes}")
         if not 1 <= len(axes) <= 3:
             raise ValueError("need 1 to 3 active axes")
         if len(set(axes)) != len(axes) or any(not 1 <= ax <= 7 for ax in axes):
@@ -120,8 +122,8 @@ class Lattice:
                 raise ValueError("spectral scheme needs even n >= 8")
         elif n < 5:
             raise ValueError("fd4 stencil needs n >= 5")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0 and np.isfinite(self.period)):
+            raise ValueError(f"period must be positive and finite, got {self.period!r}")
 
     @property
     def ndim_active(self) -> int:
@@ -283,11 +285,11 @@ def exterior_derivative(alpha: FormField) -> FormField:
     k = alpha.degree
     if k >= 7:
         raise ValueError("cannot apply d to a 7-form")
-    table = tables.ext_d_table(k)
+    table = tables.interior_table(k + 1)
     lat = alpha.lattice
     out = np.zeros(lat.grid_shape + (tables.num_components(k + 1),))
     for axis in lat.active_axes:
-        out += lat.partial_array(alpha.data, axis) @ table[axis - 1].T
+        out += lat.partial_array(alpha.data, axis) @ table[axis - 1]
     return FormField(lat, k + 1, out)
 
 

@@ -86,44 +86,27 @@ def wedge_arrays(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndar
 
 @lru_cache(maxsize=None)
 def interior_table(k: int) -> np.ndarray:
-    """Signs T with (X . a)_out = sum T[i, out, in] X^i a_in, shape (7, C_{k-1}, C_k)."""
+    """Signs T with (X . a)_out = sum T[i, out, in] X^i a_in, shape (7, C_{k-1}, C_k).
+
+    The (1, k-1) wedge table in another axis order: e_i . e^J and
+    e^i ^ e^{J minus i} carry the same sign. T[i] is also the d-table of the
+    i-th partial on (k-1)-forms.
+    """
     if k < 1:
         raise ValueError("interior product needs degree >= 1")
-    table = np.zeros((DIM, num_components(k - 1), num_components(k)))
-    pos_out = index_position(k - 1)
-    for pj, J in enumerate(index_sets(k)):
-        for m, axis in enumerate(J):
-            rest = J[:m] + J[m + 1:]
-            table[axis, pos_out[rest], pj] = (-1.0) ** m
-    return table
-
-
-@lru_cache(maxsize=None)
-def ext_d_table(k: int) -> np.ndarray:
-    """Signs D with (da)_out = sum_axis D[axis, out, in] (d_axis a)_in."""
-    if k >= DIM:
-        raise ValueError("cannot raise degree above 7")
-    table = np.zeros((DIM, num_components(k + 1), num_components(k)))
-    pos_in = index_position(k)
-    for pj, J in enumerate(index_sets(k + 1)):
-        for m, axis in enumerate(J):
-            rest = J[:m] + J[m + 1:]
-            table[axis, pj, pos_in[rest]] = (-1.0) ** m
-    return table
+    return np.ascontiguousarray(wedge_table(1, k - 1).transpose(1, 2, 0))
 
 
 @lru_cache(maxsize=None)
 def expand_table(k: int) -> np.ndarray:
-    """Signed (7^k, C_k) matrix mapping compressed storage to the full tensor."""
-    full = np.zeros((DIM ** k, num_components(k)))
-    for pos, I in enumerate(index_sets(k)):
-        for perm in permutations(I):
-            sign, _ = sort_sign(perm)
-            flat = 0
-            for idx in perm:
-                flat = flat * DIM + idx
-            full[flat, pos] = sign
-    return full
+    """Signed (7^k, C_k) matrix mapping compressed storage to the full tensor.
+
+    Row (i, rest) holds a(e_i, e_rest) = (e_i . a)(e_rest): the interior
+    table followed by the expansion of degree k-1.
+    """
+    if k == 0:
+        return np.ones((1, 1))
+    return (expand_table(k - 1) @ interior_table(k)).reshape(DIM ** k, -1)
 
 
 @lru_cache(maxsize=None)
@@ -143,31 +126,22 @@ def star_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Complement maps for the Hodge star on k-forms.
 
     Returns (src, sign) of length C_{7-k} so that, with raised input a^,
-    (star a)[out] = sign[out] * a^[src[out]] * sqrt(det g).
+    (star a)[out] = sign[out] * a^[src[out]] * sqrt(det g). Column J of
+    the (k, 7-k) wedge table has one nonzero, at the complement I of J,
+    with the sign of e^I ^ e^J.
     """
-    comp_sets = index_sets(DIM - k)
-    pos_in = index_position(k)
-    src = np.empty(len(comp_sets), dtype=np.intp)
-    sign = np.empty(len(comp_sets))
-    for pos_out, J in enumerate(comp_sets):
-        I = tuple(sorted(set(range(DIM)) - set(J)))
-        s, _ = sort_sign(I + J)
-        src[pos_out] = pos_in[I]
-        sign[pos_out] = s
-    return src, sign
+    w = wedge_table(k, DIM - k)[0]
+    src = np.abs(w).argmax(axis=0)
+    return src, w[src, np.arange(w.shape[1])]
 
 
 @lru_cache(maxsize=None)
 def triple_wedge_223() -> np.ndarray:
-    """Signs T[A,B,C] of e^A ^ e^B ^ e^C = T e^{1..7} for degrees (2,2,3)."""
-    table = np.zeros((num_components(2), num_components(2), num_components(3)))
-    for pa, A in enumerate(index_sets(2)):
-        for pb, B in enumerate(index_sets(2)):
-            for pc, C in enumerate(index_sets(3)):
-                sign, merged = sort_sign(A + B + C)
-                if sign and merged == tuple(range(DIM)):
-                    table[pa, pb, pc] = sign
-    return table
+    """Signs T[A,B,C] of e^A ^ e^B ^ e^C = T e^{1..7} for degrees (2,2,3).
+
+    e^B ^ e^C is expanded over the 5-forms e^D, and each e^A ^ e^D read off.
+    """
+    return np.tensordot(wedge_table(2, 5)[0], wedge_table(2, 3), 1)
 
 
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:

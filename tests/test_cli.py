@@ -33,6 +33,12 @@ def write_config(tmp_path, **overrides):
     return path, cfg
 
 
+def _mode(**changes):
+    """The default perturbation mode of write_config with some entries changed."""
+    return {"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
+            "amplitude": 1e-3, "phase": 0.0, **changes}
+
+
 # --- check -----------------------------------------------------------------------
 
 def test_check_passes_and_writes_report(tmp_path, capsys):
@@ -59,6 +65,15 @@ def test_check_mutation_fails_with_named_identity(tmp_path, capsys):
     report = run_identity_suite(seed=0, n_random=30, mutate="psi0_sign")
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "i_phi(metric) = 3 phi" in failed
+
+
+@pytest.mark.parametrize("args", [["--n-random", "0"], ["--n-random", "-3"],
+                                  ["--seed", "-1"]])
+def test_check_out_of_range_argument_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--n-random", "5", *args])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_check_deterministic_same_seed(tmp_path):
@@ -130,14 +145,23 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"checkpoint_every": 2.5}},
                                       {"output": {"sample_interval": 2.5}},
                                       {"lattice": {"points_per_axis": 16.0}},
-                                      {"flow": {"deturck_a": 0.0}}],
+                                      {"flow": {"deturck_a": 0.0}},
+                                      {"perturbation": [_mode(amplitude="x")]},
+                                      {"perturbation": [_mode(phase="x")]},
+                                      {"perturbation": [_mode(amplitude=float("nan"))]},
+                                      {"perturbation": [_mode(mode=[1.5, 0, 0, 0, 0, 0, 0])]},
+                                      {"perturbation": [_mode(component=[1.9, 3])]},
+                                      {"lattice": {"active_axes": [1.7]}},
+                                      {"lattice": {"period": float("inf")}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "checkpoint_every0",
                               "max_halvings_negative", "sample_interval0",
                               "max_halvings_float", "checkpoint_every_float",
                               "sample_interval_float", "points_per_axis_float",
-                              "deturck_a"])
+                              "deturck_a", "amplitude_str", "phase_str",
+                              "amplitude_nan", "mode_float", "component_float",
+                              "active_axes_float", "period_inf"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
@@ -265,6 +289,37 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
 
 
+def _run_outputs(out):
+    return ((out / "series.jsonl").read_bytes(), (out / "summary.json").read_bytes())
+
+
+def test_flow_resume_from_perturb_checkpoint_matches_uninterrupted_run(tmp_path):
+    # the resumed run starts at step 0, a sample step, so it records t = 0
+    control = {"t_end": 0.05, "dt": 0.01}
+    full_path, _ = write_config(tmp_path, control=control,
+                                output={"directory": str(tmp_path / "full"),
+                                        "sample_interval": 1})
+    assert cli.main(["flow", str(full_path)]) == 0
+    path, _ = write_config(tmp_path, control=control, output={"sample_interval": 1})
+    assert cli.main(["perturb", str(path)]) == 0
+    initial = tmp_path / "out" / "checkpoints" / "initial.json"
+    assert cli.main(["flow", str(path), "--resume", str(initial)]) == 0
+    assert _run_outputs(tmp_path / "out") == _run_outputs(tmp_path / "full")
+
+
+def test_flow_resume_from_final_checkpoint_matches_uninterrupted_run(tmp_path):
+    # the run ends at step 5, off the sample grid: resuming there must replace,
+    # not repeat, the final sample
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01},
+                           output={"sample_interval": 2})
+    assert cli.main(["flow", str(path)]) == 0
+    full = _run_outputs(tmp_path / "out")
+    assert json.loads(full[1])["samples"] == 4  # steps 0, 2, 4 and 5
+    final = tmp_path / "out" / "checkpoints" / "step_00000005.json"
+    assert cli.main(["flow", str(path), "--resume", str(final)]) == 0
+    assert _run_outputs(tmp_path / "out") == full
+
+
 def _set_sidecar_extra(sidecar_path, key, value):
     sidecar = json.loads(sidecar_path.read_text())
     sidecar["extra"][key] = value
@@ -317,14 +372,20 @@ def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
                                                  (None, "degree", "3"),
                                                  (None, "degree", 3.0),
                                                  (None, "shape", [16, "35"]),
-                                                 (None, "blob", 5)])
+                                                 (None, "blob", 5),
+                                                 (None, "extra", 5),
+                                                 (None, "extra", ["t", "step", "kind"]),
+                                                 (None, None, [1, 2])])
 def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, key, value):
     path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
                                               "checkpoint_every": 5})
     assert cli.main(["flow", str(path)]) == 0
     resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
     sidecar = json.loads(resume_from.read_text())
-    (sidecar[section] if section else sidecar)[key] = value  # None: a top-level key
+    if key is None:
+        sidecar = value  # the whole sidecar
+    else:
+        (sidecar[section] if section else sidecar)[key] = value  # None: a top-level key
     resume_from.write_text(json.dumps(sidecar))
     capsys.readouterr()
     assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
@@ -341,3 +402,11 @@ def test_flow_step_failure_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "integration failed" in err
     assert "last checkpoint" in err
+
+
+@pytest.mark.parametrize("dt", [1e200, 1e300])
+def test_flow_overflowing_step_exit_3(tmp_path, capsys, dt):
+    # the first step overflows to a non-finite form, which no halving rescues
+    path, _ = write_config(tmp_path, control={"t_end": 1e300, "dt": dt})
+    assert cli.main(["flow", str(path)]) == 3
+    assert "integration failed" in capsys.readouterr().err

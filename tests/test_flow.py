@@ -312,7 +312,7 @@ def test_step_clamped_to_short_remainder_lands_on_t_end():
 
 
 def test_resumed_run_flow_snapshots_only_the_samples_it_records(monkeypatch):
-    # the stop test at the resume point reads |theta|_L2 without a snapshot
+    # a resume off the sample grid takes no snapshot at the resume point
     lat = Lattice((1,), 16, TWO_PI)
     st, _ = lowest_mode_initial(lat, 1e-3)
     ref = g2.flat_reference(lat)
@@ -323,11 +323,30 @@ def test_resumed_run_flow_snapshots_only_the_samples_it_records(monkeypatch):
     written = []
     control = flow.StepControl(t_end=0.1, dt=0.01)
     _, records = flow.run_flow(st, ref, "deturck", control, sample_interval=2,
-                               record_cb=written.append, t0=0.04, step0=4,
-                               emit_initial=False)
+                               record_cb=written.append, t0=0.05, step0=5)
     assert len(calls) == len(written) == len(records) == 3  # steps 6, 8 and 10
     assert calls == [r.t for r in written]
-    assert min(calls) > 0.04
+    assert min(calls) > 0.05
+
+
+def test_resumed_run_flow_stops_where_the_uninterrupted_run_stops():
+    # |theta| falls below stop_tolerance at step 11, between the samples at
+    # steps 10 and 15; the uninterrupted run sees it at step 15
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-3)
+    ref = g2.flat_reference(lat)
+    states = {}
+    probe = flow.StepControl(t_end=1.0, dt=0.05, checkpoint_every=1)
+    flow.run_flow(st, ref, "deturck", probe, sample_interval=5,
+                  checkpoint_cb=lambda state, step: states.setdefault(step, state))
+    norm = {k: np.sqrt(diagnostics.flat_l2(lat, s.theta())) for k, s in states.items()}
+    tol = 0.5 * (norm[10] + norm[11])
+    control = flow.StepControl(t_end=3.0, dt=0.05, stop_tolerance=tol)
+    full, full_records = flow.run_flow(st, ref, "deturck", control, sample_interval=5)
+    resumed, records = flow.run_flow(states[11].structure, ref, "deturck", control,
+                                     sample_interval=5, t0=states[11].t, step0=11)
+    assert full.t == resumed.t == states[15].t
+    assert [r.to_dict() for r in records] == [r.to_dict() for r in full_records[-1:]]
 
 
 def test_run_flow_immediate_stop_at_reference():

@@ -89,9 +89,10 @@ def test_triple_wedge_223_oracle():
         assert t[a, b, c] == expect
 
 
-def test_ext_d_table_signs():
-    # (d alpha)_J picks up (-1)^m for the m-th index of J
-    d = tables.ext_d_table(2)
+def test_d_signs_from_interior_table():
+    # (d alpha)_J picks up (-1)^m for the m-th index of J; exterior_derivative
+    # reads these signs from the degree-3 interior table, transposed
+    d = tables.interior_table(3).transpose(0, 2, 1)
     pos3 = tables.index_position(3)
     pos2 = tables.index_position(2)
     assert d[0, pos3[(0, 1, 2)], pos2[(1, 2)]] == 1.0   # d_0 slot, first position
