@@ -84,6 +84,9 @@ class StepControl:
             raise ValueError("cfl_coefficient must be positive")
         if self.max_dt is not None and not self.max_dt > 0:
             raise ValueError("max_dt must be positive when given")
+        tol = self.stop_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+            raise ValueError(f"stop_tolerance must be a number >= 0, got {tol!r}")
         for name in ("checkpoint_every", "max_halvings"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

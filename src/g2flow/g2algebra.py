@@ -57,7 +57,7 @@ def compress_form(full: np.ndarray, k: int) -> np.ndarray:
 
 
 def contract_slots(t: np.ndarray, mats) -> np.ndarray:
-    """Apply one (..., 7, 7) matrix to each trailing 7-axis of t.
+    """Apply one square (..., n, n) matrix to each trailing axis of t, of length n.
 
     With k = len(mats), out[..., i1..ik] = m1[..., i1, a1] ... mk[..., ik, ak]
     t[..., a1..ak]. Each pass is one batched matmul that contracts the
@@ -67,9 +67,10 @@ def contract_slots(t: np.ndarray, mats) -> np.ndarray:
     """
     k = len(mats)
     for m in mats:
-        flat = t.reshape(t.shape[:t.ndim - k] + (7, 7 ** (k - 1)))
+        slots = t.shape[t.ndim - k:]
+        flat = t.reshape(t.shape[:t.ndim - k] + (slots[0], -1))
         t = np.swapaxes(flat, -1, -2) @ np.swapaxes(m, -1, -2)
-        t = t.reshape(t.shape[:-2] + (7,) * k)
+        t = t.reshape(t.shape[:-2] + slots[1:] + slots[:1])
     return t
 
 
@@ -245,14 +246,16 @@ def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: M
 def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     """Full torsion 2-tensor T_ij from the covariant derivative of phi.
 
-    T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the result satisfies
-    nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are antisymmetric in lmn,
-    so the sum runs over increasing lmn with weight 3!/24: psi is raised in
-    compressed storage and psi^jlmn is the interior product e_j . psi^.
+    nabla_phi[..., i, I] holds nabla_i phi_lmn at the 35 increasing lmn
+    (riemann.nabla_phi_of). T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the
+    result satisfies nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are
+    antisymmetric in lmn, so the sum runs over increasing lmn with weight
+    3!/24: psi is raised in compressed storage and psi^jlmn is the interior
+    product e_j . psi^.
     """
     psi_up = raise_form(structure.psi.data, 4, structure)
     int_up = tables.apply_table(tables.interior_table(4), psi_up)
-    t_mixed = compress_form(nabla_phi, 3) @ np.swapaxes(int_up, -1, -2) / 4.0
+    t_mixed = nabla_phi @ np.swapaxes(int_up, -1, -2) / 4.0
     return t_mixed @ structure.g
 
 

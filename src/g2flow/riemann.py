@@ -10,13 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import g2algebra
+from . import g2algebra, tables
 from .lattice import Lattice
+
+# flat position 7k + l of each increasing pair K = (k < l), and 7l + k of its swap
+_PAIRS = tables.compress_positions(2)
+_SWAPPED = _PAIRS % 7 * 7 + _PAIRS // 7
 
 
 @dataclass
 class CurvatureData:
-    """Riemann tensor with all indices lowered, Ricci tensor, scalar curvature."""
+    """Riemann tensor as a 2-form-valued 2-tensor, Ricci tensor, scalar curvature.
+
+    rm[..., i, j, K] = Rm_ijkl, all indices lowered, for the 21 increasing
+    pairs K = (k < l) of tables.index_sets(2). Rm is antisymmetric in kl,
+    so these carry all of it: g2algebra.expand_form(rm, 2) is the full
+    (..., 7, 7, 7, 7) array.
+    """
 
     rm: np.ndarray
     ric: np.ndarray
@@ -78,13 +88,39 @@ def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarra
     return out
 
 
+def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
+                              lattice: Lattice) -> np.ndarray:
+    """Covariant derivative of a compressed k-form field, k >= 1: out[..., m, I].
+
+    The connection acts on forms as a derivation,
+    nabla_m alpha = d_m alpha - sum_{x,z} Gamma^z_mx e^x ^ (e_z . alpha),
+    whose increasing components are those of covariant_derivative_array on
+    the expanded form with all k slots lower. u = e_z . alpha is one
+    interior-table gemm; Gamma arranged [(m, x), z] contracts z in one
+    batched (49, 7) @ (7, C_{k-1}) matmul per site; and e^x ^ . contracts
+    (x, J) against the same table read as a (7 C_{k-1}, C_k) matrix.
+    """
+    interior = tables.interior_table(k)
+    out = np.zeros(lattice.grid_shape + (7, interior.shape[-1]))
+    for axis in lattice.active_axes:
+        out[..., axis - 1, :] = lattice.partial_array(alpha, axis)
+    batch = gamma.shape[:-3]
+    conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
+    v = conn @ tables.apply_table(interior, alpha)  # v[m, x, J]
+    wedge = interior.reshape(-1, interior.shape[-1])
+    out -= v.reshape(batch + (7, wedge.shape[0])) @ wedge
+    return out
+
+
 def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
               lattice: Lattice) -> CurvatureData:
     """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
 
     Both Gamma Gamma terms come from one per-site (49, 7) @ (7, 49) product,
-    into which dGamma is added in place; R^i_jkl is then the difference of two
-    transposed views of it, and Rm = g @ R over the upper index.
+    into which dGamma is added in place. R^i_jK at the increasing pairs
+    K = (k < l) is the difference of two gathers from it, Rm = g @ R over
+    the upper index, and Ric_jl = R^k_jkl reads the pair through
+    interior_table(2): R^k_jkl = sum_K T[k, l, K] R^k_jK.
     """
     batch = gamma.shape[:-3]
     # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
@@ -94,11 +130,16 @@ def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
     a = a.reshape(batch + (7, 7, 7, 7))
     for axis in lattice.active_axes:
         a[..., :, axis - 1, :, :] += lattice.partial_array(gamma, axis)
-    a = np.moveaxis(a, -1, -3)  # a view indexed [i, j, k, l]
-    r_up = a - np.swapaxes(a, -1, -2)
+    # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
+    # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
+    ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
+    a = a.reshape(batch + (2401,))
+    r_up = np.take(a, ij + 7 * _PAIRS, axis=-1) - np.take(a, ij + 7 * _SWAPPED, axis=-1)
     del a
-    rm = (g @ r_up.reshape(batch + (7, 343))).reshape(r_up.shape)
-    ric = np.einsum("...kjkl->...jl", r_up)
+    rm = (g @ r_up.reshape(batch + (7, 147))).reshape(r_up.shape)
+    # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
+    ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
+    ric = np.swapaxes(r_up, -3, -2).reshape(batch + (7, 147)) @ ric_table
     scalar = np.einsum("...jl,...jl->...", g_inv, ric)
     return CurvatureData(rm=rm, ric=ric, scalar=scalar)
 
@@ -125,12 +166,11 @@ def connection_of(structure) -> np.ndarray:
 
 
 def nabla_phi_of(structure) -> np.ndarray:
-    """Covariant derivative of phi as a full (0,4) array, cached."""
+    """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached."""
     cache = structure._cache
     if "nabla_phi" not in cache:
-        gamma = connection_of(structure)
-        full = g2algebra.expand_form(structure.phi.data, 3)
-        cache["nabla_phi"] = covariant_derivative_array(full, "ddd", gamma, structure.lattice)
+        cache["nabla_phi"] = covariant_derivative_form(
+            structure.phi.data, 3, connection_of(structure), structure.lattice)
     return cache["nabla_phi"]
 
 
@@ -173,9 +213,26 @@ def deturck_vector(structure, reference) -> np.ndarray:
     return np.einsum("...pq,...ipq->...i", structure.g_inv, s)
 
 
+def _pair_metric(g_inv: np.ndarray) -> np.ndarray:
+    """Inverse metric on compressed 2-forms: the 21 x 21 matrix of 2 x 2 minors of g_inv.
+
+    beta^K = sum_K' m[K, K'] beta_K' with m[(k, l), (p, q)] = g^kp g^lq - g^kq g^lp.
+    """
+    k, l = _PAIRS // 7, _PAIRS % 7
+    return (g_inv[..., k[:, None], k] * g_inv[..., l[:, None], l]
+            - g_inv[..., k[:, None], l] * g_inv[..., l[:, None], k])
+
+
 def lambda_monitor(structure) -> np.ndarray:
-    """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric."""
-    curv = curvature_of(structure)
-    rm_sq = tensor_norm_sq(curv.rm, "dddd", structure)
+    """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric.
+
+    |Rm|^2 = 2 sum Rm_ij,K Rm^ij,K over the increasing pairs K of the
+    2-form-valued Rm: i and j are raised with g_inv, the pair with
+    _pair_metric(g_inv).
+    """
+    rm = curvature_of(structure).rm
+    g_inv = structure.g_inv
+    rm_up = g2algebra.contract_slots(rm, (g_inv, g_inv, _pair_metric(g_inv)))
+    rm_sq = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm)
     nt_sq = tensor_norm_sq(nabla_torsion_of(structure), "ddd", structure)
     return np.sqrt(rm_sq + nt_sq)

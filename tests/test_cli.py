@@ -152,7 +152,10 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"perturbation": [_mode(mode=[1.5, 0, 0, 0, 0, 0, 0])]},
                                       {"perturbation": [_mode(component=[1.9, 3])]},
                                       {"lattice": {"active_axes": [1.7]}},
-                                      {"lattice": {"period": float("inf")}}],
+                                      {"lattice": {"period": float("inf")}},
+                                      {"control": {"stop_tolerance": float("nan")}},
+                                      {"control": {"stop_tolerance": "x"}},
+                                      {"control": {"stop_tolerance": -1.0}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "checkpoint_every0",
@@ -161,7 +164,8 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "sample_interval_float", "points_per_axis_float",
                               "deturck_a", "amplitude_str", "phase_str",
                               "amplitude_nan", "mode_float", "component_float",
-                              "active_axes_float", "period_inf"])
+                              "active_axes_float", "period_inf", "stop_tolerance_nan",
+                              "stop_tolerance_str", "stop_tolerance_negative"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2

@@ -1,5 +1,7 @@
 """Functionals, spectral quantities, decay fitting, snapshots."""
 
+from dataclasses import is_dataclass
+
 import numpy as np
 import pytest
 
@@ -176,8 +178,8 @@ def test_ck_channels_match_ordered_stack(rng, axes, n, scheme):
 
 
 def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
-    # nabla phi (for the torsion) and nabla T (shared by the intrinsic
-    # Laplacian and the lambda monitor), nothing else
+    # nabla T only (shared by the intrinsic Laplacian and the lambda
+    # monitor); nabla phi is taken in form storage by covariant_derivative_form
     calls = []
     original = riemann.covariant_derivative_array
 
@@ -189,7 +191,22 @@ def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
-    assert sorted(calls) == ["dd", "ddd"]
+    assert calls == ["dd"]
+
+
+def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
+    # nabla phi is kept as (7, 35) and Rm as (7, 7, 21) per site, never 7^4
+    lat = Lattice((1, 2), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
+    assert {"nabla_phi", "curv"} <= set(st._cache)
+    arrays = {}
+    for key, value in st._cache.items():
+        fields = vars(value) if is_dataclass(value) else {"": value}
+        arrays.update({f"{key}.{name}": data for name, data in fields.items()})
+    sites = np.prod(lat.grid_shape)
+    assert {key: data.size / sites for key, data in arrays.items()
+            if data.size > 7 * 7 * 21 * sites} == {}
 
 
 def test_record_round_trip():

@@ -5,6 +5,7 @@ import pytest
 
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
+from g2flow.checks import _random_pullbacks
 from g2flow.lattice import FormField, Lattice
 
 import oracles
@@ -110,6 +111,33 @@ def test_covariant_derivative_matches_index_formula(rng, variance):
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
+def _conformal_connection(lat):
+    """Christoffels of g = e^{2u} delta, a metric that comes from no G2 structure here."""
+    x1, x2 = lat.coordinate(1), lat.coordinate(2)
+    u = np.broadcast_to(0.1 * np.sin(x1) + 0.05 * np.cos(x2), lat.grid_shape)
+    eye = np.eye(7)
+    return riemann.christoffels(np.exp(2 * u)[..., None, None] * eye,
+                                np.exp(-2 * u)[..., None, None] * eye, lat)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("field", ["closed_g2", "conformal"])
+def test_covariant_derivative_form_matches_full_array(closed_structure, rng, field, k):
+    if field == "closed_g2":
+        st, lat = closed_structure
+        gamma = riemann.connection_of(st)
+        alpha = st.phi.data if k == 3 else st.psi.data
+    else:
+        lat = Lattice((1, 2), 16, TWO_PI)
+        gamma = _conformal_connection(lat)
+        alpha = rng.standard_normal(lat.grid_shape + (tables.num_components(k),))
+    got = riemann.covariant_derivative_form(alpha, k, gamma, lat)
+    full = riemann.covariant_derivative_array(g2.expand_form(alpha, k), "d" * k, gamma, lat)
+    want = g2.compress_form(full, k)
+    assert got.shape == lat.grid_shape + (7, tables.num_components(k))
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("scheme", ["spectral", "fd4"])
 def test_curvature_matches_index_formula(rng, scheme):
     lat = Lattice((2, 3), 8, TWO_PI, scheme=scheme)
@@ -119,7 +147,7 @@ def test_curvature_matches_index_formula(rng, scheme):
     g_inv = np.linalg.inv(g)
     curv = riemann.curvature(gamma, g, g_inv, lat)
     rm, ric, scalar = oracles.curvature(gamma, _stacked_partials(lat, gamma), g, g_inv)
-    for got, want in ((curv.rm, rm), (curv.ric, ric), (curv.scalar, scalar)):
+    for got, want in ((g2.expand_form(curv.rm, 2), rm), (curv.ric, ric), (curv.scalar, scalar)):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -185,7 +213,7 @@ def test_curvature_warped_metric_symbolic_oracle():
 
 def test_riemann_symmetries_and_bianchi(closed_structure):
     st, lat = closed_structure
-    rm = riemann.curvature_of(st).rm
+    rm = g2.expand_form(riemann.curvature_of(st).rm, 2)
     scale = max(np.max(np.abs(rm)), 1e-300)
     assert np.max(np.abs(rm + np.einsum("...jikl->...ijkl", rm))) < 1e-9 * scale
     assert np.max(np.abs(rm + np.einsum("...ijlk->...ijkl", rm))) < 1e-9 * scale
@@ -280,6 +308,21 @@ def test_deturck_vector_conformal_closed_form():
 def test_lambda_monitor_zero_at_flat():
     lat = Lattice((1,), 16, TWO_PI)
     assert np.max(riemann.lambda_monitor(g2.flat_reference(lat))) < 1e-14
+
+
+def test_lambda_monitor_matches_full_tensor_norms(rng):
+    # a constant GL+ pullback puts the metric far from the identity, where
+    # both products of every 2 x 2 minor that raises the pair of Rm count
+    lat = Lattice((1, 2), 16, TWO_PI)
+    a_t = _random_pullbacks(rng, 1)[0].T
+    phi = closed_perturbed_phi(lat, rng, amp=2e-2)
+    full = g2.contract_slots(g2.expand_form(phi.data, 3), (a_t,) * 3)
+    st = g2.G2Structure.from_phi(FormField(lat, 3, g2.compress_form(full, 3)))
+    assert np.max(np.abs(st.g - np.eye(7))) > 0.1
+    rm = g2.expand_form(riemann.curvature_of(st).rm, 2)
+    want = np.sqrt(riemann.tensor_norm_sq(rm, "dddd", st)
+                   + riemann.tensor_norm_sq(riemann.nabla_torsion_of(st), "ddd", st))
+    assert np.max(np.abs(riemann.lambda_monitor(st) - want)) < 1e-12 * np.max(want)
 
 
 def test_lambda_monitor_linear_in_amplitude():

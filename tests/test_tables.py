@@ -78,15 +78,12 @@ def test_compound_matrix_is_minor_matrix(k):
 
 
 def test_triple_wedge_223_oracle():
-    t = tables.triple_wedge_223()
-    rng = np.random.default_rng(3)
+    # every one of the 21 * 21 * 35 entries, of which 210 are nonzero
     sets2, sets3 = oracles.increasing(2), oracles.increasing(3)
-    for _ in range(100):
-        a = rng.integers(0, 21)
-        b = rng.integers(0, 21)
-        c = rng.integers(0, 35)
-        expect = oracles.perm_sign(sets2[a] + sets2[b] + sets3[c])
-        assert t[a, b, c] == expect
+    expect = np.array([[[oracles.perm_sign(a + b + c) for c in sets3] for b in sets2]
+                       for a in sets2])
+    assert np.count_nonzero(expect) == 210
+    assert np.array_equal(tables.triple_wedge_223(), expect)
 
 
 def test_d_signs_from_interior_table():
