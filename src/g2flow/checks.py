@@ -62,6 +62,12 @@ def _band_limited(lat, degree, rng, n_modes=5, amp=1.0, kmax=2):
     return FormField(lat, degree, data)
 
 
+def _closed_perturbed_phi(lat, rng, n_modes=4, amp=5e-3, kmax=2):
+    """phi0 + d(beta) for a random band-limited 2-form beta; closed by construction."""
+    beta = _band_limited(lat, 2, rng, n_modes=n_modes, amp=amp, kmax=kmax)
+    return FormField(lat, 3, g2.PHI0 + exterior_derivative(beta).data)
+
+
 class SuiteContext:
     """Shared randomized fixtures, built once per suite run."""
 
@@ -95,10 +101,7 @@ class SuiteContext:
         if self._closed is None:
             rng = np.random.default_rng([self.seed, 2000])
             lat = Lattice((1, 2), 32, 2.0 * np.pi)
-            beta = _band_limited(lat, 2, rng, n_modes=4, amp=5e-3, kmax=2)
-            theta = exterior_derivative(beta)
-            self._closed = (g2.G2Structure.from_phi(
-                FormField(lat, 3, g2.PHI0 + theta.data)), lat)
+            self._closed = (g2.G2Structure.from_phi(_closed_perturbed_phi(lat, rng)), lat)
         return self._closed
 
 
@@ -286,7 +289,7 @@ def _check_flat_weitzenboeck(rng, ctx):
 def _check_scalar_identity(rng, ctx):
     st, lat = ctx.closed_structure()
     t = riemann.torsion_of(st)
-    t_sq = riemann.tensor_norm_sq(t, "dd", st)
+    t_sq = riemann.tensor_norm_sq(t, st)
     curv = riemann.curvature_of(st)
     return float(np.max(np.abs(curv.scalar + t_sq)) / max(np.max(np.abs(curv.scalar)), 1e-300))
 
@@ -294,16 +297,14 @@ def _check_scalar_identity(rng, ctx):
 def _check_metric_compatibility(rng, ctx):
     st, lat = ctx.closed_structure()
     gamma = riemann.connection_of(st)
-    return float(np.max(np.abs(
-        riemann.covariant_derivative_array(st.g, "dd", gamma, lat))))
+    return float(np.max(np.abs(riemann.covariant_derivative_array(st.g, gamma, lat))))
 
 
 def _check_bianchi(rng, ctx):
     st, lat = ctx.closed_structure()
     curv = riemann.curvature_of(st)
     worst = float(np.max(np.abs(curv.ric - np.swapaxes(curv.ric, -1, -2))))
-    nric = riemann.covariant_derivative_array(
-        curv.ric, "dd", riemann.connection_of(st), lat)
+    nric = riemann.covariant_derivative_array(curv.ric, riemann.connection_of(st), lat)
     lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
     dr = np.zeros(lat.grid_shape + (7,))
     for ax in lat.active_axes:

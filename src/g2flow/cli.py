@@ -17,6 +17,7 @@ from . import io as ckpt
 from .checks import MUTATIONS, run_identity_suite
 from .config import ConfigError, RunConfig
 from .g2algebra import G2Structure, NotPositive, flat_reference
+from .lattice import is_number
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -142,9 +143,9 @@ def _resume_state(path, cfg):
         raise ConfigError(f"checkpoint deturck_a {extra['deturck_a']!r} is not the "
                           "fixed DeTurck gauge (0)")
     t, step = extra["t"], extra["step"]
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t):
+    if not (is_number(t) and np.isfinite(t)):
         raise ConfigError(f"checkpoint t {t!r} is not a finite number")
-    if isinstance(step, bool) or not isinstance(step, int):
+    if not is_number(step, integer=True):
         raise ConfigError(f"checkpoint step {step!r} is not an integer")
     try:
         initial = G2Structure.from_phi(phi)

@@ -18,7 +18,7 @@ import numpy as np
 from . import tables
 from .flow import KINDS, StepControl
 from .g2algebra import G2Structure, NotPositive, flat_reference
-from .lattice import TWO_PI, FormField, Lattice, exterior_derivative
+from .lattice import TWO_PI, FormField, Lattice, exterior_derivative, is_number
 
 
 class ConfigError(Exception):
@@ -38,11 +38,11 @@ class PerturbationMode:
         """Raise ValueError unless the mode fits the lattice."""
         mode, comp = list(self.mode), tuple(self.component)
         for name, entries in (("mode", mode), ("component", comp)):
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
+            if not all(is_number(v, integer=True) for v in entries):
                 raise ValueError(f"{name} entries must be integers, got {entries}")
         for name in ("amplitude", "phase"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            if not (is_number(v) and np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if len(mode) != 7:
             raise ValueError(f"mode vector must have 7 entries, got {mode}")
@@ -70,8 +70,12 @@ class OutputConfig:
     plot: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.directory, str):
+            raise ValueError(f"directory must be a string, got {self.directory!r}")
+        if not isinstance(self.plot, bool):
+            raise ValueError(f"plot must be true or false, got {self.plot!r}")
         n = self.sample_interval
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not is_number(n, integer=True):
             raise ValueError(f"sample_interval must be an integer, got {n!r}")
         if not n >= 1:
             raise ValueError("sample_interval must be at least 1")

@@ -31,8 +31,7 @@ class TimeSeriesRecord:
     t: float
     l2_theta: float                # squared L2 norm of theta in the flat metric
     ck_theta: tuple                # sup |flat-derivative^k theta|, k = 0..3
-    hitchin_h: float               # (1/7) integral of phi ^ *phi
-    total_volume: float            # integral of sqrt(det g)
+    total_volume: float            # integral of sqrt(det g), the Hitchin functional
     torsion_l2: float              # integral of |T|^2 dv_g
     scalar_identity_residual: float  # max |R + |T|^2|
     lambda_max: float              # max (|Rm|^2 + |nabla T|^2)^(1/2)
@@ -47,6 +46,7 @@ class TimeSeriesRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TimeSeriesRecord":
         d = dict(d)
+        d.pop("hitchin_h", None)  # older series carry this copy of total_volume
         d["ck_theta"] = tuple(d["ck_theta"])
         return cls(**d)
 
@@ -59,13 +59,6 @@ class DecayFit:
     fitted_rate: float
     r_squared: float
     lambda1: float
-
-
-def _hitchin_via_wedge(structure: G2Structure) -> float:
-    from .g2algebra import wedge_components
-
-    top = wedge_components(structure.phi.data, 3, structure.psi.data, 4)
-    return structure.lattice.integrate(top[..., 0]) / 7.0
 
 
 def total_volume(structure: G2Structure) -> float:
@@ -183,7 +176,7 @@ def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:
     theta = state.theta()
 
     t_tensor = riemann.torsion_of(structure)
-    t_sq = riemann.tensor_norm_sq(t_tensor, "dd", structure)
+    t_sq = riemann.tensor_norm_sq(t_tensor, structure)
     curv = riemann.curvature_of(structure)
 
     rhs_hodge = flow.laplacian_phi_hodge(structure)
@@ -195,7 +188,6 @@ def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:
         t=float(state.t),
         l2_theta=flat_l2(lat, theta),
         ck_theta=ck_channels(lat, theta),
-        hitchin_h=_hitchin_via_wedge(structure),
         total_volume=total_volume(structure),
         torsion_l2=lat.integrate(t_sq, vol_density=structure.vol),
         scalar_identity_residual=float(np.max(np.abs(curv.scalar + t_sq))),

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import riemann
 from .g2algebra import G2Structure, NotPositive, expand_form, i_phi
-from .lattice import FormField, exterior_derivative, interior_product
+from .lattice import FormField, exterior_derivative, interior_product, is_number
 
 KINDS = ("laplacian", "deturck")
 
@@ -76,20 +76,18 @@ class StepControl:
     max_halvings: int = 10
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive when given")
-        if not self.cfl_coefficient > 0:
-            raise ValueError("cfl_coefficient must be positive")
-        if self.max_dt is not None and not self.max_dt > 0:
-            raise ValueError("max_dt must be positive when given")
+        for name in ("t_end", "dt", "cfl_coefficient", "max_dt"):
+            value = getattr(self, name)
+            if value is None and name in ("dt", "max_dt"):
+                continue
+            if not (is_number(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         tol = self.stop_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        if not (is_number(tol) and tol >= 0):
             raise ValueError(f"stop_tolerance must be a number >= 0, got {tol!r}")
         for name in ("checkpoint_every", "max_halvings"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_number(value, integer=True):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.checkpoint_every >= 1:
             raise ValueError("checkpoint_every must be at least 1")
@@ -141,7 +139,7 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
     nabla_t = riemann.nabla_torsion_of(structure).reshape(batch + (49, 7))
     grad_term = np.swapaxes(nabla_t, -1, -2) @ np.swapaxes(
         phi_mix.reshape(batch + (7, 49)), -1, -2)
-    t_sq = riemann.tensor_norm_sq(t, "dd", structure)
+    t_sq = riemann.tensor_norm_sq(t, structure)
     h = -grad_term - (t_sq / 3.0)[..., None, None] * g - t @ g_inv @ t
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 

@@ -25,6 +25,11 @@ SCHEMES = ("spectral", "fd4")
 _GEMM_LIMIT = 65536 * 4
 
 
+def is_number(value, integer: bool = False) -> bool:
+    """True for an int, and for a float unless integer is set; False for a bool."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 @lru_cache(maxsize=None)
 def derivative_matrix(scheme: str, n: int, period: float) -> np.ndarray:
     """Read-only (n, n) circulant D[j, l] = c[(j - l) mod n] with (D f)_j = f'(x_j).
@@ -104,7 +109,7 @@ class Lattice:
     def __post_init__(self):
         axes = tuple(self.active_axes)
         object.__setattr__(self, "active_axes", axes)
-        if any(isinstance(ax, bool) or not isinstance(ax, int) for ax in axes):
+        if not all(is_number(ax, integer=True) for ax in axes):
             raise ValueError(f"active axes must be integers, got {axes}")
         if not 1 <= len(axes) <= 3:
             raise ValueError("need 1 to 3 active axes")
@@ -115,14 +120,14 @@ class Lattice:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown derivative scheme {self.scheme!r}")
         n = self.points_per_axis
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not is_number(n, integer=True):
             raise ValueError(f"points_per_axis must be an integer, got {n!r}")
         if self.scheme == "spectral":
             if n < 8 or n % 2:
                 raise ValueError("spectral scheme needs even n >= 8")
         elif n < 5:
             raise ValueError("fd4 stencil needs n >= 5")
-        if not (self.period > 0 and np.isfinite(self.period)):
+        if not (is_number(self.period) and 0 < self.period < np.inf):
             raise ValueError(f"period must be positive and finite, got {self.period!r}")
 
     @property

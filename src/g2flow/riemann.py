@@ -4,6 +4,11 @@ Christoffel symbols, covariant derivatives and curvature are computed from
 the evolving metric of a structure at evaluation time (no separately
 integrated metric), so the metric-evolution and curvature identities of the
 flow are genuine cross-checks rather than consequences of bookkeeping.
+
+Every tensor here is covariant, all slots lower, and norms raise them with
+the metric's g_inv. There are two covariant derivatives, one per storage:
+covariant_derivative_form for compressed k-forms (phi, psi) and
+covariant_derivative_array for full lower 2-tensors (T, g, Ric).
 """
 
 from dataclasses import dataclass
@@ -33,11 +38,11 @@ class CurvatureData:
     scalar: np.ndarray
 
 
-def metric_partials(g: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """dg[..., m, i, j] = d_m g_ij; zero along inactive axes."""
+def metric_partials(t: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Partial stack of any (..., 7, 7) field: out[..., m, i, j] = d_m t_ij, 0 off-axis."""
     out = np.zeros(lattice.grid_shape + (7, 7, 7))
     for axis in lattice.active_axes:
-        out[..., axis - 1, :, :] = lattice.partial_array(g, axis)
+        out[..., axis - 1, :, :] = lattice.partial_array(t, axis)
     return out
 
 
@@ -55,36 +60,20 @@ def christoffels(g: np.ndarray, g_inv: np.ndarray, lattice: Lattice) -> np.ndarr
     return gamma.reshape(s.shape)
 
 
-def covariant_derivative_array(data: np.ndarray, variance: str, gamma: np.ndarray,
+def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
                                lattice: Lattice) -> np.ndarray:
-    """Covariant derivative, new derivative slot first: out[..., m, slots].
+    """Covariant derivative of a lower 2-tensor field: out[..., m, i, j] = nabla_m t_ij.
 
-    out[m, a1..ar] = d_m t[a1..ar] + sum over slots s of the connection term:
-    Gamma^x_mz t[..z..] for an upper slot, -Gamma^z_mx t[..z..] for a lower
-    one, with z in slot s and x its free index. Each slot term is one batched
-    matmul, (49, 7) @ (7, 7^(r-1)) per site: the (m, x) pairs of the
-    connection matrix against the data with slot s moved to the front. Every
-    slot writes into the same (..., 7, 7, 7^(r-1)) buffer, whose view with x
-    moved back to slot s is then added to out.
+    nabla_m t_ij = d_m t_ij - Gamma^z_mi t_zj - Gamma^z_mj t_iz. With Gamma
+    arranged [(m, x), z], each connection term is one batched
+    (49, 7) @ (7, 7) matmul per site: against t for the first slot, and
+    against its transpose, with x moved back to the last slot, for the second.
     """
-    r = len(variance)
-    out = np.zeros(lattice.grid_shape + (7,) * (r + 1))
-    for axis in lattice.active_axes:
-        out[(Ellipsis, axis - 1) + (slice(None),) * r] = lattice.partial_array(data, axis)
-    if r == 0:
-        return out
+    out = metric_partials(t, lattice)
     batch = gamma.shape[:-3]
-    conn = {}
-    if "u" in variance:  # up[m, x, z] = Gamma^x_mz
-        conn["u"] = np.swapaxes(gamma, -3, -2).reshape(batch + (49, 7))
-    if "d" in variance:  # down[m, x, z] = -Gamma^z_mx
-        conn["d"] = -np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
-    rest = 7 ** (r - 1)
-    buf = np.empty(np.broadcast_shapes(batch, data.shape[:-r]) + (49, rest))
-    for s, var in enumerate(variance):
-        front = np.moveaxis(data, s - r, -r).reshape(data.shape[:-r] + (7, rest))
-        np.matmul(conn[var], front, out=buf)
-        out += np.moveaxis(buf.reshape(buf.shape[:-2] + (7,) * (r + 1)), -r, s - r)
+    conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))  # conn[(m, x), z] = Gamma^z_mx
+    out -= (conn @ t).reshape(out.shape)
+    out -= np.swapaxes((conn @ np.swapaxes(t, -1, -2)).reshape(out.shape), -1, -2)
     return out
 
 
@@ -94,11 +83,12 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
 
     The connection acts on forms as a derivation,
     nabla_m alpha = d_m alpha - sum_{x,z} Gamma^z_mx e^x ^ (e_z . alpha),
-    whose increasing components are those of covariant_derivative_array on
-    the expanded form with all k slots lower. u = e_z . alpha is one
-    interior-table gemm; Gamma arranged [(m, x), z] contracts z in one
-    batched (49, 7) @ (7, C_{k-1}) matmul per site; and e^x ^ . contracts
-    (x, J) against the same table read as a (7 C_{k-1}, C_k) matrix.
+    whose increasing components are those of the index formula
+    nabla_m alpha_a1..ak = d_m alpha_a1..ak - sum_s Gamma^z_m(a_s) alpha_a1..z..ak,
+    with z in slot s. u = e_z . alpha is one interior-table gemm; Gamma
+    arranged [(m, x), z] contracts z in one batched (49, 7) @ (7, C_{k-1})
+    matmul per site; and e^x ^ . contracts (x, J) against the same table
+    read as a (7 C_{k-1}, C_k) matrix.
     """
     interior = tables.interior_table(k)
     out = np.zeros(lattice.grid_shape + (7, interior.shape[-1]))
@@ -144,17 +134,14 @@ def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
     return CurvatureData(rm=rm, ric=ric, scalar=scalar)
 
 
-def raise_all(t: np.ndarray, variance: str, metric: g2algebra.Metric) -> np.ndarray:
-    """Flip every slot: lower slots raised with g_inv, upper slots lowered with g."""
-    return g2algebra.contract_slots(
-        t, [metric.g_inv if var == "d" else metric.g for var in variance])
+def tensor_norm_sq(t: np.ndarray, metric: g2algebra.Metric) -> np.ndarray:
+    """Pointwise squared norm of a covariant tensor field in the metric.
 
-
-def tensor_norm_sq(t: np.ndarray, variance: str, metric: g2algebra.Metric):
-    """Pointwise squared norm of a tensor field in the metric."""
-    dual = raise_all(t, variance, metric)
-    axes = tuple(range(-len(variance), 0))
-    return np.sum(dual * t, axis=axes)
+    Every slot of t past the metric's batch axes is raised with g_inv.
+    """
+    rank = t.ndim - metric.g_inv.ndim + 2
+    dual = g2algebra.contract_slots(t, (metric.g_inv,) * rank)
+    return np.sum(dual * t, axis=tuple(range(-rank, 0)))
 
 
 def connection_of(structure) -> np.ndarray:
@@ -187,7 +174,7 @@ def nabla_torsion_of(structure) -> np.ndarray:
     cache = structure._cache
     if "nabla_torsion" not in cache:
         cache["nabla_torsion"] = covariant_derivative_array(
-            torsion_of(structure), "dd", connection_of(structure), structure.lattice)
+            torsion_of(structure), connection_of(structure), structure.lattice)
     return cache["nabla_torsion"]
 
 
@@ -234,5 +221,5 @@ def lambda_monitor(structure) -> np.ndarray:
     g_inv = structure.g_inv
     rm_up = g2algebra.contract_slots(rm, (g_inv, g_inv, _pair_metric(g_inv)))
     rm_sq = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm)
-    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), "ddd", structure)
+    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), structure)
     return np.sqrt(rm_sq + nt_sq)

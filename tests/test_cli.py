@@ -155,7 +155,16 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"lattice": {"period": float("inf")}},
                                       {"control": {"stop_tolerance": float("nan")}},
                                       {"control": {"stop_tolerance": "x"}},
-                                      {"control": {"stop_tolerance": -1.0}}],
+                                      {"control": {"stop_tolerance": -1.0}},
+                                      {"lattice": {"period": True}},
+                                      {"control": {"t_end": True}},
+                                      {"control": {"dt": True}},
+                                      {"control": {"cfl_coefficient": True}},
+                                      {"control": {"max_dt": True}},
+                                      {"flow": {"kind": "laplacian"},
+                                       "control": {"t_end": float("inf")}},
+                                      {"output": {"directory": 5}},
+                                      {"output": {"plot": "no"}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "checkpoint_every0",
@@ -165,7 +174,9 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "deturck_a", "amplitude_str", "phase_str",
                               "amplitude_nan", "mode_float", "component_float",
                               "active_axes_float", "period_inf", "stop_tolerance_nan",
-                              "stop_tolerance_str", "stop_tolerance_negative"])
+                              "stop_tolerance_str", "stop_tolerance_negative",
+                              "period_true", "t_end_true", "dt_true", "cfl_true",
+                              "max_dt_true", "t_end_inf", "directory_int", "plot_str"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
@@ -412,5 +423,6 @@ def test_flow_step_failure_exit_3(tmp_path, capsys):
 def test_flow_overflowing_step_exit_3(tmp_path, capsys, dt):
     # the first step overflows to a non-finite form, which no halving rescues
     path, _ = write_config(tmp_path, control={"t_end": 1e300, "dt": dt})
-    assert cli.main(["flow", str(path)]) == 3
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["flow", str(path)]) == 3
     assert "integration failed" in capsys.readouterr().err

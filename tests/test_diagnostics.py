@@ -17,17 +17,16 @@ from test_flow import lowest_mode_initial
 TWO_PI = 2.0 * np.pi
 
 
-def snapshot_volumes(structure):
-    """(hitchin_h, total_volume) of a snapshot: (1/7) int phi ^ psi and int sqrt(det g)."""
+def snapshot_volume(structure):
+    """total_volume of a snapshot: int sqrt(det g) = (1/7) int phi ^ psi."""
     rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, structure, structure, "deturck"))
-    return rec.hitchin_h, rec.total_volume
+    return rec.total_volume
 
 
 def test_hitchin_flat_reference_volume():
     lat = Lattice((1,), 32, TWO_PI)
-    h, vol = snapshot_volumes(g2.flat_reference(lat))
-    assert abs(h - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
-    assert abs(vol - h) < 1e-12 * h
+    vol = snapshot_volume(g2.flat_reference(lat))
+    assert abs(vol - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
 
 
 def test_hitchin_scaling_homogeneity():
@@ -36,21 +35,9 @@ def test_hitchin_scaling_homogeneity():
     lam = 1.7
     base = g2.flat_reference(lat)
     scaled = g2.G2Structure.from_phi(lam * base.phi)
-    h0, _ = snapshot_volumes(base)
-    h1, vol1 = snapshot_volumes(scaled)
-    assert abs(h1 - lam ** (7.0 / 3.0) * h0) < 1e-10 * h1
-    assert abs(vol1 - h1) < 1e-10 * h1
-
-
-def test_hitchin_and_volume_channels_disagree_on_inconsistent_structure():
-    # the two channels are independent: a volume density inconsistent with
-    # phi moves total_volume and leaves hitchin_h, so they no longer agree
-    lat = Lattice((1,), 16, TWO_PI)
-    ref = g2.flat_reference(lat)
-    broken = g2.G2Structure(ref.phi, g2.Metric(ref.g, ref.g_inv, ref.vol * 1.001), ref.psi)
-    h, vol = snapshot_volumes(broken)
-    assert abs(h - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
-    assert abs(vol - 1.001 * h) < 1e-10 * h
+    vol0 = snapshot_volume(base)
+    vol1 = snapshot_volume(scaled)
+    assert abs(vol1 - lam ** (7.0 / 3.0) * vol0) < 1e-10 * vol1
 
 
 @pytest.mark.parametrize("period,expect", [(TWO_PI, 1.0), (np.pi, 4.0)])
@@ -183,15 +170,15 @@ def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
     calls = []
     original = riemann.covariant_derivative_array
 
-    def counted(data, variance, gamma, lattice):
-        calls.append(variance)
-        return original(data, variance, gamma, lattice)
+    def counted(t, gamma, lattice):
+        calls.append(t.shape)
+        return original(t, gamma, lattice)
 
     monkeypatch.setattr(riemann, "covariant_derivative_array", counted)
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
-    assert calls == ["dd"]
+    assert calls == [lat.grid_shape + (7, 7)]
 
 
 def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
@@ -211,8 +198,10 @@ def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
 
 def test_record_round_trip():
     rec = diagnostics.TimeSeriesRecord(
-        t=1.0, l2_theta=0.5, ck_theta=(1.0, 2.0, 3.0, 4.0), hitchin_h=10.0,
+        t=1.0, l2_theta=0.5, ck_theta=(1.0, 2.0, 3.0, 4.0),
         total_volume=10.0, torsion_l2=0.1, scalar_identity_residual=1e-9,
         lambda_max=0.2, harmonic_residual=1e-12, rhs_cross_residual=1e-8)
     back = diagnostics.TimeSeriesRecord.from_dict(rec.to_dict())
     assert back == rec
+    # series written before hitchin_h was dropped still read
+    assert diagnostics.TimeSeriesRecord.from_dict({**rec.to_dict(), "hitchin_h": 10.0}) == rec

@@ -238,8 +238,8 @@ def test_step_failure_after_rejections():
     lat = Lattice((1,), 16, TWO_PI)
     st, _ = lowest_mode_initial(lat, 1e-2)
     ref = g2.flat_reference(lat)
-    # no end time, so the step is not clamped to t_end - t
-    control = flow.StepControl(t_end=np.inf, dt=1e6, max_halvings=2)
+    # an end time far past the step, so the step is not clamped to t_end - t
+    control = flow.StepControl(t_end=1e300, dt=1e6, max_halvings=2)
     with pytest.raises(flow.StepFailed):
         flow.step_rk4(flow.FlowState(0.0, st, ref, "laplacian"), control)
 
@@ -296,7 +296,7 @@ def test_default_step_inside_rk4_interval(scheme, oracle):
             sigma = oracles.derivative_symbol(lambda f: oracle(f, 0, period), n)
             lam_max = a * np.max(sigma) ** 2 / scale ** 2
             for c in (0.2, 0.28):
-                control = flow.StepControl(t_end=np.inf, cfl_coefficient=c)
+                control = flow.StepControl(t_end=1e300, cfl_coefficient=c)
                 dt = flow.propose_dt(flow.FlowState(0.0, st, st, "deturck"), control)
                 assert dt * lam_max <= 2.785, (scheme, a, n, c)
 
@@ -404,7 +404,7 @@ def test_metric_evolution_formula_2h(closed_structure_32):
     h = flow.intrinsic_h(st)
     curv = riemann.curvature_of(st)
     t = riemann.torsion_of(st)
-    t_sq = riemann.tensor_norm_sq(t, "dd", st)
+    t_sq = riemann.tensor_norm_sq(t, st)
     rhs = (-2.0 * curv.ric - (2.0 / 3.0) * t_sq[..., None, None] * st.g
            - 4.0 * np.einsum("...ia,...ab,...bj->...ij", t, st.g_inv, t))
     scale = max(np.max(np.abs(rhs)), 1e-300)
@@ -423,7 +423,7 @@ def test_volume_form_evolution_pointwise():
     s2 = flow.step_rk4(s1, control)
     fd = (s2.structure.vol - s0.structure.vol) / (2 * dt)
     t_mid = riemann.torsion_of(s1.structure)
-    t_sq = riemann.tensor_norm_sq(t_mid, "dd", s1.structure)
+    t_sq = riemann.tensor_norm_sq(t_mid, s1.structure)
     rate = (2.0 / 3.0) * t_sq * s1.structure.vol
     assert np.max(np.abs(fd - rate)) <= 1e-4 * max(np.max(np.abs(rate)), 1e-300)
 

@@ -83,9 +83,10 @@ def test_non_finite_phi_is_not_positive(bad):
     # det b > 0 is false for NaN, and cholesky does not reject a NaN matrix
     phi = np.stack([g2.PHI0, g2.PHI0])
     phi[1, 0] = bad
-    with pytest.raises(g2.NotPositive):
-        g2.metric_from_phi(phi)
-    assert g2.is_positive(phi).tolist() == [True, False]
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(g2.NotPositive):
+            g2.metric_from_phi(phi)
+        assert g2.is_positive(phi).tolist() == [True, False]
 
 
 # --- hodge star ----------------------------------------------------------------

@@ -61,16 +61,8 @@ def test_christoffels_conformal_closed_form():
 def test_metric_compatibility(closed_structure):
     st, lat = closed_structure
     gamma = riemann.connection_of(st)
-    ng = riemann.covariant_derivative_array(st.g, "dd", gamma, lat)
+    ng = riemann.covariant_derivative_array(st.g, gamma, lat)
     assert np.max(np.abs(ng)) < 1e-10
-
-
-def test_covariant_derivative_constant_scalar(closed_structure):
-    st, lat = closed_structure
-    gamma = riemann.connection_of(st)
-    df = riemann.covariant_derivative_array(np.ones(lat.grid_shape), "", gamma, lat)
-    assert df.shape == lat.grid_shape + (7,)
-    assert np.max(np.abs(df)) == 0.0
 
 
 def test_nabla_psi_formula(closed_structure):
@@ -78,13 +70,12 @@ def test_nabla_psi_formula(closed_structure):
     st, lat = closed_structure
     gamma = riemann.connection_of(st)
     t = riemann.torsion_of(st)
-    psi_full = g2.expand_form(st.psi.data, 4)
-    npsi = riemann.covariant_derivative_array(psi_full, "dddd", gamma, lat)
+    npsi = riemann.covariant_derivative_form(st.psi.data, 4, gamma, lat)
     phi_full = g2.expand_form(st.phi.data, 3)
-    rhs = -(np.einsum("...mi,...jkl->...mijkl", t, phi_full)
-            - np.einsum("...mj,...ikl->...mijkl", t, phi_full)
-            - np.einsum("...mk,...jil->...mijkl", t, phi_full)
-            - np.einsum("...ml,...jki->...mijkl", t, phi_full))
+    rhs = g2.compress_form(-(np.einsum("...mi,...jkl->...mijkl", t, phi_full)
+                             - np.einsum("...mj,...ikl->...mijkl", t, phi_full)
+                             - np.einsum("...mk,...jil->...mijkl", t, phi_full)
+                             - np.einsum("...ml,...jki->...mijkl", t, phi_full)), 4)
     scale = max(np.max(np.abs(npsi)), 1e-300)
     assert np.max(np.abs(npsi - rhs)) < 1e-8 * scale
 
@@ -98,16 +89,17 @@ def _stacked_partials(lat, data):
     return out
 
 
-@pytest.mark.parametrize("variance", ["", "u", "d", "ud", "ddd", "dddd"])
-def test_covariant_derivative_matches_index_formula(rng, variance):
-    # Gamma is not symmetric in its lower pair, so a swapped slot shows
+def test_covariant_derivative_matches_index_formula(rng):
+    # Gamma is not symmetric in its lower pair and t not symmetric, so a
+    # swapped slot or index shows
     lat = Lattice((1, 3), 8, TWO_PI)
     gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
     assert np.max(np.abs(gamma - np.swapaxes(gamma, -1, -2))) > 0.1
-    data = rng.standard_normal(lat.grid_shape + (7,) * len(variance))
-    got = riemann.covariant_derivative_array(data, variance, gamma, lat)
-    expect = oracles.covariant_derivative(data, variance, gamma, _stacked_partials(lat, data))
-    assert got.shape == lat.grid_shape + (7,) * (len(variance) + 1)
+    t = rng.standard_normal(lat.grid_shape + (7, 7))
+    assert np.max(np.abs(t - np.swapaxes(t, -1, -2))) > 0.1
+    got = riemann.covariant_derivative_array(t, gamma, lat)
+    expect = oracles.covariant_derivative(t, "dd", gamma, _stacked_partials(lat, t))
+    assert got.shape == lat.grid_shape + (7, 7, 7)
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
@@ -132,8 +124,9 @@ def test_covariant_derivative_form_matches_full_array(closed_structure, rng, fie
         gamma = _conformal_connection(lat)
         alpha = rng.standard_normal(lat.grid_shape + (tables.num_components(k),))
     got = riemann.covariant_derivative_form(alpha, k, gamma, lat)
-    full = riemann.covariant_derivative_array(g2.expand_form(alpha, k), "d" * k, gamma, lat)
-    want = g2.compress_form(full, k)
+    full = g2.expand_form(alpha, k)
+    want = g2.compress_form(oracles.covariant_derivative(
+        full, "d" * k, gamma, _stacked_partials(lat, full)), k)
     assert got.shape == lat.grid_shape + (7, tables.num_components(k))
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -149,16 +142,6 @@ def test_curvature_matches_index_formula(rng, scheme):
     rm, ric, scalar = oracles.curvature(gamma, _stacked_partials(lat, gamma), g, g_inv)
     for got, want in ((g2.expand_form(curv.rm, 2), rm), (curv.ric, ric), (curv.scalar, scalar)):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
-
-def test_form_field_covariant_derivative_shape(closed_structure):
-    st, lat = closed_structure
-    phi_full = g2.expand_form(st.phi.data, 3)
-    gamma = riemann.connection_of(st)
-    out = riemann.covariant_derivative_array(phi_full, "ddd", gamma, lat)
-    assert out.shape == lat.grid_shape + (7,) * 4
-    # nabla_m phi stays alternating in the form's three slots
-    assert np.max(np.abs(out + np.swapaxes(out, -1, -2))) < 1e-12 * np.max(np.abs(out))
 
 
 # --- curvature -------------------------------------------------------------------
@@ -229,7 +212,7 @@ def test_ricci_formula_closed_g2(closed_structure):
     curv = riemann.curvature_of(st)
     gamma = riemann.connection_of(st)
     t = riemann.torsion_of(st)
-    nt = riemann.covariant_derivative_array(t, "dd", gamma, lat)
+    nt = riemann.covariant_derivative_array(t, gamma, lat)
     phi_mix = np.einsum("...jab,...ak,...bl->...jkl",
                         g2.expand_form(st.phi.data, 3), st.g_inv, st.g_inv)
     rhs = (np.einsum("...kli,...jkl->...ij", nt, phi_mix)
@@ -241,7 +224,7 @@ def test_ricci_formula_closed_g2(closed_structure):
 def test_scalar_curvature_identity(closed_structure):
     st, lat = closed_structure
     t = riemann.torsion_of(st)
-    t_sq = riemann.tensor_norm_sq(t, "dd", st)
+    t_sq = riemann.tensor_norm_sq(t, st)
     curv = riemann.curvature_of(st)
     assert np.max(np.abs(curv.scalar + t_sq)) < 1e-6 * np.max(np.abs(curv.scalar))
 
@@ -250,7 +233,7 @@ def test_contracted_bianchi(closed_structure):
     st, lat = closed_structure
     curv = riemann.curvature_of(st)
     gamma = riemann.connection_of(st)
-    nric = riemann.covariant_derivative_array(curv.ric, "dd", gamma, lat)
+    nric = riemann.covariant_derivative_array(curv.ric, gamma, lat)
     lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
     dr = np.zeros(lat.grid_shape + (7,))
     for ax in lat.active_axes:
@@ -320,8 +303,8 @@ def test_lambda_monitor_matches_full_tensor_norms(rng):
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.compress_form(full, 3)))
     assert np.max(np.abs(st.g - np.eye(7))) > 0.1
     rm = g2.expand_form(riemann.curvature_of(st).rm, 2)
-    want = np.sqrt(riemann.tensor_norm_sq(rm, "dddd", st)
-                   + riemann.tensor_norm_sq(riemann.nabla_torsion_of(st), "ddd", st))
+    want = np.sqrt(riemann.tensor_norm_sq(rm, st)
+                   + riemann.tensor_norm_sq(riemann.nabla_torsion_of(st), st))
     assert np.max(np.abs(riemann.lambda_monitor(st) - want)) < 1e-12 * np.max(want)
 
 
