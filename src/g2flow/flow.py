@@ -11,7 +11,7 @@ import numpy as np
 
 from . import riemann
 from .g2algebra import G2Structure, NotPositive, expand_form, i_phi
-from .lattice import FormField, exterior_derivative, interior_product, is_number
+from .lattice import FormField, exterior_derivative, is_number
 
 KINDS = ("laplacian", "deturck")
 
@@ -119,8 +119,13 @@ def hodge_laplacian(structure: G2Structure, alpha: FormField) -> FormField:
 
 
 def laplacian_phi_hodge(structure: G2Structure) -> FormField:
-    """Hodge Laplacian of phi: d d* phi + d* d phi with d* = (-1)^k * d * ."""
-    return hodge_laplacian(structure, structure.phi)
+    """Hodge Laplacian of phi: d d* phi + d* d phi with d* = (-1)^k * d * .
+
+    d* phi is coexact_part, which reads the structure's psi = *phi; d* d phi
+    is the general codifferential of the 4-form d phi.
+    """
+    return (exterior_derivative(coexact_part(structure))
+            + codifferential(structure, exterior_derivative(structure.phi)))
 
 
 def intrinsic_h(structure: G2Structure) -> np.ndarray:
@@ -158,8 +163,7 @@ def flow_rhs(state: FlowState) -> FormField:
     structure = state.structure
     sigma = coexact_part(structure)
     if state.kind == "deturck":
-        v = riemann.deturck_vector(structure, state.reference)
-        sigma = sigma + interior_product(v, structure.phi)
+        sigma = sigma + structure.interior(riemann.deturck_vector(structure, state.reference))
     return exterior_derivative(sigma)
 
 

@@ -74,11 +74,40 @@ def contract_slots(t: np.ndarray, mats) -> np.ndarray:
     return t
 
 
-def _cubic_contraction(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma."""
-    u = tables.apply_table(tables.interior_table(3), phi)
+def _interior_phi(phi: np.ndarray) -> np.ndarray:
+    """u[..., i, J] = (e_i . phi)_J, the 7 contractions of phi as (7, 21) per site."""
+    return tables.apply_table(tables.interior_table(3), phi)
+
+
+def _cubic_contraction(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma, with u = _interior_phi(phi)."""
     t = tables.apply_table(tables.triple_wedge_223(), gamma)
     return u @ t @ np.swapaxes(u, -1, -2)
+
+
+def _eliminate(b: np.ndarray):
+    """Inverse and pivots of a batch of (..., 7, 7) matrices, by Gauss-Jordan without pivoting.
+
+    The pivots are the ratios of successive leading principal minors, so
+    their product is det b, and a symmetric b is positive-definite iff every
+    pivot is > 0 (Sylvester). A zero pivot, an indefinite b or a NaN gives
+    non-finite or meaningless entries without a warning, which callers
+    reject by reading the pivots.
+    """
+    a = b.copy()
+    pivots = np.empty(b.shape[:-1])
+    with np.errstate(all="ignore"):
+        for k in range(b.shape[-1]):
+            p = a[..., k, k].copy()
+            pivots[..., k] = p
+            f = a[..., :, k].copy()
+            f[..., k] = 0.0
+            a[..., :, k] = 0.0
+            a[..., k, k] = 1.0
+            row = a[..., k, :] / p[..., None]
+            a -= f[..., :, None] * row[..., None, :]
+            a[..., k, :] = row
+    return a, pivots
 
 
 class Metric:
@@ -101,6 +130,22 @@ class Metric:
         return Metric(self.g[sel], self.g_inv[sel], self.vol[sel])
 
 
+def _metric_of(u: np.ndarray, phi: np.ndarray) -> Metric:
+    """metric_from_phi with u = _interior_phi(phi) given."""
+    b = _cubic_contraction(u, phi)
+    b_inv, pivots = _eliminate(b)
+    det_b = np.prod(pivots, axis=-1)
+    bad = ~(det_b > 0.0)
+    if np.any(bad):
+        raise NotPositive(f"det b is not > 0 at {int(np.sum(bad))} site(s)")
+    if np.any(pivots <= 0.0):
+        raise NotPositive("metric candidate is not positive-definite")
+    scale = det_b ** (-1.0 / 9.0)
+    g = _METRIC_SCALE * b * scale[..., None, None]
+    g_inv = b_inv / (_METRIC_SCALE * scale)[..., None, None]
+    return Metric(g, g_inv, _VOL_SCALE / scale)
+
+
 def metric_from_phi(phi: np.ndarray) -> Metric:
     """Metric of a positive 3-form, with its inverse and volume density.
 
@@ -110,31 +155,20 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     gives the identity (for it, b = 6 * id). Volume density scales
     correspondingly as (det b)^(1/9) / 6^(7/9).
 
-    Raises NotPositive unless det b > 0 (which a NaN fails) and the
-    candidate metric is positive-definite, i.e. unless phi is in the open
-    GL+ orbit of the model.
+    One batched Gauss-Jordan sweep over b (_eliminate) gives b^-1, whence
+    g^-1, and the pivots, whose product is det b. Raises NotPositive unless
+    det b > 0 (which a NaN fails) and every pivot is > 0, i.e. unless phi is
+    in the open GL+ orbit of the model.
     """
-    b = _cubic_contraction(phi, phi)
-    det_b = np.linalg.det(b)
-    bad = ~(det_b > 0.0)
-    if np.any(bad):
-        raise NotPositive(f"det b is not > 0 at {int(np.sum(bad))} site(s)")
-    scale = det_b ** (-1.0 / 9.0)
-    g = _METRIC_SCALE * b * scale[..., None, None]
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositive("metric candidate is not positive-definite") from None
-    return Metric(g, np.linalg.inv(g), _VOL_SCALE / scale)
+    return _metric_of(_interior_phi(phi), phi)
 
 
 def is_positive(phi: np.ndarray):
     """True where the 3-form defines a positive-definite metric; False where b is not finite."""
-    b = _cubic_contraction(phi, phi)
+    b = _cubic_contraction(_interior_phi(phi), phi)
     finite = np.all(np.isfinite(b), axis=(-2, -1))
-    b = np.where(finite[..., None, None], b, 0.0)
-    eig_min = np.linalg.eigvalsh(b)[..., 0]
-    return finite & (np.linalg.det(b) > 0.0) & (eig_min > 0.0)
+    _, pivots = _eliminate(np.where(finite[..., None, None], b, 0.0))
+    return finite & np.all(pivots > 0.0, axis=-1)
 
 
 def _complement(alpha: np.ndarray, k: int) -> np.ndarray:
@@ -200,7 +234,7 @@ def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
 
 def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma)."""
-    return _cubic_contraction(phi, gamma) / np.asarray(metric.vol)[..., None, None]
+    return _cubic_contraction(_interior_phi(phi), gamma) / np.asarray(metric.vol)[..., None, None]
 
 
 def j_phi(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
@@ -259,6 +293,30 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     return t_mixed @ structure.g
 
 
+# The 35 increasing ijkl: i, j, k, l, and the flat position 21 P(ij) + P(kl)
+# of the pairs ij and kl among the 21 increasing pairs.
+_QUADS = np.array(tables.index_sets(4)).T
+_QUAD_PAIRS = np.array([21 * tables.index_position(2)[q[:2]] + tables.index_position(2)[q[2:]]
+                        for q in tables.index_sets(4)])
+
+
+def _psi_of(u: np.ndarray, metric: Metric) -> np.ndarray:
+    """psi = *phi of a positive 3-form in its own metric, from u = _interior_phi(phi).
+
+    The G2 identity phi_ijm g^mn phi_kln = g_ik g_jl - g_il g_jk + psi_ijkl
+    (Bryant, "Some remarks on G2-structures", arXiv:math/0305124; the sign is
+    the one of the orientation dx^1 ^ ... ^ dx^7) has u^T g_inv u as its left
+    side, a (21, 21) matrix over the pairs ij and kl, read here at the 35
+    increasing ijkl.
+    """
+    m = np.swapaxes(u, -1, -2) @ (metric.g_inv @ u)
+    m = m.reshape(m.shape[:-2] + (441,))
+    g = metric.g.reshape(metric.g.shape[:-2] + (49,))
+    i, j, k, l = _QUADS
+    return (m[..., _QUAD_PAIRS] - g[..., 7 * i + k] * g[..., 7 * j + l]
+            + g[..., 7 * i + l] * g[..., 7 * j + k])
+
+
 @dataclass
 class TorsionData:
     """Intrinsic torsion forms tau0..tau3."""
@@ -270,23 +328,41 @@ class TorsionData:
 
 
 class G2Structure(Metric):
-    """A positive 3-form field: its metric, its 4-form psi and cached derived geometry."""
+    """A positive 3-form field: its metric, its 4-form psi and cached derived geometry.
 
-    def __init__(self, phi: FormField, metric: Metric, psi: FormField):
+    _cache holds what is computed once per structure: "interior_phi", the
+    (..., 7, 21) array u = e_i . phi that the metric and psi were built from
+    (see interior), and the connection, torsion and curvature that the
+    riemann accessors add on first use.
+    """
+
+    def __init__(self, phi: FormField, metric: Metric, psi: FormField, interior_phi: np.ndarray):
         super().__init__(metric.g, metric.g_inv, metric.vol)
         self.phi = phi
         self.psi = psi
-        self._cache = {}
+        self._cache = {"interior_phi": interior_phi}
 
     @classmethod
     def from_phi(cls, phi: FormField) -> "G2Structure":
-        metric = metric_from_phi(phi.data)
-        psi = FormField(phi.lattice, 4, hodge_star(phi.data, 3, metric))
-        return cls(phi, metric, psi)
+        """Structure of a 3-form field; raises NotPositive unless it is positive at every site.
+
+        u = e_i . phi is computed once: b and its elimination give the
+        metric (metric_from_phi), and psi = *phi comes from u through the G2
+        identity (_psi_of) rather than from the general Hodge star.
+        """
+        u = _interior_phi(phi.data)
+        metric = _metric_of(u, phi.data)
+        psi = FormField(phi.lattice, 4, _psi_of(u, metric))
+        return cls(phi, metric, psi, u)
 
     @property
     def lattice(self) -> Lattice:
         return self.phi.lattice
+
+    def interior(self, v: np.ndarray) -> FormField:
+        """The 2-form v . phi of the vector field v[..., i] = V^i, from the cached u."""
+        data = (v[..., None, :] @ self._cache["interior_phi"])[..., 0, :]
+        return FormField(self.lattice, 2, data)
 
     def star(self, alpha: FormField) -> FormField:
         data = hodge_star(alpha.data, alpha.degree, self)

@@ -193,11 +193,23 @@ def deturck_vector(structure, reference) -> np.ndarray:
     linearizes at a torsion-free point to div h - d(tr h)/2, the weighting
     for which the gauge-fixed flow linearizes to the negative rough
     Laplacian there. V vanishes at the reference.
+
+    The structure's half needs no Gamma: g^pq Gamma^i_pq = g^ij w_j with
+    w_j = g^pq d_p g_jq - g^pq d_j g_pq / 2, and only the active axes a
+    differentiate, so w_j sums (d_a g g_inv)_ja, less tr(g_inv d_a g) / 2
+    at j = a. The reference's half contracts its cached connection.
     """
     if structure.lattice != reference.lattice:
         raise ValueError("structure and reference live on different lattices")
-    s = connection_of(structure) - connection_of(reference)
-    return np.einsum("...pq,...ipq->...i", structure.g_inv, s)
+    lattice, g_inv = structure.lattice, structure.g_inv
+    w = np.zeros(lattice.grid_shape + (7,))
+    for axis in lattice.active_axes:
+        dg = lattice.partial_array(structure.g, axis)
+        w += (dg @ g_inv[..., axis - 1, :, None])[..., 0]
+        w[..., axis - 1] -= 0.5 * np.sum(g_inv * dg, axis=(-2, -1))
+    batch = g_inv.shape[:-2]
+    gamma_ref = connection_of(reference).reshape(batch + (7, 49))
+    return ((g_inv @ w[..., None]) - gamma_ref @ g_inv.reshape(batch + (49, 1)))[..., 0]
 
 
 def _pair_metric(g_inv: np.ndarray) -> np.ndarray:

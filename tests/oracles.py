@@ -111,20 +111,17 @@ def interior_compressed(x, comp, k):
 
 
 def covariant_derivative(data, variance, gamma, partials):
-    """nabla_m t from the index formula, one einsum per slot.
+    """nabla_m t of a covariant tensor from the index formula, one einsum per slot.
 
-    partials[..., m, slots] holds d_m t. An upper slot adds
-    Gamma^x_mz t[..z..], a lower slot subtracts Gamma^z_mx t[..z..].
+    partials[..., m, slots] holds d_m t, and variance has one "d" per slot.
+    Each (lower) slot subtracts Gamma^z_mx t[..z..].
     """
     letters = "abcdefg"[:len(variance)]
     out = np.array(partials, dtype=float)
-    for s, var in enumerate(variance):
+    for s in range(len(variance)):
         x = letters[s]
         rest = letters[:s] + "z" + letters[s + 1:]
-        if var == "u":
-            out = out + np.einsum(f"...{x}mz,...{rest}->...m{letters}", gamma, data)
-        else:
-            out = out - np.einsum(f"...zm{x},...{rest}->...m{letters}", gamma, data)
+        out = out - np.einsum(f"...zm{x},...{rest}->...m{letters}", gamma, data)
     return out
 
 

@@ -23,12 +23,6 @@ def snapshot_volume(structure):
     return rec.total_volume
 
 
-def test_hitchin_flat_reference_volume():
-    lat = Lattice((1,), 32, TWO_PI)
-    vol = snapshot_volume(g2.flat_reference(lat))
-    assert abs(vol - TWO_PI ** 7) < 1e-10 * TWO_PI ** 7
-
-
 def test_hitchin_scaling_homogeneity():
     # lambda phi scales the metric by lambda^(2/3), the volume by lambda^(7/3)
     lat = Lattice((1,), 16, TWO_PI)

@@ -215,6 +215,31 @@ def test_step_matches_scalar_exponential_oracle():
     assert abs(ratio - np.exp(-x)) < x ** 5 / 100
 
 
+def test_accepted_step_calls_four_stages_and_one_validation(monkeypatch):
+    # the call structure the benchmark's traced check counts per RK4 attempt:
+    # from_phi for the three inner stages and in _validate, flow_rhs per stage
+    lat = Lattice((1, 2), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, np.random.default_rng(5)))
+    ref = g2.flat_reference(lat)
+    calls = {"from_phi": 0, "flow_rhs": 0, "_validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    from_phi = g2.G2Structure.from_phi.__func__
+    monkeypatch.setattr(g2.G2Structure, "from_phi",
+                        classmethod(counted("from_phi", from_phi)))
+    monkeypatch.setattr(flow, "flow_rhs", counted("flow_rhs", flow.flow_rhs))
+    monkeypatch.setattr(flow, "_validate", counted("_validate", flow._validate))
+    out = flow.step_rk4(flow.FlowState(0.0, st, ref, "deturck"),
+                        flow.StepControl(t_end=1.0, dt=1e-3))
+    assert out.t == 1e-3  # accepted at the proposed dt, no halving
+    assert calls == {"from_phi": 4, "flow_rhs": 4, "_validate": 1}
+
+
 def test_temporal_self_convergence():
     # halving dt reduces the end-state error ~16x (classical 4th order);
     # the base dt keeps every resolved mode inside the stability region

@@ -1,5 +1,7 @@
 """Pointwise G2 algebra: metric map, star, type projections, torsion."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -80,13 +82,47 @@ def test_is_positive_cases(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_phi_is_not_positive(bad):
-    # det b > 0 is false for NaN, and cholesky does not reject a NaN matrix
+    # det b > 0 is false for NaN; a NaN passes through the elimination
+    # silently, and only inf warns, as inf * 0 in the table gemm
     phi = np.stack([g2.PHI0, g2.PHI0])
     phi[1, 0] = bad
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) if np.isinf(bad) else contextlib.nullcontext():
         with pytest.raises(g2.NotPositive):
             g2.metric_from_phi(phi)
         assert g2.is_positive(phi).tolist() == [True, False]
+
+
+def test_elimination_matches_lapack_inverse_and_det(curved_batch):
+    # b far from 6 id on GL+ pullbacks; the pivots multiply to det b
+    phi = curved_batch[0]
+    b = g2._cubic_contraction(g2._interior_phi(phi), phi)
+    b_inv, pivots = g2._eliminate(b)
+    want_inv = np.linalg.inv(b)
+    assert np.max(np.abs(b_inv - want_inv)) < 1e-12 * np.max(np.abs(want_inv))
+    det = np.linalg.det(b)
+    assert np.max(np.abs(np.prod(pivots, axis=-1) / det - 1.0)) < 1e-12
+    assert np.all(pivots > 0.0)
+
+
+def test_elimination_finds_indefinite_with_positive_det(rng):
+    # diag(-1, -1, 1, ..., 1) rotated: det > 0, yet not positive-definite
+    q, _ = np.linalg.qr(rng.standard_normal((20, 7, 7)))
+    b = q @ np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]) @ np.swapaxes(q, -1, -2)
+    assert np.all(np.linalg.det(b) > 0.0)
+    _, pivots = g2._eliminate(b)
+    assert np.all(np.prod(pivots, axis=-1) > 0.0)
+    assert np.all(np.any(pivots <= 0.0, axis=-1))
+
+
+def test_split_form_is_not_positive_definite():
+    # flipping e123 and e145 gives the split form: b has signature (3, 4), det b > 0
+    split = g2.PHI0.copy()
+    split[np.nonzero(g2.PHI0)[0][:2]] *= -1.0
+    b = g2._cubic_contraction(g2._interior_phi(split), split)
+    assert np.linalg.det(b) > 0.0
+    with pytest.raises(g2.NotPositive, match="not positive-definite"):
+        g2.metric_from_phi(split)
+    assert not bool(g2.is_positive(split))
 
 
 # --- hodge star ----------------------------------------------------------------
@@ -337,6 +373,19 @@ def test_structure_caches_psi_consistent(rng):
         g2.PHI0, lat.grid_shape + (35,)).copy()))
     assert np.max(np.abs(st.psi.data - g2.PSI0)) < 1e-13
     assert np.max(np.abs(st.vol - 1.0)) < 1e-13
+
+
+def test_psi_identity_matches_hodge_star_far_from_flat(curved_batch):
+    phi, _, m, psi = curved_batch
+    got = g2._psi_of(g2._interior_phi(phi), m)
+    assert np.max(np.abs(got - psi)) < 1e-12 * np.max(np.abs(psi))
+
+
+def test_structure_psi_matches_hodge_star_on_closed_perturbed(rng):
+    lat = Lattice((1, 2), 16, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    want = g2.hodge_star(st.phi.data, 3, st)
+    assert np.max(np.abs(st.psi.data - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_full_torsion_zero_for_constant_structure():

@@ -286,6 +286,21 @@ def test_deturck_vector_conformal_closed_form():
     assert np.max(np.abs(v - expect)) < 1e-12
 
 
+@pytest.mark.parametrize("axes", [(1, 2), (1, 2, 3)])
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_deturck_vector_matches_christoffel_contraction(axes, scheme):
+    # a non-conformal closed structure against a non-constant closed reference
+    lat = Lattice(axes, 8, TWO_PI, scheme)
+    rng = np.random.default_rng(31)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=0.03))
+    ref = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=0.03))
+    s = (riemann.christoffels(st.g, st.g_inv, lat)
+         - riemann.christoffels(ref.g, ref.g_inv, lat))
+    want = np.einsum("...pq,...ipq->...i", st.g_inv, s)
+    got = riemann.deturck_vector(st, ref)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 # --- monitor ---------------------------------------------------------------------
 
 def test_lambda_monitor_zero_at_flat():
