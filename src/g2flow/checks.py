@@ -306,9 +306,7 @@ def _check_bianchi(rng, ctx):
     worst = float(np.max(np.abs(curv.ric - np.swapaxes(curv.ric, -1, -2))))
     nric = riemann.covariant_derivative_array(curv.ric, riemann.connection_of(st), lat)
     lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
-    dr = np.zeros(lat.grid_shape + (7,))
-    for ax in lat.active_axes:
-        dr[..., ax - 1] = lat.partial_array(curv.scalar, ax)
+    dr = lat.gradient(curv.scalar)
     scale = max(np.max(np.abs(dr)), 1e-300)
     return max(worst, float(np.max(np.abs(lhs - 0.5 * dr)) / scale))
 

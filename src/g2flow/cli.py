@@ -26,6 +26,9 @@ EXIT_STEP = 3
 
 
 def cmd_check(args) -> int:
+    report_path = Path(args.report) if args.report else None
+    if report_path and (report_path.is_dir() or not report_path.parent.is_dir()):
+        raise ConfigError(f"cannot write the report to {report_path}")
     report = run_identity_suite(seed=args.seed, n_random=args.n_random,
                                 mutate=args.mutate)
     for c in report["checks"]:
@@ -34,8 +37,8 @@ def cmd_check(args) -> int:
         if c.get("error"):
             line += f" [{c['error']}]"
         print(line)
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if report_path:
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["passed"]:
         print(f"all {len(report['checks'])} identity checks passed (seed {args.seed})")
         return EXIT_OK
@@ -116,6 +119,16 @@ def _write_summary(path, state, records, steps, stop_reason):
     return summary
 
 
+def _output_directory(cfg) -> Path:
+    """cfg's output directory, created if missing; ConfigError if it cannot be."""
+    out = Path(cfg.output.directory)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _flow_extra(cfg, t, step) -> dict:
     """Sidecar entries of a flow checkpoint: its time, its step and cfg's flow section."""
     return {"t": t, "step": step, **asdict(cfg.flow)}
@@ -172,10 +185,9 @@ def cmd_flow(args) -> int:
     cfg = RunConfig.from_file(args.config)
     reference = flat_reference(cfg.lattice)
 
-    out = Path(cfg.output.directory)
+    out = _output_directory(cfg)
     ckpt_dir = out / "checkpoints"
     series_path = out / "series.jsonl"
-    out.mkdir(parents=True, exist_ok=True)
 
     t0, step0 = 0.0, 0
     if args.resume:
@@ -246,7 +258,7 @@ def cmd_perturb(args) -> int:
     cfg = RunConfig.from_file(args.config)
     reference = flat_reference(cfg.lattice)
     initial = cfg.build_initial(reference)
-    out = Path(cfg.output.directory)
+    out = _output_directory(cfg)
     ckpt.write_form_field(out / "checkpoints" / "reference", reference.phi)
     path = ckpt.write_form_field(
         out / "checkpoints" / "initial", initial.phi, extra=_flow_extra(cfg, 0.0, 0))

@@ -126,9 +126,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_json(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        return cls.from_json(text)
 
     # -- construction ------------------------------------------------------
     def build_beta(self) -> FormField:

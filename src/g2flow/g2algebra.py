@@ -134,13 +134,12 @@ def _metric_of(u: np.ndarray, phi: np.ndarray) -> Metric:
     """metric_from_phi with u = _interior_phi(phi) given."""
     b = _cubic_contraction(u, phi)
     b_inv, pivots = _eliminate(b)
-    det_b = np.prod(pivots, axis=-1)
-    bad = ~(det_b > 0.0)
+    bad = ~(np.prod(np.sign(pivots), axis=-1) > 0.0)
     if np.any(bad):
         raise NotPositive(f"det b is not > 0 at {int(np.sum(bad))} site(s)")
     if np.any(pivots <= 0.0):
         raise NotPositive("metric candidate is not positive-definite")
-    scale = det_b ** (-1.0 / 9.0)
+    scale = np.exp(np.sum(np.log(pivots), axis=-1) / -9.0)
     g = _METRIC_SCALE * b * scale[..., None, None]
     g_inv = b_inv / (_METRIC_SCALE * scale)[..., None, None]
     return Metric(g, g_inv, _VOL_SCALE / scale)
@@ -156,9 +155,10 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     correspondingly as (det b)^(1/9) / 6^(7/9).
 
     One batched Gauss-Jordan sweep over b (_eliminate) gives b^-1, whence
-    g^-1, and the pivots, whose product is det b. Raises NotPositive unless
-    det b > 0 (which a NaN fails) and every pivot is > 0, i.e. unless phi is
-    in the open GL+ orbit of the model.
+    g^-1, and the pivots: det b takes its sign from theirs and (det b)^(1/9)
+    from the sum of their logs, so no scale of phi overflows. Raises
+    NotPositive unless det b > 0 (which a NaN fails) and every pivot is > 0,
+    i.e. unless phi is in the open GL+ orbit of the model.
     """
     return _metric_of(_interior_phi(phi), phi)
 
@@ -220,16 +220,13 @@ def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     """3-form i_phi(h) with components h_i^l phi_ljk + h_j^l phi_lki + h_k^l phi_lij.
 
     Maps symmetric 2-tensors into the 1 + 27 part; i_phi(g) = 3 phi.
+
+    The three terms are the increasing components of sum_a e^a ^ x_a with
+    x_a = h_a^l (e_l . phi): x is one (h g_inv) @ u product, and e^a ^ .
+    contracts (a, J) against the interior table read as a (147, 35) matrix.
     """
-    phi_flat = expand_form(phi, 3).reshape(phi.shape[:-1] + (7, 49))
-    p = (h @ metric.g_inv) @ phi_flat
-    p = p.reshape(p.shape[:-2] + (343,))
-    # flat positions 49i + 7j + k of increasing ijk, and of jki and kij
-    # (base-7 digits rotated left once and twice)
-    ijk = tables.compress_positions(3)
-    jki = ijk % 49 * 7 + ijk // 49
-    kij = jki % 49 * 7 + jki // 49
-    return p[..., ijk] + p[..., jki] + p[..., kij]
+    x = (h @ metric.g_inv) @ _interior_phi(phi)
+    return x.reshape(x.shape[:-2] + (147,)) @ tables.interior_table(3).reshape(147, 35)
 
 
 def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
@@ -333,7 +330,7 @@ class G2Structure(Metric):
     _cache holds what is computed once per structure: "interior_phi", the
     (..., 7, 21) array u = e_i . phi that the metric and psi were built from
     (see interior), and the connection, torsion and curvature that the
-    riemann accessors add on first use.
+    riemann accessors add through cached(key, build) on first use.
     """
 
     def __init__(self, phi: FormField, metric: Metric, psi: FormField, interior_phi: np.ndarray):
@@ -358,6 +355,12 @@ class G2Structure(Metric):
     @property
     def lattice(self) -> Lattice:
         return self.phi.lattice
+
+    def cached(self, key: str, build):
+        """The value cached under key, computed by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def interior(self, v: np.ndarray) -> FormField:
         """The 2-form v . phi of the vector field v[..., i] = V^i, from the cached u."""

@@ -200,6 +200,13 @@ class Lattice:
                   out=out.reshape(blocks).transpose(0, 2, 1, 3))
         return out
 
+    def gradient(self, data: np.ndarray) -> np.ndarray:
+        """Partials out[..., m, *comp] = partial_array(data, m + 1); 0.0 off the active axes."""
+        out = np.zeros(self.grid_shape + (7,) + data.shape[self.ndim_active:])
+        for axis in self.active_axes:
+            out[(slice(None),) * self.ndim_active + (axis - 1,)] = self.partial_array(data, axis)
+        return out
+
     def integrate(self, values: np.ndarray, vol_density=None) -> float:
         """Riemann sum of a scalar field against vol_density (default 1).
 

@@ -38,24 +38,16 @@ class CurvatureData:
     scalar: np.ndarray
 
 
-def metric_partials(t: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Partial stack of any (..., 7, 7) field: out[..., m, i, j] = d_m t_ij, 0 off-axis."""
-    out = np.zeros(lattice.grid_shape + (7, 7, 7))
-    for axis in lattice.active_axes:
-        out[..., axis - 1, :, :] = lattice.partial_array(t, axis)
-    return out
-
-
-def christoffels(g: np.ndarray, g_inv: np.ndarray, lattice: Lattice) -> np.ndarray:
+def christoffels(metric: g2algebra.Metric, lattice: Lattice) -> np.ndarray:
     """Levi-Civita connection of g: Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk)/2.
 
     Index order of the returned array: upper, lower, lower.
     """
-    dg = metric_partials(g, lattice)
+    dg = lattice.gradient(metric.g)
     # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
     s = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
     s -= dg
-    gamma = g_inv @ s.reshape(s.shape[:-3] + (7, 49))
+    gamma = metric.g_inv @ s.reshape(s.shape[:-3] + (7, 49))
     gamma *= 0.5
     return gamma.reshape(s.shape)
 
@@ -69,7 +61,7 @@ def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
     (49, 7) @ (7, 7) matmul per site: against t for the first slot, and
     against its transpose, with x moved back to the last slot, for the second.
     """
-    out = metric_partials(t, lattice)
+    out = lattice.gradient(t)
     batch = gamma.shape[:-3]
     conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))  # conn[(m, x), z] = Gamma^z_mx
     out -= (conn @ t).reshape(out.shape)
@@ -91,9 +83,7 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
     read as a (7 C_{k-1}, C_k) matrix.
     """
     interior = tables.interior_table(k)
-    out = np.zeros(lattice.grid_shape + (7, interior.shape[-1]))
-    for axis in lattice.active_axes:
-        out[..., axis - 1, :] = lattice.partial_array(alpha, axis)
+    out = lattice.gradient(alpha)
     batch = gamma.shape[:-3]
     conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
     v = conn @ tables.apply_table(interior, alpha)  # v[m, x, J]
@@ -102,8 +92,7 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
     return out
 
 
-def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
-              lattice: Lattice) -> CurvatureData:
+def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> CurvatureData:
     """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
 
     Both Gamma Gamma terms come from one per-site (49, 7) @ (7, 49) product,
@@ -126,11 +115,11 @@ def curvature(gamma: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
     a = a.reshape(batch + (2401,))
     r_up = np.take(a, ij + 7 * _PAIRS, axis=-1) - np.take(a, ij + 7 * _SWAPPED, axis=-1)
     del a
-    rm = (g @ r_up.reshape(batch + (7, 147))).reshape(r_up.shape)
+    rm = (metric.g @ r_up.reshape(batch + (7, 147))).reshape(r_up.shape)
     # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
     ric = np.swapaxes(r_up, -3, -2).reshape(batch + (7, 147)) @ ric_table
-    scalar = np.einsum("...jl,...jl->...", g_inv, ric)
+    scalar = np.einsum("...jl,...jl->...", metric.g_inv, ric)
     return CurvatureData(rm=rm, ric=ric, scalar=scalar)
 
 
@@ -146,44 +135,31 @@ def tensor_norm_sq(t: np.ndarray, metric: g2algebra.Metric) -> np.ndarray:
 
 def connection_of(structure) -> np.ndarray:
     """Christoffel symbols of the structure's metric, cached."""
-    cache = structure._cache
-    if "conn" not in cache:
-        cache["conn"] = christoffels(structure.g, structure.g_inv, structure.lattice)
-    return cache["conn"]
+    return structure.cached("conn", lambda: christoffels(structure, structure.lattice))
 
 
 def nabla_phi_of(structure) -> np.ndarray:
     """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached."""
-    cache = structure._cache
-    if "nabla_phi" not in cache:
-        cache["nabla_phi"] = covariant_derivative_form(
-            structure.phi.data, 3, connection_of(structure), structure.lattice)
-    return cache["nabla_phi"]
+    return structure.cached("nabla_phi", lambda: covariant_derivative_form(
+        structure.phi.data, 3, connection_of(structure), structure.lattice))
 
 
 def torsion_of(structure) -> np.ndarray:
     """Full torsion tensor T_ij of the structure, cached."""
-    cache = structure._cache
-    if "torsion" not in cache:
-        cache["torsion"] = g2algebra.full_torsion(structure, nabla_phi_of(structure))
-    return cache["torsion"]
+    return structure.cached(
+        "torsion", lambda: g2algebra.full_torsion(structure, nabla_phi_of(structure)))
 
 
 def nabla_torsion_of(structure) -> np.ndarray:
     """Covariant derivative of the full torsion, (nabla T)[..., m, i, j], cached."""
-    cache = structure._cache
-    if "nabla_torsion" not in cache:
-        cache["nabla_torsion"] = covariant_derivative_array(
-            torsion_of(structure), connection_of(structure), structure.lattice)
-    return cache["nabla_torsion"]
+    return structure.cached("nabla_torsion", lambda: covariant_derivative_array(
+        torsion_of(structure), connection_of(structure), structure.lattice))
 
 
 def curvature_of(structure) -> CurvatureData:
-    cache = structure._cache
-    if "curv" not in cache:
-        cache["curv"] = curvature(connection_of(structure), structure.g,
-                                  structure.g_inv, structure.lattice)
-    return cache["curv"]
+    """Curvature of the structure's metric, cached."""
+    return structure.cached(
+        "curv", lambda: curvature(connection_of(structure), structure, structure.lattice))
 
 
 def deturck_vector(structure, reference) -> np.ndarray:

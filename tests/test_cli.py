@@ -184,6 +184,29 @@ def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
+                                  "flow_output_is_file", "perturb_output_is_file",
+                                  "report_directory_missing", "report_is_directory"])
+def test_bad_path_exit_2(tmp_path, capsys, case):
+    # each path is rejected before any work: nothing is printed to stdout
+    path, _ = write_config(tmp_path)
+    if case == "config_is_directory":
+        argv = ["flow", str(tmp_path)]
+    elif case == "config_not_utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+        argv = ["flow", str(path)]
+    elif case.endswith("output_is_file"):
+        (tmp_path / "out").write_text("")
+        argv = [case.split("_")[0], str(path)]
+    else:
+        report = tmp_path / "missing" / "r.json" if case.endswith("missing") else tmp_path
+        argv = ["check", "--n-random", "5", "--report", str(report)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
+
+
 def test_spectrum_bad_config_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")

@@ -67,6 +67,20 @@ def test_metric_scaling_homogeneity():
     assert abs(m8.vol - 2.0 ** 7) < 1e-10
 
 
+@pytest.mark.parametrize("c", [1e-30, 1e-16, 1.0, 1e15, 1e30])
+def test_metric_at_extreme_scales(c):
+    # det b = 6^7 c^21 leaves the float range; g = c^(2/3) id and
+    # vol = c^(7/3) still hold, and metric_from_phi agrees with is_positive
+    m = g2.metric_from_phi(c * g2.PHI0)
+    assert np.max(np.abs(m.g / c ** (2 / 3) - np.eye(7))) < 1e-13
+    assert np.max(np.abs(m.g_inv * c ** (2 / 3) - np.eye(7))) < 1e-13
+    assert abs(m.vol / c ** (7 / 3) - 1.0) < 1e-13
+    assert bool(g2.is_positive(c * g2.PHI0))
+    with pytest.raises(g2.NotPositive):
+        g2.metric_from_phi(-c * g2.PHI0)
+    assert not bool(g2.is_positive(-c * g2.PHI0))
+
+
 def test_not_positive_raised():
     with pytest.raises(g2.NotPositive):
         g2.metric_from_phi(-g2.PHI0)
@@ -442,9 +456,7 @@ def test_torsion_forms_conformal_oracle():
                         lat.grid_shape).copy()
     st = g2.G2Structure.from_phi(FormField(lat, 3, (f ** 3)[..., None] * g2.PHI0))
     td = g2.extract_torsion_forms(st)
-    dlf = np.zeros(lat.grid_shape + (7,))
-    for ax in lat.active_axes:
-        dlf[..., ax - 1] = lat.partial_array(np.log(f), ax)
+    dlf = lat.gradient(np.log(f))
     c = np.sum(td.tau1 * dlf) / np.sum(dlf * dlf)
     assert np.max(np.abs(td.tau1 - c * dlf)) < 1e-12
     assert np.max(np.abs(td.tau0)) < 1e-12

@@ -108,16 +108,23 @@ COMPONENT_SHAPES = ((), (35,), (7, 7), (7, 7, 7))
 def test_partial_array_matches_oracle(axes, scheme, n, period, rng):
     # every active axis and component shape, against numpy.fft / np.roll;
     # 1-D n=64 and n=256 with 343 components take gemm blocks narrower than
-    # one site (49 and 1 columns)
+    # one site (49 and 1 columns). gradient stacks the partials in slot
+    # m = axis - 1, exactly 0.0 on inactive axes and on constant data.
     lat = Lattice(axes, n, period, scheme)
     oracle = DERIVATIVE_ORACLES[scheme]
     for comp in COMPONENT_SHAPES:
         data = rng.standard_normal(lat.grid_shape + comp)
+        grad = lat.gradient(data)
+        assert grad.shape == lat.grid_shape + (7,) + comp
         for pos, axis in enumerate(axes):
             got = lat.partial_array(data, axis)
             expect = oracle(data, pos, period)
             assert got.shape == data.shape
             assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+            assert np.array_equal(grad[(slice(None),) * len(axes) + (axis - 1,)], got)
+        inactive = [m for m in range(7) if m + 1 not in axes]
+        assert np.all(grad[(slice(None),) * len(axes) + (inactive,)] == 0.0)
+        assert np.all(lat.gradient(np.full_like(data, 0.7)) == 0.0)
 
 
 def test_gemm_blocks_stay_under_single_thread_limit():

@@ -22,12 +22,17 @@ def closed_structure():
     return st, lat
 
 
+def _metric(g, g_inv):
+    """The Metric of a field g that comes from no 3-form."""
+    return g2.Metric(g, g_inv, np.sqrt(np.linalg.det(g)))
+
+
 # --- christoffels ---------------------------------------------------------------
 
 def test_christoffels_euclidean_vanish():
     lat = Lattice((1,), 16, TWO_PI)
     g = np.broadcast_to(np.eye(7), lat.grid_shape + (7, 7)).copy()
-    gamma = riemann.christoffels(g, g, lat)
+    gamma = riemann.christoffels(_metric(g, g), lat)
     assert np.max(np.abs(gamma)) == 0.0
 
 
@@ -35,7 +40,7 @@ def test_christoffels_constant_pullback_metric_vanish(rng):
     lat = Lattice((1,), 16, TWO_PI)
     a = np.eye(7) + 0.2 * rng.standard_normal((7, 7))
     g = np.broadcast_to(a.T @ a, lat.grid_shape + (7, 7)).copy()
-    gamma = riemann.christoffels(g, np.linalg.inv(g), lat)
+    gamma = riemann.christoffels(_metric(g, np.linalg.inv(g)), lat)
     assert np.max(np.abs(gamma)) < 1e-14
 
 
@@ -45,10 +50,8 @@ def test_christoffels_conformal_closed_form():
     x1, x2 = lat.coordinate(1), lat.coordinate(2)
     u = np.broadcast_to(0.1 * np.sin(x1) + 0.05 * np.cos(x2), lat.grid_shape).copy()
     g = np.exp(2 * u)[..., None, None] * np.eye(7)
-    gamma = riemann.christoffels(g, np.exp(-2 * u)[..., None, None] * np.eye(7), lat)
-    du = np.zeros(lat.grid_shape + (7,))
-    for ax in lat.active_axes:
-        du[..., ax - 1] = lat.partial_array(u, ax)
+    gamma = riemann.christoffels(_metric(g, np.exp(-2 * u)[..., None, None] * np.eye(7)), lat)
+    du = lat.gradient(u)
     eye = np.eye(7)
     expect = (np.einsum("ij,...k->...ijk", eye, du)
               + np.einsum("ik,...j->...ijk", eye, du)
@@ -80,15 +83,6 @@ def test_nabla_psi_formula(closed_structure):
     assert np.max(np.abs(npsi - rhs)) < 1e-8 * scale
 
 
-def _stacked_partials(lat, data):
-    """d[..., m, slots] = d_m data; zero along inactive axes."""
-    a = lat.ndim_active
-    out = np.zeros(lat.grid_shape + (7,) + data.shape[a:])
-    for ax in lat.active_axes:
-        out[(slice(None),) * a + (ax - 1,)] = lat.partial_array(data, ax)
-    return out
-
-
 def test_covariant_derivative_matches_index_formula(rng):
     # Gamma is not symmetric in its lower pair and t not symmetric, so a
     # swapped slot or index shows
@@ -98,7 +92,7 @@ def test_covariant_derivative_matches_index_formula(rng):
     t = rng.standard_normal(lat.grid_shape + (7, 7))
     assert np.max(np.abs(t - np.swapaxes(t, -1, -2))) > 0.1
     got = riemann.covariant_derivative_array(t, gamma, lat)
-    expect = oracles.covariant_derivative(t, "dd", gamma, _stacked_partials(lat, t))
+    expect = oracles.covariant_derivative(t, "dd", gamma, lat.gradient(t))
     assert got.shape == lat.grid_shape + (7, 7, 7)
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
@@ -108,8 +102,8 @@ def _conformal_connection(lat):
     x1, x2 = lat.coordinate(1), lat.coordinate(2)
     u = np.broadcast_to(0.1 * np.sin(x1) + 0.05 * np.cos(x2), lat.grid_shape)
     eye = np.eye(7)
-    return riemann.christoffels(np.exp(2 * u)[..., None, None] * eye,
-                                np.exp(-2 * u)[..., None, None] * eye, lat)
+    return riemann.christoffels(_metric(np.exp(2 * u)[..., None, None] * eye,
+                                        np.exp(-2 * u)[..., None, None] * eye), lat)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -126,7 +120,7 @@ def test_covariant_derivative_form_matches_full_array(closed_structure, rng, fie
     got = riemann.covariant_derivative_form(alpha, k, gamma, lat)
     full = g2.expand_form(alpha, k)
     want = g2.compress_form(oracles.covariant_derivative(
-        full, "d" * k, gamma, _stacked_partials(lat, full)), k)
+        full, "d" * k, gamma, lat.gradient(full)), k)
     assert got.shape == lat.grid_shape + (7, tables.num_components(k))
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -138,8 +132,8 @@ def test_curvature_matches_index_formula(rng, scheme):
     a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
     g = np.swapaxes(a, -1, -2) @ a
     g_inv = np.linalg.inv(g)
-    curv = riemann.curvature(gamma, g, g_inv, lat)
-    rm, ric, scalar = oracles.curvature(gamma, _stacked_partials(lat, gamma), g, g_inv)
+    curv = riemann.curvature(gamma, _metric(g, g_inv), lat)
+    rm, ric, scalar = oracles.curvature(gamma, lat.gradient(gamma), g, g_inv)
     for got, want in ((g2.expand_form(curv.rm, 2), rm), (curv.ric, ric), (curv.scalar, scalar)):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -149,8 +143,8 @@ def test_curvature_matches_index_formula(rng, scheme):
 def test_curvature_flat_metric_vanishes():
     lat = Lattice((1,), 16, TWO_PI)
     g = np.broadcast_to(np.eye(7), lat.grid_shape + (7, 7)).copy()
-    conn = riemann.christoffels(g, g, lat)
-    curv = riemann.curvature(conn, g, g, lat)
+    metric = _metric(g, g)
+    curv = riemann.curvature(riemann.christoffels(metric, lat), metric, lat)
     assert np.max(np.abs(curv.rm)) == 0.0
     assert np.max(np.abs(curv.ric)) == 0.0
 
@@ -179,8 +173,8 @@ def test_curvature_warped_metric_symbolic_oracle():
     g_inv = np.zeros_like(g)
     for i in range(7):
         g_inv[..., i, i] = 1.0 / diag[..., i]
-    conn = riemann.christoffels(g, g_inv, lat)
-    curv = riemann.curvature(conn, g, g_inv, lat)
+    metric = _metric(g, g_inv)
+    curv = riemann.curvature(riemann.christoffels(metric, lat), metric, lat)
 
     ric_expect = np.zeros(lat.grid_shape + (7, 7))
     for i in range(7):
@@ -235,9 +229,7 @@ def test_contracted_bianchi(closed_structure):
     gamma = riemann.connection_of(st)
     nric = riemann.covariant_derivative_array(curv.ric, gamma, lat)
     lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
-    dr = np.zeros(lat.grid_shape + (7,))
-    for ax in lat.active_axes:
-        dr[..., ax - 1] = lat.partial_array(curv.scalar, ax)
+    dr = lat.gradient(curv.scalar)
     assert np.max(np.abs(lhs - 0.5 * dr)) < 1e-7 * max(np.max(np.abs(dr)), 1e-300)
 
 
@@ -279,9 +271,7 @@ def test_deturck_vector_conformal_closed_form():
     assert np.max(np.abs(st.g - np.exp(2 * u)[..., None, None] * np.eye(7))) < 1e-12
     ref = g2.flat_reference(lat)
     v = riemann.deturck_vector(st, ref)
-    du = np.zeros(lat.grid_shape + (7,))
-    for ax in lat.active_axes:
-        du[..., ax - 1] = lat.partial_array(u, ax)
+    du = lat.gradient(u)
     expect = -5.0 * np.exp(-2 * u)[..., None] * du
     assert np.max(np.abs(v - expect)) < 1e-12
 
@@ -294,8 +284,7 @@ def test_deturck_vector_matches_christoffel_contraction(axes, scheme):
     rng = np.random.default_rng(31)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=0.03))
     ref = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=0.03))
-    s = (riemann.christoffels(st.g, st.g_inv, lat)
-         - riemann.christoffels(ref.g, ref.g_inv, lat))
+    s = riemann.christoffels(st, lat) - riemann.christoffels(ref, lat)
     want = np.einsum("...pq,...ipq->...i", st.g_inv, s)
     got = riemann.deturck_vector(st, ref)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
