@@ -325,7 +325,7 @@ def _check_riemann_symmetries(rng, ctx):
 
 def _check_torsion_closed(rng, ctx):
     st, lat = ctx.closed_structure()
-    t = riemann.torsion_of(st)
+    t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # torsion_of is skew by construction
     td = g2.extract_torsion_forms(st)
     worst = float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
     worst = max(worst, float(np.max(np.abs(t + 0.5 * g2.expand_form(td.tau2, 2)))))
@@ -350,7 +350,7 @@ def _check_torsion_assembly(rng, ctx):
     pert = _band_limited(lat, 3, rng, n_modes=4, amp=5e-3, kmax=2)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
     td = g2.extract_torsion_forms(st)
-    t = riemann.torsion_of(st)
+    t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # phi is not closed
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
     bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0

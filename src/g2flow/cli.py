@@ -16,7 +16,7 @@ from . import diagnostics, flow
 from . import io as ckpt
 from .checks import MUTATIONS, run_identity_suite
 from .config import ConfigError, RunConfig
-from .g2algebra import G2Structure, NotPositive, flat_reference
+from .g2algebra import NotPositive, flat_reference
 from .lattice import is_number
 
 EXIT_OK = 0
@@ -160,10 +160,11 @@ def _resume_state(path, cfg):
         raise ConfigError(f"checkpoint t {t!r} is not a finite number")
     if not is_number(step, integer=True):
         raise ConfigError(f"checkpoint step {step!r} is not an integer")
+    # The flow's invariants: positive, closed, and in the reference's class.
     try:
-        initial = G2Structure.from_phi(phi)
-    except NotPositive as exc:
-        raise ConfigError(f"checkpoint form not positive: {exc}") from exc
+        initial = flow._validate(phi, flat_reference(cfg.lattice))
+    except (NotPositive, flow.NotClosed) as exc:
+        raise ConfigError(f"checkpoint form breaks a flow invariant: {exc}") from exc
     return initial, t, step
 
 

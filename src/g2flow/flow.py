@@ -96,8 +96,21 @@ class StepControl:
 
 
 def coexact_part(structure: G2Structure) -> FormField:
-    """d* phi = -*d* phi, the 2-form potential of the Hodge Laplacian on closed phi."""
-    return -1.0 * structure.star(exterior_derivative(structure.psi))
+    """d* phi = -*d* phi, the 2-form potential of the Hodge Laplacian on closed phi.
+
+    Cached on the structure as "tau2": on closed phi, d* phi is the torsion
+    form tau2, so flow_rhs, laplacian_phi_hodge and riemann.torsion_of share
+    one d psi per structure.
+    """
+    data = structure.cached(
+        "tau2", lambda: -structure.star(exterior_derivative(structure.psi)).data)
+    return FormField(structure.lattice, 2, data)
+
+
+def dphi_of(structure: G2Structure) -> FormField:
+    """d phi, cached on the structure; _validate fills it for every accepted state."""
+    data = structure.cached("dphi", lambda: exterior_derivative(structure.phi).data)
+    return FormField(structure.lattice, 4, data)
 
 
 def codifferential(structure: G2Structure, alpha: FormField) -> FormField:
@@ -125,7 +138,7 @@ def laplacian_phi_hodge(structure: G2Structure) -> FormField:
     is the general codifferential of the 4-form d phi.
     """
     return (exterior_derivative(coexact_part(structure))
-            + codifferential(structure, exterior_derivative(structure.phi)))
+            + codifferential(structure, dphi_of(structure)))
 
 
 def intrinsic_h(structure: G2Structure) -> np.ndarray:
@@ -151,7 +164,7 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
 
 def laplacian_phi_intrinsic(structure: G2Structure) -> FormField:
     """i_phi(h) form of the Laplacian; valid only for closed structures."""
-    dphi_max = exterior_derivative(structure.phi).max_norm()
+    dphi_max = dphi_of(structure).max_norm()
     if dphi_max > 1e-6 * max(structure.phi.max_norm(), 1e-300):
         raise NotClosed(f"dphi max-norm {dphi_max:.3e} too large for the closed formula")
     data = i_phi(intrinsic_h(structure), structure.phi.data, structure)
@@ -199,10 +212,14 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
 
 
 def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
-    """Re-validate the FlowState invariants; raises on violation."""
+    """Re-validate the FlowState invariants; raises on violation.
+
+    The returned structure carries its d phi, which the snapshot's
+    Laplacians read again.
+    """
     structure = G2Structure.from_phi(phi)  # NotPositive on positivity loss
     scale = max(phi.max_norm(), 1e-300)
-    dphi_max = exterior_derivative(phi).max_norm()
+    dphi_max = dphi_of(structure).max_norm()
     if dphi_max > CLOSED_TOL * scale:
         raise NotClosed(f"closedness violated: {dphi_max:.3e}")
     theta_mean = phi.lattice.site_mean(phi.data - reference.phi.data)

@@ -277,6 +277,8 @@ def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: M
 def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     """Full torsion 2-tensor T_ij from the covariant derivative of phi.
 
+    Holds for any positive phi; on closed phi, riemann.torsion_of reads
+    T = -tau2/2 from d* phi instead, and the check suite compares the two.
     nabla_phi[..., i, I] holds nabla_i phi_lmn at the 35 increasing lmn
     (riemann.nabla_phi_of). T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the
     result satisfies nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are
@@ -329,8 +331,9 @@ class G2Structure(Metric):
 
     _cache holds what is computed once per structure: "interior_phi", the
     (..., 7, 21) array u = e_i . phi that the metric and psi were built from
-    (see interior), and the connection, torsion and curvature that the
-    riemann accessors add through cached(key, build) on first use.
+    (see interior), and what the flow and riemann accessors add through
+    cached(key, build) on first use: d phi, tau2 = d* phi, the connection,
+    the torsion and the curvature.
     """
 
     def __init__(self, phi: FormField, metric: Metric, psi: FormField, interior_phi: np.ndarray):

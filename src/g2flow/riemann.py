@@ -139,15 +139,27 @@ def connection_of(structure) -> np.ndarray:
 
 
 def nabla_phi_of(structure) -> np.ndarray:
-    """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached."""
+    """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached.
+
+    The check suite's second torsion formula, g2algebra.full_torsion, reads
+    it; the flow and its snapshot take T from d* phi (torsion_of).
+    """
     return structure.cached("nabla_phi", lambda: covariant_derivative_form(
         structure.phi.data, 3, connection_of(structure), structure.lattice))
 
 
 def torsion_of(structure) -> np.ndarray:
-    """Full torsion tensor T_ij of the structure, cached."""
+    """Full torsion tensor T_ij = -tau2_ij / 2 of a closed structure, cached.
+
+    Holds only for closed phi, whose torsion is the 14-type 2-form
+    tau2 = d* phi, the flow's own potential (flow.coexact_part, cached with
+    the structure). A non-closed structure's torsion has further parts; it
+    is g2algebra.full_torsion(structure, nabla_phi_of(structure)).
+    """
+    from .flow import coexact_part  # flow imports this module
+
     return structure.cached(
-        "torsion", lambda: g2algebra.full_torsion(structure, nabla_phi_of(structure)))
+        "torsion", lambda: -0.5 * g2algebra.expand_form(coexact_part(structure).data, 2))
 
 
 def nabla_torsion_of(structure) -> np.ndarray:

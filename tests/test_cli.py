@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from g2flow import cli
+from g2flow import io as ckpt
 from g2flow.checks import run_identity_suite
+from g2flow.g2algebra import PHI0
+from g2flow.tables import index_position
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,6 +403,26 @@ def test_flow_resume_with_mismatched_config_exit_2(tmp_path, capsys, override):
     other, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01}, **override)
     assert cli.main(["flow", str(other), "--resume", str(resume_from)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bump, reason", [(np.sin, "closedness violated"),
+                                           (np.ones_like, "harmonic part drifted")])
+def test_flow_resume_from_checkpoint_off_the_flow_exit_2(tmp_path, capsys, bump, reason):
+    # phi0 + 0.01 f(x1) e^234 is positive; with f = sin it is not closed, and
+    # with f = 1 it is closed but in another cohomology class than phi0's
+    control = {"t_end": 0.05, "dt": 0.01, "checkpoint_every": 5}
+    path, _ = write_config(tmp_path, control=control)
+    assert cli.main(["flow", str(path)]) == 0
+    resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
+    path, _ = write_config(tmp_path, control={**control, "t_end": 0.1})  # steps left
+    phi, extra = ckpt.read_form_field(resume_from.with_suffix(""))
+    data = np.broadcast_to(PHI0, phi.data.shape).copy()
+    data[..., index_position(3)[(1, 2, 3)]] += 0.01 * bump(phi.lattice.coordinate(1))
+    ckpt.write_form_field(resume_from.with_suffix(""), phi.replace_data(data), extra=extra)
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
 
 
 @pytest.mark.parametrize("section, key, value", [("lattice", "points_per_axis", "16"),

@@ -5,7 +5,7 @@ from dataclasses import is_dataclass
 import numpy as np
 import pytest
 
-from g2flow import diagnostics, flow, riemann
+from g2flow import diagnostics, flow, lattice, riemann
 from g2flow import g2algebra as g2
 from g2flow import tables
 from g2flow.lattice import FormField, Lattice, exterior_derivative
@@ -175,12 +175,35 @@ def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
     assert calls == [lat.grid_shape + (7, 7)]
 
 
+def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
+    # the step check takes d phi and the snapshot d psi; both Laplacians and
+    # the next step's first RK4 stage read them from the structure
+    lat = Lattice((1, 2), 8, TWO_PI)
+    ref = g2.flat_reference(lat)
+    phi = closed_perturbed_phi(lat, rng)
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha)
+        return exterior_derivative(alpha)
+
+    for module in (lattice, g2, flow):  # every binding a snapshot could reach
+        monkeypatch.setattr(module, "exterior_derivative", counted)
+    st = flow._validate(phi, ref)
+    state = flow.FlowState(0.0, st, ref, "deturck")
+    diagnostics.diagnostic_snapshot(state)
+    flow.flow_rhs(state)
+    assert [a is st.phi for a in calls].count(True) == 1
+    assert [a is st.psi for a in calls].count(True) == 1
+
+
 def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
-    # nabla phi is kept as (7, 35) and Rm as (7, 7, 21) per site, never 7^4
+    # d phi and tau2 = d* phi are kept compressed, (35,) and (21,), and Rm as
+    # (7, 7, 21) per site, never 7^4
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
-    assert {"nabla_phi", "curv"} <= set(st._cache)
+    assert {"dphi", "tau2", "curv"} <= set(st._cache)
     arrays = {}
     for key, value in st._cache.items():
         fields = vars(value) if is_dataclass(value) else {"": value}

@@ -411,7 +411,8 @@ def test_full_torsion_zero_for_constant_structure():
 def test_full_torsion_skew_for_closed_structure(rng):
     lat = Lattice((1, 2), 32, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    t = riemann.torsion_of(st)
+    # riemann.torsion_of, -tau2/2, is skew by construction; nabla phi's T is not
+    t = g2.full_torsion(st, riemann.nabla_phi_of(st))
     assert np.max(np.abs(t + np.swapaxes(t, -1, -2))) < 1e-10
 
 
@@ -471,7 +472,8 @@ def test_torsion_form_assembly_generic(rng):
     pert = band_limited_form(lat, 3, rng, n_modes=4, amp=5e-3)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
     td = g2.extract_torsion_forms(st)
-    t = riemann.torsion_of(st)
+    # riemann.torsion_of is -tau2/2, closed phi only; nabla phi gives all of T
+    t = g2.full_torsion(st, riemann.nabla_phi_of(st))
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
     bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0

@@ -6,7 +6,7 @@ import pytest
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
 from g2flow.checks import _random_pullbacks
-from g2flow.lattice import FormField, Lattice
+from g2flow.lattice import FormField, Lattice, exterior_derivative
 
 import oracles
 from conftest import closed_perturbed_phi
@@ -231,6 +231,34 @@ def test_contracted_bianchi(closed_structure):
     lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
     dr = lat.gradient(curv.scalar)
     assert np.max(np.abs(lhs - 0.5 * dr)) < 1e-7 * max(np.max(np.abs(dr)), 1e-300)
+
+
+# --- torsion -------------------------------------------------------------------
+
+# beta_K = 0.03 cos(k1 x1 + k2 x2 + phase) on four pairs K, modes up to 2 per axis
+_TORSION_BETA = (((3, 4), (2, 1), 0.0), ((5, 6), (1, -2), 1.0),
+                 ((3, 7), (2, 2), 2.0), ((4, 6), (0, 1), 0.5))
+
+
+def test_torsion_formulas_converge_together():
+    # T = -tau2/2 (torsion_of) and T from nabla phi (full_torsion) are two
+    # discretizations of one tensor: their torsion_l2 gap falls spectrally
+    # (measured 7.5e-4, 5.2e-7, 6.5e-10, 9.0e-16)
+    gaps = []
+    for n in (8, 12, 16, 24):
+        lat = Lattice((1, 2), n, TWO_PI)
+        x1, x2 = lat.coordinate(1), lat.coordinate(2)
+        beta = np.zeros(lat.grid_shape + (21,))
+        for (a, b), (k1, k2), phase in _TORSION_BETA:
+            beta[..., tables.index_position(2)[(a - 1, b - 1)]] = (
+                0.03 * np.cos(k1 * x1 + k2 * x2 + phase))
+        dbeta = exterior_derivative(FormField(lat, 2, beta))
+        st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + dbeta.data))
+        l2 = [lat.integrate(riemann.tensor_norm_sq(t, st), vol_density=st.vol)
+              for t in (riemann.torsion_of(st), g2.full_torsion(st, riemann.nabla_phi_of(st)))]
+        gaps.append(abs(l2[0] - l2[1]) / l2[1])
+    assert all(fine <= coarse / 100.0 for coarse, fine in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1e-12
 
 
 # --- gauge vector ----------------------------------------------------------------
