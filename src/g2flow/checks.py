@@ -1,10 +1,12 @@
-"""Randomized algebraic/differential identity suite behind `g2flow check`.
+"""The identity suite behind `g2flow check`, the one home of every identity.
 
-Every identity is evaluated at randomized inputs drawn from a seeded
-generator, so repeated runs with the same seed are bit-identical. The base
-3-form of the pointwise battery is recovered from the stored 4-form via the
-euclidean star, which cross-anchors the two model tables; the `mutate` hook
-injects a known sign defect there for harness self-tests.
+Each entry of CHECKS states one identity, and run_check is the one rule for
+running it: `g2flow check` and tier-1 (one case per entry) both use it.
+Inputs are drawn from a seeded generator, so repeated runs with the same seed
+are bit-identical. The base 3-form of the pointwise battery is recovered from
+the stored 4-form via the euclidean star, which cross-anchors the two model
+tables. The G2 algebra that only the checks use lives here too: j_phi, the
+2-form type projection and the torsion forms tau0..tau3.
 """
 
 from dataclasses import dataclass
@@ -13,11 +15,9 @@ import numpy as np
 
 from . import g2algebra as g2
 from . import riemann, tables
-from .lattice import FormField, Lattice, exterior_derivative, wedge
+from .lattice import FormField, Lattice, exterior_derivative
 
 POINTWISE_TOL = 1e-10
-
-MUTATIONS = ("psi0_sign",)
 
 
 @dataclass
@@ -35,6 +35,72 @@ class CheckResult:
             d["error"] = self.error
         return d
 
+
+# --- G2 algebra that only the checks use ---------------------------------------
+
+def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: g2.Metric) -> np.ndarray:
+    """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma)."""
+    return (g2._cubic_contraction(g2._interior_phi(phi), gamma)
+            / np.asarray(metric.vol)[..., None, None])
+
+
+def j_phi(gamma: np.ndarray, phi: np.ndarray, metric: g2.Metric) -> np.ndarray:
+    """Symmetric part of j_phi; inverse of i_phi up to 4 id + 2 tr."""
+    raw = j_phi_raw(gamma, phi, metric)
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+
+def project_2form(beta: np.ndarray, phi: np.ndarray, metric: g2.Metric):
+    """Split a 2-form into its 7- and 14-dimensional type components.
+
+    Uses the eigen-projectors of L: beta -> *(beta ^ phi), which acts as +2
+    on the 7-part and -1 on the 14-part.
+    """
+    w = g2.wedge_components(beta, 2, phi, 3)
+    l_beta = g2.hodge_star(w, 5, metric)
+    beta7 = (l_beta + beta) / 3.0
+    return beta7, beta - beta7
+
+
+@dataclass
+class TorsionData:
+    """Intrinsic torsion forms tau0..tau3."""
+
+    tau0: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau3: np.ndarray
+
+
+def extract_torsion_forms(structure: g2.G2Structure) -> TorsionData:
+    """Torsion forms (tau0, tau1, tau2, tau3) from dphi and dpsi.
+
+    dphi = tau0 psi + 3 tau1 ^ phi + *tau3 is resolved through the type
+    decomposition of *(dphi); tau2 then solves
+    dpsi - 4 tau1 ^ psi = tau2 ^ phi, a pointwise 21 x 21 linear system.
+    """
+    phi, psi = structure.phi, structure.psi
+    dphi = exterior_derivative(phi)
+    dpsi = exterior_derivative(psi)
+
+    v3 = g2.hodge_star(dphi.data, 4, structure)
+    v1, v7, v27 = g2.project_3form(v3, phi.data, psi.data, structure)
+    tau0 = g2.form_inner(v3, phi.data, 3, structure) / 7.0
+    tau3 = v27
+
+    # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
+    star_v7 = g2.hodge_star(v7, 3, structure)
+    m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
+    tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
+
+    wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi.data)
+    rho = dpsi.data - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
+    m2 = tables.apply_table(tables.wedge_table(2, 3), phi.data)
+    tau2 = np.linalg.solve(m2, rho[..., None])[..., 0]
+    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
+
+
+# --- randomized inputs ---------------------------------------------------------
 
 def _random_pullbacks(rng, n):
     """GL+(7) maps near the identity with bounded conditioning."""
@@ -71,16 +137,10 @@ def _closed_perturbed_phi(lat, rng, n_modes=4, amp=5e-3, kmax=2):
 class SuiteContext:
     """Shared randomized fixtures, built once per suite run."""
 
-    def __init__(self, seed, n_random, mutate):
+    def __init__(self, seed, n_random):
         self.seed = seed
         self.n = n_random
-        psi0 = g2.PSI0.copy()
-        if mutate == "psi0_sign":
-            psi0[tables.index_position(4)[(3, 4, 5, 6)]] *= -1.0
-        elif mutate is not None:
-            raise ValueError(f"unknown mutation {mutate!r}")
-        self.psi0 = psi0
-        self.phi0 = g2.hodge_star(psi0, 4)  # the model 3-form when untouched
+        self.phi0 = g2.hodge_star(g2.PSI0, 4)  # the model 3-form
         self._pointwise = None
         self._closed = None
 
@@ -113,7 +173,7 @@ def _check_metric_model(rng, ctx):
 
 
 def _check_star_model(rng, ctx):
-    return float(np.max(np.abs(g2.hodge_star(ctx.phi0, 3) - ctx.psi0)))
+    return float(np.max(np.abs(g2.hodge_star(ctx.phi0, 3) - g2.PSI0)))
 
 
 def _check_i_phi_metric(rng, ctx):
@@ -123,7 +183,7 @@ def _check_i_phi_metric(rng, ctx):
 
 def _check_j_phi_phi(rng, ctx):
     phi, _, m, psi = ctx.pointwise()
-    return float(np.max(np.abs(g2.j_phi(phi, phi, m) - 6.0 * m.g)))
+    return float(np.max(np.abs(j_phi(phi, phi, m) - 6.0 * m.g)))
 
 
 def _random_symmetric(rng, n):
@@ -134,7 +194,7 @@ def _random_symmetric(rng, n):
 def _check_j_i_identity(rng, ctx):
     phi, _, m, psi = ctx.pointwise()
     h = _random_symmetric(rng, ctx.n)
-    jih = g2.j_phi(g2.i_phi(h, phi, m), phi, m)
+    jih = j_phi(g2.i_phi(h, phi, m), phi, m)
     expect = 4.0 * h + 2.0 * np.einsum("...ij,...ij->...", m.g_inv, h)[..., None, None] * m.g
     return float(np.max(np.abs(jih - expect)))
 
@@ -190,7 +250,7 @@ def _check_positivity(rng, ctx):
 def _check_projection_completeness(rng, ctx):
     phi, _, m, psi = ctx.pointwise()
     beta = rng.standard_normal((ctx.n, 21))
-    b7, b14 = g2.project_2form(beta, phi, m)
+    b7, b14 = project_2form(beta, phi, m)
     worst = float(np.max(np.abs(b7 + b14 - beta)))
     worst = max(worst, float(np.max(np.abs(g2.form_inner(b7, b14, 2, m)))))
     gamma = rng.standard_normal((ctx.n, 35))
@@ -205,7 +265,7 @@ def _check_traces_2form(rng, ctx):
     phi, _, m, psi = ctx.pointwise()
     n = min(ctx.n, 64)
     basis = np.broadcast_to(np.eye(21), (n, 21, 21))
-    b7, b14 = g2.project_2form(basis, phi[:n, None], m[:n, None])
+    b7, b14 = project_2form(basis, phi[:n, None], m[:n, None])
     t7 = np.einsum("...cc->...", b7)
     t14 = np.einsum("...cc->...", b14)
     return float(max(np.max(np.abs(t7 - 7.0)), np.max(np.abs(t14 - 14.0))))
@@ -239,9 +299,11 @@ def _check_leibniz(rng, ctx):
     for k, l in ((1, 2), (2, 2), (0, 3), (2, 3)):
         a = _band_limited(lat, k, rng)
         b = _band_limited(lat, l, rng)
-        lhs = exterior_derivative(wedge(a, b))
-        rhs = wedge(exterior_derivative(a), b) + ((-1.0) ** k) * wedge(a, exterior_derivative(b))
-        worst = max(worst, (lhs - rhs).max_norm() / max(lhs.max_norm(), 1e-300))
+        da, db = exterior_derivative(a).data, exterior_derivative(b).data
+        lhs = exterior_derivative(FormField(lat, k + l, tables.wedge_arrays(a.data, k, b.data, l)))
+        rhs = (tables.wedge_arrays(da, k + 1, b.data, l)
+               + ((-1.0) ** k) * tables.wedge_arrays(a.data, k, db, l + 1))
+        worst = max(worst, float(np.max(np.abs(lhs.data - rhs))) / max(lhs.max_norm(), 1e-300))
     return worst
 
 
@@ -254,14 +316,11 @@ def _check_stokes(rng, ctx):
 
 
 def _check_fd4_order(rng, ctx):
-    from .lattice import partial_derivative
-
     errs = []
     for m in (16, 32, 64):
         lat = Lattice((1,), m, 2.0 * np.pi, scheme="fd4")
         x = lat.coordinate(1)[..., None]
-        df = partial_derivative(FormField(lat, 0, np.sin(x)), 1)
-        errs.append(np.max(np.abs(df.data - np.cos(x))))
+        errs.append(np.max(np.abs(lat.partial_array(np.sin(x), 1) - np.cos(x))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     worst = max(abs(o - 4.0) for o in orders)
     return float(worst)
@@ -326,7 +385,7 @@ def _check_riemann_symmetries(rng, ctx):
 def _check_torsion_closed(rng, ctx):
     st, lat = ctx.closed_structure()
     t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # torsion_of is skew by construction
-    td = g2.extract_torsion_forms(st)
+    td = extract_torsion_forms(st)
     worst = float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
     worst = max(worst, float(np.max(np.abs(t + 0.5 * g2.expand_form(td.tau2, 2)))))
     worst = max(worst, float(np.max(np.abs(td.tau0))), float(np.max(np.abs(td.tau1))),
@@ -349,11 +408,11 @@ def _check_torsion_assembly(rng, ctx):
     lat = Lattice((1, 2), 32, 2.0 * np.pi)
     pert = _band_limited(lat, 3, rng, n_modes=4, amp=5e-3, kmax=2)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
-    td = g2.extract_torsion_forms(st)
+    td = extract_torsion_forms(st)
     t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # phi is not closed
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
-    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0
+    bar_tau3 = j_phi(td.tau3, st.phi.data, st) / 4.0
     assembly = ((td.tau0[..., None, None] / 4.0) * st.g - tau1_phi - bar_tau3
                 - 0.5 * g2.expand_form(td.tau2, 2))
     return float(np.max(np.abs(t - assembly)))
@@ -397,24 +456,30 @@ CHECKS = [
 ]
 
 
-def run_identity_suite(seed: int = 0, n_random: int = 1000, mutate: str = None) -> dict:
+def run_check(ctx: SuiteContext, index: int) -> CheckResult:
+    """Run CHECKS[index] on ctx's fixtures with the generator default_rng([ctx.seed, index]).
+
+    The entry is read at call time, so a wrapper installed into CHECKS in
+    place is the one that runs. A check that raises fails, with its error.
+    """
+    name, tol, fn = CHECKS[index]
+    rng = np.random.default_rng([ctx.seed, index])
+    try:
+        residual = float(fn(rng, ctx))
+    except Exception as exc:  # a raised identity is a failed identity
+        return CheckResult(name, tol, float("inf"), False,
+                           error=f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, tol, residual, residual <= tol)
+
+
+def run_identity_suite(seed: int = 0, n_random: int = 1000) -> dict:
     """Run every check; returns a machine-readable report."""
-    ctx = SuiteContext(seed, n_random, mutate)
-    results = []
-    for index, (name, tol, fn) in enumerate(CHECKS):
-        rng = np.random.default_rng([seed, index])
-        try:
-            residual = float(fn(rng, ctx))
-            results.append(CheckResult(name, tol, residual, residual <= tol))
-        except Exception as exc:  # a raised identity is a failed identity
-            results.append(CheckResult(name, tol, float("inf"), False,
-                                       error=f"{type(exc).__name__}: {exc}"))
-    passed = all(r.passed for r in results)
+    ctx = SuiteContext(seed, n_random)
+    results = [run_check(ctx, index) for index in range(len(CHECKS))]
     return {
         "seed": seed,
         "n_random": n_random,
-        "mutate": mutate,
-        "passed": passed,
+        "passed": all(r.passed for r in results),
         "first_failure": next((r.name for r in results if not r.passed), None),
         "checks": [r.to_dict() for r in results],
     }

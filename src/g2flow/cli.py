@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, flow
 from . import io as ckpt
-from .checks import MUTATIONS, run_identity_suite
+from .checks import run_identity_suite
 from .config import ConfigError, RunConfig
 from .g2algebra import NotPositive, flat_reference
 from .lattice import is_number
@@ -29,8 +29,7 @@ def cmd_check(args) -> int:
     report_path = Path(args.report) if args.report else None
     if report_path and (report_path.is_dir() or not report_path.parent.is_dir()):
         raise ConfigError(f"cannot write the report to {report_path}")
-    report = run_identity_suite(seed=args.seed, n_random=args.n_random,
-                                mutate=args.mutate)
+    report = run_identity_suite(seed=args.seed, n_random=args.n_random)
     for c in report["checks"]:
         flag = "PASS" if c["passed"] else "FAIL"
         line = f"{flag} {c['name']}: residual {c['max_residual']:.3e} (tol {c['tolerance']:.1e})"
@@ -169,16 +168,25 @@ def _resume_state(path, cfg):
 
 
 def _drop_samples_from(series_path, t0):
-    """Remove samples at t0 and later, which a run resumed at t0 writes again."""
+    """Remove samples at t0 and later, which a run resumed at t0 writes again.
+
+    A line that is not JSON was torn by the interrupted run and is dropped.
+    A JSON line that is not a sample raises ConfigError, before any step.
+    """
     if not series_path.exists():
         return
     kept = []
-    for line in series_path.read_text().splitlines(keepends=True):
+    for number, line in enumerate(series_path.read_text().splitlines(keepends=True), 1):
         try:
-            if json.loads(line)["t"] < t0:
+            sample = json.loads(line)
+        except ValueError:
+            continue
+        try:
+            if diagnostics.TimeSeriesRecord.from_dict(sample).t < t0:
                 kept.append(line)
-        except (ValueError, KeyError, TypeError):
-            pass  # a sample torn by the interrupted run
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{series_path} line {number} is not a sample: "
+                              f"{type(exc).__name__}: {exc}") from exc
     series_path.write_text("".join(kept))
 
 
@@ -285,13 +293,13 @@ def main(argv=None) -> int:
         description="Laplacian-flow simulator for closed G2 structures on flat 7-tori.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run the randomized identity suite")
+    p_check = sub.add_parser(
+        "check", help="run every identity of checks.CHECKS at seeded random inputs; "
+                      "exit 1 names the first that fails")
     p_check.add_argument("--seed", type=_int_at_least(0), default=0)
     p_check.add_argument("--n-random", type=_int_at_least(1), default=1000,
                          help="randomized inputs per pointwise identity")
     p_check.add_argument("--report", help="write the JSON report to this path")
-    p_check.add_argument("--mutate", choices=MUTATIONS,
-                         help="inject a known model-form defect (test harness mode)")
     p_check.set_defaults(fn=cmd_check)
 
     p_flow = sub.add_parser("flow", help="run a flow experiment from a JSON config")

@@ -46,9 +46,13 @@ class PerturbationMode:
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if len(mode) != 7:
             raise ValueError(f"mode vector must have 7 entries, got {mode}")
+        n = lattice.points_per_axis
         for axis, k in enumerate(mode, start=1):
             if k and axis not in lattice.active_axes:
                 raise ValueError(f"mode {mode} excites inactive axis {axis}")
+            if 2 * abs(k) >= n:  # aliased to a lower mode, or the unresolved Nyquist sine
+                raise ValueError(f"mode {mode} is not resolved by {n} points per axis: "
+                                 f"need |k| < {n / 2:g} on axis {axis}")
         if len(comp) != 2 or not (1 <= comp[0] < comp[1] <= 7):
             raise ValueError(
                 f"component must be an increasing 1-based pair, got {self.component}")

@@ -232,9 +232,9 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
     """One classical RK4 step with rejection and dt halving on invariant loss."""
     dt = propose_dt(state, control)
     phi = state.structure.phi
+    k1 = flow_rhs(state)  # independent of dt, so shared by every attempt
     for _ in range(control.max_halvings + 1):
         try:
-            k1 = flow_rhs(state)
             s2 = G2Structure.from_phi(phi + (0.5 * dt) * k1)
             k2 = flow_rhs(replace(state, structure=s2))
             s3 = G2Structure.from_phi(phi + (0.5 * dt) * k2)

@@ -2,16 +2,16 @@
 
 The array-level functions act on trailing component axes and broadcast over
 any leading batch/grid shape, so the same code serves single covectors,
-randomized test batches and whole lattice fields. Field-level operations
-(torsion-form extraction, the structure cache) live at the bottom.
+randomized test batches and whole lattice fields. The structure and its
+cache live at the bottom. Algebra that only the identity suite uses (j_phi,
+the 2-form projection, the torsion forms) lives in checks; wedge_components
+and project_3form stay here while the benchmark wraps them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tables
-from .lattice import FormField, Lattice, exterior_derivative
+from .lattice import FormField, Lattice
 
 # Calibration of the metric map, frozen by requiring that the model 3-form
 # produce the identity metric and unit volume density (see metric_from_phi).
@@ -229,32 +229,9 @@ def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (147,)) @ tables.interior_table(3).reshape(147, 35)
 
 
-def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
-    """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma)."""
-    return _cubic_contraction(_interior_phi(phi), gamma) / np.asarray(metric.vol)[..., None, None]
-
-
-def j_phi(gamma: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
-    """Symmetric part of j_phi; inverse of i_phi up to 4 id + 2 tr."""
-    raw = j_phi_raw(gamma, phi, metric)
-    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
-
-
 def wedge_components(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndarray:
     """Pointwise wedge on raw compressed components."""
     return tables.wedge_arrays(alpha, k, beta, l)
-
-
-def project_2form(beta: np.ndarray, phi: np.ndarray, metric: Metric):
-    """Split a 2-form into its 7- and 14-dimensional type components.
-
-    Uses the eigen-projectors of L: beta -> *(beta ^ phi), which acts as +2
-    on the 7-part and -1 on the 14-part.
-    """
-    w = wedge_components(beta, 2, phi, 3)
-    l_beta = hodge_star(w, 5, metric)
-    beta7 = (l_beta + beta) / 3.0
-    return beta7, beta - beta7
 
 
 def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: Metric):
@@ -316,16 +293,6 @@ def _psi_of(u: np.ndarray, metric: Metric) -> np.ndarray:
             + g[..., 7 * i + l] * g[..., 7 * j + k])
 
 
-@dataclass
-class TorsionData:
-    """Intrinsic torsion forms tau0..tau3."""
-
-    tau0: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-    tau3: np.ndarray
-
-
 class G2Structure(Metric):
     """A positive 3-form field: its metric, its 4-form psi and cached derived geometry.
 
@@ -385,30 +352,3 @@ def flat_reference(lattice: Lattice) -> G2Structure:
     phi = FormField.constant(lattice, 3, PHI0)
     return G2Structure.from_phi(phi)
 
-
-def extract_torsion_forms(structure: G2Structure) -> TorsionData:
-    """Torsion forms (tau0, tau1, tau2, tau3) from dphi and dpsi.
-
-    dphi = tau0 psi + 3 tau1 ^ phi + *tau3 is resolved through the type
-    decomposition of *(dphi); tau2 then solves
-    dpsi - 4 tau1 ^ psi = tau2 ^ phi, a pointwise 21 x 21 linear system.
-    """
-    phi, psi = structure.phi, structure.psi
-    dphi = exterior_derivative(phi)
-    dpsi = exterior_derivative(psi)
-
-    v3 = hodge_star(dphi.data, 4, structure)
-    v1, v7, v27 = project_3form(v3, phi.data, psi.data, structure)
-    tau0 = form_inner(v3, phi.data, 3, structure) / 7.0
-    tau3 = v27
-
-    # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
-    star_v7 = hodge_star(v7, 3, structure)
-    m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
-    tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
-
-    wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi.data)
-    rho = dpsi.data - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
-    m2 = tables.apply_table(tables.wedge_table(2, 3), phi.data)
-    tau2 = np.linalg.solve(m2, rho[..., None])[..., 0]
-    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)

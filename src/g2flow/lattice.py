@@ -285,13 +285,6 @@ def _check_same(a, b):
         raise ValueError("degree mismatch")
 
 
-def partial_derivative(f: FormField, axis: int) -> FormField:
-    """Componentwise coordinate derivative along `axis` (1..7)."""
-    if not 1 <= axis <= 7:
-        raise ValueError("axis must be in 1..7")
-    return f.replace_data(f.lattice.partial_array(f.data, axis))
-
-
 def exterior_derivative(alpha: FormField) -> FormField:
     """d on compressed k-forms via alternating sums of coordinate partials."""
     k = alpha.degree
@@ -303,23 +296,4 @@ def exterior_derivative(alpha: FormField) -> FormField:
     for axis in lat.active_axes:
         out += lat.partial_array(alpha.data, axis) @ table[axis - 1]
     return FormField(lat, k + 1, out)
-
-
-def wedge(alpha: FormField, beta: FormField) -> FormField:
-    """Pointwise exterior product."""
-    k, l = alpha.degree, beta.degree
-    if k + l > 7:
-        raise ValueError("wedge degree exceeds 7")
-    data = tables.wedge_arrays(alpha.data, k, beta.data, l)
-    return FormField(alpha.lattice, k + l, data)
-
-
-def interior_product(x: np.ndarray, alpha: FormField) -> FormField:
-    """Contraction of the vector field x[..., i] = X^i into the first slot of a k-form."""
-    k = alpha.degree
-    if k < 1:
-        raise ValueError("interior product needs degree >= 1")
-    per_axis = tables.apply_table(tables.interior_table(k), alpha.data)  # e_i . alpha
-    data = (x[..., None, :] @ per_axis)[..., 0, :]
-    return FormField(alpha.lattice, k - 1, data)
 

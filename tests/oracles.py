@@ -110,15 +110,17 @@ def interior_compressed(x, comp, k):
     return out[..., None] if k == 1 else compressed_from_full(out, k - 1)
 
 
-def covariant_derivative(data, variance, gamma, partials):
+def covariant_derivative(data, gamma, partials):
     """nabla_m t of a covariant tensor from the index formula, one einsum per slot.
 
-    partials[..., m, slots] holds d_m t, and variance has one "d" per slot.
-    Each (lower) slot subtracts Gamma^z_mx t[..z..].
+    partials[..., m, slots] holds d_m t. gamma[..., i, j, k] = Gamma^i_jk has
+    the grid axes of data, so the rank is what data has beyond them. Each
+    (lower) slot subtracts Gamma^z_mx t[..z..].
     """
-    letters = "abcdefg"[:len(variance)]
+    rank = data.ndim - (gamma.ndim - 3)
+    letters = "abcdefg"[:rank]
     out = np.array(partials, dtype=float)
-    for s in range(len(variance)):
+    for s in range(rank):
         x = letters[s]
         rest = letters[:s] + "z" + letters[s + 1:]
         out = out - np.einsum(f"...zm{x},...{rest}->...m{letters}", gamma, data)

@@ -7,8 +7,8 @@ import pytest
 
 from g2flow import cli
 from g2flow import io as ckpt
-from g2flow.checks import run_identity_suite
-from g2flow.g2algebra import PHI0
+from g2flow import g2algebra as g2
+from g2flow.checks import CHECKS, SuiteContext, run_check, run_identity_suite
 from g2flow.tables import index_position
 
 TWO_PI = 2.0 * np.pi
@@ -58,14 +58,17 @@ def test_check_passes_and_writes_report(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_check_mutation_fails_with_named_identity(tmp_path, capsys):
-    code = cli.main(["check", "--seed", "0", "--n-random", "30",
-                     "--mutate", "psi0_sign"])
+def test_check_mutation_fails_with_named_identity(monkeypatch, capsys):
+    # psi0 with its e4567 sign flipped: the star of it is no longer the model
+    # 3-form, which breaks the i_phi(g) = 3 phi battery
+    psi0 = g2.PSI0.copy()
+    psi0[index_position(4)[(3, 4, 5, 6)]] *= -1.0
+    monkeypatch.setattr(g2, "PSI0", psi0)
+    code = cli.main(["check", "--seed", "0", "--n-random", "30"])
     assert code == 1
     out = capsys.readouterr().out
     assert "identity check failed" in out
-    # the injected psi0 sign defect breaks the i_phi(g) = 3 phi battery
-    report = run_identity_suite(seed=0, n_random=30, mutate="psi0_sign")
+    report = run_identity_suite(seed=0, n_random=30)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "i_phi(metric) = 3 phi" in failed
 
@@ -92,18 +95,12 @@ def test_check_deterministic_same_seed(tmp_path):
 def test_check_verdicts_identical_across_100_seeds():
     # the pointwise battery at reduced batch size over 100 distinct seeds:
     # every seed must produce the identical all-pass verdict vector
-    from g2flow.checks import CHECKS, SuiteContext
-
-    pointwise = CHECKS[:14]  # the pointwise battery, through positivity
-    assert pointwise[-1][0] == "positivity detection"
+    pointwise = range(14)  # the pointwise battery, through positivity
+    assert CHECKS[pointwise[-1]][0] == "positivity detection"
     verdicts = set()
     for seed in range(100):
-        ctx = SuiteContext(seed, 25, None)
-        vec = []
-        for i, (name, tol, fn) in enumerate(pointwise):
-            rng = np.random.default_rng([seed, i])
-            vec.append(bool(fn(rng, ctx) <= tol))
-        verdicts.add(tuple(vec))
+        ctx = SuiteContext(seed, 25)
+        verdicts.add(tuple(run_check(ctx, i).passed for i in pointwise))
     assert verdicts == {tuple([True] * len(pointwise))}
 
 
@@ -167,7 +164,10 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"flow": {"kind": "laplacian"},
                                        "control": {"t_end": float("inf")}},
                                       {"output": {"directory": 5}},
-                                      {"output": {"plot": "no"}}],
+                                      {"output": {"plot": "no"}},
+                                      {"perturbation": [_mode(mode=[8, 0, 0, 0, 0, 0, 0])]},
+                                      {"perturbation": [_mode(mode=[-8, 0, 0, 0, 0, 0, 0])]},
+                                      {"perturbation": [_mode(mode=[17, 0, 0, 0, 0, 0, 0])]}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "checkpoint_every0",
@@ -179,7 +179,8 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "active_axes_float", "period_inf", "stop_tolerance_nan",
                               "stop_tolerance_str", "stop_tolerance_negative",
                               "period_true", "t_end_true", "dt_true", "cfl_true",
-                              "max_dt_true", "t_end_inf", "directory_int", "plot_str"])
+                              "max_dt_true", "t_end_inf", "directory_int", "plot_str",
+                              "mode_nyquist", "mode_negative_nyquist", "mode_aliased"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
@@ -330,6 +331,22 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
 
 
+@pytest.mark.parametrize("line", ['{"t": -1.0}', '{"l2_theta": 1.0}'], ids=["no_fields", "no_t"])
+def test_flow_resume_with_foreign_series_line_exit_2(tmp_path, capsys, line):
+    # valid JSON that is no sample: rejected before the first step, and the
+    # series is left as it was
+    path, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01, "checkpoint_every": 5})
+    assert cli.main(["flow", str(path)]) == 0
+    series = tmp_path / "out" / "series.jsonl"
+    series.write_text(line + "\n" + series.read_text())
+    before = series.read_bytes()
+    resume_from = tmp_path / "out" / "checkpoints" / "step_00000005.json"
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
+    assert "line 1 is not a sample" in capsys.readouterr().err
+    assert series.read_bytes() == before
+
+
 def _run_outputs(out):
     return ((out / "series.jsonl").read_bytes(), (out / "summary.json").read_bytes())
 
@@ -416,7 +433,7 @@ def test_flow_resume_from_checkpoint_off_the_flow_exit_2(tmp_path, capsys, bump,
     resume_from = sorted((tmp_path / "out" / "checkpoints").glob("step_*.json"))[-1]
     path, _ = write_config(tmp_path, control={**control, "t_end": 0.1})  # steps left
     phi, extra = ckpt.read_form_field(resume_from.with_suffix(""))
-    data = np.broadcast_to(PHI0, phi.data.shape).copy()
+    data = np.broadcast_to(g2.PHI0, phi.data.shape).copy()
     data[..., index_position(3)[(1, 2, 3)]] += 0.01 * bump(phi.lattice.coordinate(1))
     ckpt.write_form_field(resume_from.with_suffix(""), phi.replace_data(data), extra=extra)
     capsys.readouterr()

@@ -187,7 +187,7 @@ def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
         calls.append(alpha)
         return exterior_derivative(alpha)
 
-    for module in (lattice, g2, flow):  # every binding a snapshot could reach
+    for module in (lattice, flow):  # every binding a snapshot could reach
         monkeypatch.setattr(module, "exterior_derivative", counted)
     st = flow._validate(phi, ref)
     state = flow.FlowState(0.0, st, ref, "deturck")

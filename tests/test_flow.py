@@ -240,6 +240,27 @@ def test_accepted_step_calls_four_stages_and_one_validation(monkeypatch):
     assert calls == {"from_phi": 4, "flow_rhs": 4, "_validate": 1}
 
 
+def test_rejected_step_evaluates_k1_once(monkeypatch):
+    # dt = 10 loses positivity and dt = 5 is accepted; k1 = flow_rhs(state)
+    # does not depend on dt, so the start state is evaluated once, not per attempt
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-2)  # mode 1 on e^23
+    ref = g2.flat_reference(lat)
+    state = flow.FlowState(0.0, st, ref, "deturck")
+    flow_rhs = flow.flow_rhs
+    on_start = []
+
+    def counted(s):
+        if s is state:
+            on_start.append(s)
+        return flow_rhs(s)
+
+    monkeypatch.setattr(flow, "flow_rhs", counted)
+    out = flow.step_rk4(state, flow.StepControl(t_end=10.0, dt=10.0, max_halvings=3))
+    assert out.t == 5.0
+    assert len(on_start) == 1
+
+
 def test_temporal_self_convergence():
     # halving dt reduces the end-state error ~16x (classical 4th order);
     # the base dt keeps every resolved mode inside the stability region

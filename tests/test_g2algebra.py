@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2flow import g2algebra as g2
-from g2flow import riemann, tables
+from g2flow import checks, riemann, tables
 from g2flow.checks import _random_pullbacks as pullback_batch
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
@@ -222,14 +222,6 @@ def test_wedge_with_star_gives_inner_product(rng, curved_batch):
     assert np.max(np.abs(top[..., 0] - ip * m.vol)) < 1e-10 * np.max(np.abs(top))
 
 
-def test_structure_norms_are_seven(curved_batch):
-    phi, a, m, psi = curved_batch
-    n_phi = g2.form_inner(phi, phi, 3, m)
-    n_psi = g2.form_inner(psi, psi, 4, m)
-    assert np.max(np.abs(n_phi - 7.0)) < 1e-10
-    assert np.max(np.abs(n_psi - 7.0)) < 1e-10
-
-
 # --- type projections -----------------------------------------------------------
 
 def test_project_2form_eigenbasis(curved_batch):
@@ -240,7 +232,7 @@ def test_project_2form_eigenbasis(curved_batch):
         x[0, i] = 1.0
         xphi = np.einsum("iop,si,sp->so", tables.interior_table(3), x,
                          phi[:1])
-        b7, b14 = g2.project_2form(xphi, phi[:1], m[:1])
+        b7, b14 = checks.project_2form(xphi, phi[:1], m[:1])
         assert np.max(np.abs(b14)) < 1e-11
         assert np.max(np.abs(b7 - xphi)) < 1e-11
 
@@ -248,7 +240,7 @@ def test_project_2form_eigenbasis(curved_batch):
 def test_project_2form_defining_relations(rng, curved_batch):
     phi, a, m, psi = curved_batch
     beta = rng.standard_normal((200, 21))
-    b7, b14 = g2.project_2form(beta, phi, m)
+    b7, b14 = checks.project_2form(beta, phi, m)
     assert np.max(np.abs(b7 + b14 - beta)) < 1e-12
     # beta7 ^ phi = 2 * beta7 and beta14 ^ psi = 0
     w7 = g2.wedge_components(b7, 2, phi, 3)
@@ -270,7 +262,7 @@ def test_projector_matrices_2form_eigen_oracle(rng):
     eig = np.sort(np.linalg.eigvals(lmat).real)
     assert np.allclose(eig[:14], -1.0, atol=1e-9)
     assert np.allclose(eig[14:], 2.0, atol=1e-9)
-    b7, b14 = g2.project_2form(basis, phi, m)
+    b7, b14 = checks.project_2form(basis, phi, m)
     assert abs(np.trace(b7) - 7.0) < 1e-10
     assert abs(np.trace(b14) - 14.0) < 1e-10
 
@@ -344,16 +336,7 @@ def test_i_phi_lands_in_one_plus_27(rng, curved_batch):
 
 def test_j_phi_of_phi_is_six_metric(curved_batch):
     phi, a, m, psi = curved_batch
-    assert np.max(np.abs(g2.j_phi(phi, phi, m) - 6.0 * m.g)) < 1e-11
-
-
-def test_j_i_inverse_identity(rng, curved_batch):
-    phi, a, m, psi = curved_batch
-    h = rng.standard_normal((200, 7, 7))
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    jih = g2.j_phi(g2.i_phi(h, phi, m), phi, m)
-    tr = np.einsum("...ij,...ij->...", m.g_inv, h)
-    assert np.max(np.abs(jih - 4.0 * h - 2.0 * tr[..., None, None] * m.g)) < 1e-10
+    assert np.max(np.abs(checks.j_phi(phi, phi, m) - 6.0 * m.g)) < 1e-11
 
 
 def test_j_raw_antisymmetric_on_7_type(curved_batch):
@@ -362,21 +345,9 @@ def test_j_raw_antisymmetric_on_7_type(curved_batch):
         x = np.zeros((1, 7))
         x[0, i] = 1.0
         xpsi = np.einsum("iop,si,sp->so", tables.interior_table(4), x, psi[:1])
-        raw = g2.j_phi_raw(xpsi, phi[:1], m[:1])
+        raw = checks.j_phi_raw(xpsi, phi[:1], m[:1])
         sym = 0.5 * (raw + np.swapaxes(raw, -1, -2))
         assert np.max(np.abs(sym)) < 1e-10
-
-
-def test_laplacian_norm_identity(rng, curved_batch):
-    # |i_phi(h)|^2 = (tr h)^2 + 2 h_i^k h_k^i
-    phi, a, m, psi = curved_batch
-    h = rng.standard_normal((200, 7, 7))
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    ih = g2.i_phi(h, phi, m)
-    lhs = g2.form_inner(ih, ih, 3, m)
-    hm = np.einsum("...ia,...aj->...ij", h, m.g_inv)
-    rhs = np.einsum("...ii->...", hm) ** 2 + 2.0 * np.einsum("...ik,...ki->...", hm, hm)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
 # --- structure and torsion -------------------------------------------------------
@@ -416,19 +387,9 @@ def test_full_torsion_skew_for_closed_structure(rng):
     assert np.max(np.abs(t + np.swapaxes(t, -1, -2))) < 1e-10
 
 
-def test_full_torsion_reconstructs_nabla_phi(rng):
-    lat = Lattice((1, 2), 32, TWO_PI)
-    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    t = riemann.torsion_of(st)
-    t_up = np.einsum("...ia,...am->...im", t, st.g_inv)
-    recon = np.einsum("...im,...mjkl->...ijkl", t_up,
-                      g2.expand_form(st.psi.data, 4))
-    assert np.max(np.abs(riemann.nabla_phi_of(st) - g2.compress_form(recon, 3))) < 1e-9
-
-
 def test_torsion_forms_vanish_for_torsion_free():
     lat = Lattice((1,), 16, TWO_PI)
-    td = g2.extract_torsion_forms(g2.flat_reference(lat))
+    td = checks.extract_torsion_forms(g2.flat_reference(lat))
     for tau in (td.tau0, td.tau1, td.tau2, td.tau3):
         assert np.max(np.abs(tau)) < 1e-13
 
@@ -436,7 +397,7 @@ def test_torsion_forms_vanish_for_torsion_free():
 def test_torsion_forms_closed_case(rng):
     lat = Lattice((1, 2), 32, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    td = g2.extract_torsion_forms(st)
+    td = checks.extract_torsion_forms(st)
     assert np.max(np.abs(td.tau0)) < 1e-9
     assert np.max(np.abs(td.tau1)) < 1e-9
     assert np.max(np.abs(td.tau3)) < 1e-9
@@ -456,7 +417,7 @@ def test_torsion_forms_conformal_oracle():
     f = np.broadcast_to(np.exp(0.05 * np.sin(x1) + 0.03 * np.cos(x2)),
                         lat.grid_shape).copy()
     st = g2.G2Structure.from_phi(FormField(lat, 3, (f ** 3)[..., None] * g2.PHI0))
-    td = g2.extract_torsion_forms(st)
+    td = checks.extract_torsion_forms(st)
     dlf = lat.gradient(np.log(f))
     c = np.sum(td.tau1 * dlf) / np.sum(dlf * dlf)
     assert np.max(np.abs(td.tau1 - c * dlf)) < 1e-12
@@ -471,12 +432,12 @@ def test_torsion_form_assembly_generic(rng):
     lat = Lattice((1, 2), 32, TWO_PI)
     pert = band_limited_form(lat, 3, rng, n_modes=4, amp=5e-3)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
-    td = g2.extract_torsion_forms(st)
+    td = checks.extract_torsion_forms(st)
     # riemann.torsion_of is -tau2/2, closed phi only; nabla phi gives all of T
     t = g2.full_torsion(st, riemann.nabla_phi_of(st))
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
-    bar_tau3 = g2.j_phi(td.tau3, st.phi.data, st) / 4.0
+    bar_tau3 = checks.j_phi(td.tau3, st.phi.data, st) / 4.0
     assert np.max(np.abs(g2.i_phi(bar_tau3, st.phi.data, st) - td.tau3)) < 1e-12
     assembly = ((td.tau0[..., None, None] / 4.0) * st.g - tau1_phi - bar_tau3
                 - 0.5 * g2.expand_form(td.tau2, 2))
