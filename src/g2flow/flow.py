@@ -83,8 +83,8 @@ class StepControl:
             if not (is_number(value) and 0 < value < np.inf):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         tol = self.stop_tolerance
-        if not (is_number(tol) and tol >= 0):
-            raise ValueError(f"stop_tolerance must be a number >= 0, got {tol!r}")
+        if not (is_number(tol) and 0 <= tol < np.inf):
+            raise ValueError(f"stop_tolerance must be a finite number >= 0, got {tol!r}")
         for name in ("checkpoint_every", "max_halvings"):
             value = getattr(self, name)
             if not is_number(value, integer=True):
@@ -265,6 +265,10 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     an interrupted run: its first state is sampled iff step0 is a sample
     step, as the uninterrupted run sampled it. The stop test reads the last
     sample, so a resumed and an uninterrupted run stop at the same step.
+    After its snapshot, a sampled structure, initial included, caches only
+    interior_phi and the tau2 that k1 of the next step reads
+    (G2Structure.retain): the snapshot's geometry would otherwise stay
+    cached as long as the caller holds the structure.
     """
     from .diagnostics import diagnostic_snapshot
 
@@ -274,6 +278,7 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     def sample(st):
         """Record a snapshot; returns its l2_theta for the stop test."""
         rec = diagnostic_snapshot(st)
+        st.structure.retain("tau2")
         records.append(rec)
         if record_cb is not None:
             record_cb(rec)

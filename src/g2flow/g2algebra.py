@@ -301,6 +301,10 @@ class G2Structure(Metric):
     (see interior), and what the flow and riemann accessors add through
     cached(key, build) on first use: d phi, tau2 = d* phi, the connection,
     the torsion and the curvature.
+
+    An entry lives as long as the structure, unless retain drops it: after
+    each sample, flow.run_flow keeps only interior_phi and the tau2 that the
+    next step reads, so no sampled state carries its snapshot geometry on.
     """
 
     def __init__(self, phi: FormField, metric: Metric, psi: FormField, interior_phi: np.ndarray):
@@ -331,6 +335,11 @@ class G2Structure(Metric):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    def retain(self, *keys: str) -> None:
+        """Drop every cached entry but interior_phi and keys; a dropped one is rebuilt on use."""
+        for key in set(self._cache) - {"interior_phi", *keys}:
+            del self._cache[key]
 
     def interior(self, v: np.ndarray) -> FormField:
         """The 2-form v . phi of the vector field v[..., i] = V^i, from the cached u."""

@@ -22,6 +22,12 @@ from .lattice import Lattice
 _PAIRS = tables.compress_positions(2)
 _SWAPPED = _PAIRS % 7 * 7 + _PAIRS // 7
 
+# Sites per block of curvature and lambda_monitor: a block's (7, 7, 7, 7)
+# intermediate is 32 * 2401 doubles, 0.6 MB. Warm at 3-D n=8 on a 2-CPU
+# Xeon, 16 to 64 sites ran fastest and the whole grid slowest (curvature
+# 10 against 23 ms per call).
+_SITE_BLOCK = 32
+
 
 @dataclass
 class CurvatureData:
@@ -100,27 +106,43 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
     K = (k < l) is the difference of two gathers from it, Rm = g @ R over
     the upper index, and Ric_jl = R^k_jkl reads the pair through
     interior_table(2): R^k_jkl = sum_K T[k, l, K] R^k_jK.
+
+    The dGamma partials are taken over the whole grid, one per active axis,
+    because they differentiate along grid axes. Everything after them is
+    per site and runs on blocks of _SITE_BLOCK sites, so the 7^4 array
+    exists for one block at a time; each site's arithmetic is the same
+    for any block size.
     """
     batch = gamma.shape[:-3]
-    # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
-    # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
-    #         = a[i, k, l, j] - a[i, l, k, j].
-    a = gamma.reshape(batch + (49, 7)) @ gamma.reshape(batch + (7, 49))
-    a = a.reshape(batch + (7, 7, 7, 7))
-    for axis in lattice.active_axes:
-        a[..., :, axis - 1, :, :] += lattice.partial_array(gamma, axis)
+    dgamma = [(axis - 1, lattice.partial_array(gamma, axis).reshape(-1, 7, 7, 7))
+              for axis in lattice.active_axes]
+    gamma = gamma.reshape(-1, 7, 7, 7)
+    g = metric.g.reshape(-1, 7, 7)
+    sites = gamma.shape[0]
+    rm = np.empty((sites, 7, 7, 21))
+    ric = np.empty((sites, 7, 7))
     # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
     # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
     ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
-    a = a.reshape(batch + (2401,))
-    r_up = np.take(a, ij + 7 * _PAIRS, axis=-1) - np.take(a, ij + 7 * _SWAPPED, axis=-1)
-    del a
-    rm = (metric.g @ r_up.reshape(batch + (7, 147))).reshape(r_up.shape)
-    # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
-    ric = np.swapaxes(r_up, -3, -2).reshape(batch + (7, 147)) @ ric_table
+    for start in range(0, sites, _SITE_BLOCK):
+        block = slice(start, start + _SITE_BLOCK)
+        gb = gamma[block]
+        # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
+        # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
+        #         = a[i, k, l, j] - a[i, l, k, j].
+        a = gb.reshape(-1, 49, 7) @ gb.reshape(-1, 7, 49)
+        a = a.reshape(-1, 7, 7, 7, 7)
+        for k, partial in dgamma:
+            a[:, :, k, :, :] += partial[block]
+        a = a.reshape(-1, 2401)
+        r_up = np.take(a, ij + 7 * _PAIRS, axis=-1) - np.take(a, ij + 7 * _SWAPPED, axis=-1)
+        rm[block] = (g[block] @ r_up.reshape(-1, 7, 147)).reshape(r_up.shape)
+        # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
+        ric[block] = np.swapaxes(r_up, -3, -2).reshape(-1, 7, 147) @ ric_table
+    ric = ric.reshape(batch + (7, 7))
     scalar = np.einsum("...jl,...jl->...", metric.g_inv, ric)
-    return CurvatureData(rm=rm, ric=ric, scalar=scalar)
+    return CurvatureData(rm=rm.reshape(batch + (7, 7, 21)), ric=ric, scalar=scalar)
 
 
 def tensor_norm_sq(t: np.ndarray, metric: g2algebra.Metric) -> np.ndarray:
@@ -215,11 +237,19 @@ def lambda_monitor(structure) -> np.ndarray:
 
     |Rm|^2 = 2 sum Rm_ij,K Rm^ij,K over the increasing pairs K of the
     2-form-valued Rm: i and j are raised with g_inv, the pair with
-    _pair_metric(g_inv).
+    _pair_metric(g_inv). The raise and the contraction run on blocks of
+    _SITE_BLOCK sites, as in curvature, so the raised copies of Rm exist
+    for one block at a time.
     """
     rm = curvature_of(structure).rm
-    g_inv = structure.g_inv
-    rm_up = g2algebra.contract_slots(rm, (g_inv, g_inv, _pair_metric(g_inv)))
-    rm_sq = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm)
+    batch = rm.shape[:-3]
+    rm = rm.reshape(-1, 7, 7, 21)
+    g_inv = structure.g_inv.reshape(-1, 7, 7)
+    rm_sq = np.empty(rm.shape[0])
+    for start in range(0, rm.shape[0], _SITE_BLOCK):
+        block = slice(start, start + _SITE_BLOCK)
+        gb = g_inv[block]
+        rm_up = g2algebra.contract_slots(rm[block], (gb, gb, _pair_metric(gb)))
+        rm_sq[block] = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm[block])
     nt_sq = tensor_norm_sq(nabla_torsion_of(structure), structure)
-    return np.sqrt(rm_sq + nt_sq)
+    return np.sqrt(rm_sq.reshape(batch) + nt_sq)

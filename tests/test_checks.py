@@ -1,12 +1,15 @@
 """The identity suite case by case, and the defects its checks must catch.
 
 Each defect was caught by a tier-1 restatement of a check's identity, since
-deleted; the check must fail under it in the restatement's place.
+deleted; the check must fail under it in the restatement's place. The two
+derivative_matrix defects are the same on every grid line, which only the
+Stokes check's modes constant along the other axis can see.
 """
 
+import numpy as np
 import pytest
 
-from g2flow import checks, riemann
+from g2flow import checks, lattice, riemann
 from g2flow import g2algebra as g2
 from g2flow.lattice import Lattice
 
@@ -36,12 +39,26 @@ def _first_site_dropped(partial_array):
     return dropped
 
 
+def _identity_added(derivative_matrix):
+    return lambda scheme, n, period: derivative_matrix(scheme, n, period) + 1e-3 * np.eye(n)
+
+
+def _one_entry_changed(derivative_matrix):
+    def changed(scheme, n, period):
+        out = derivative_matrix(scheme, n, period).copy()
+        out[0, 1] += 1e-3
+        return out
+    return changed
+
+
 # (owner, attribute, its mutant, the check that must fail)
 DEFECTS = [
     (checks, "j_phi_raw", _scaled(1.001), "j_phi(i_phi(h)) = 4h + 2tr(h) metric"),
     (g2, "i_phi", _scaled(1.001), "|i_phi(h)|^2 = (tr h)^2 + 2 h.h"),
     (g2, "_METRIC_SCALE", lambda scale: 1.001 * scale, "|phi|^2 = |psi|^2 = 7"),
     (Lattice, "partial_array", _first_site_dropped, "Stokes on the closed torus"),
+    (lattice, "derivative_matrix", _identity_added, "Stokes on the closed torus"),
+    (lattice, "derivative_matrix", _one_entry_changed, "Stokes on the closed torus"),
     (riemann, "christoffels", _scaled(0.99), "metric compatibility"),
     (riemann, "christoffels", _scaled(0.99), "Riemann tensor symmetries"),
     (riemann, "christoffels", _scaled(0.99), "Ricci symmetry + contracted Bianchi"),
@@ -50,8 +67,13 @@ DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("owner, attr, mutant, name", DEFECTS,
-                         ids=[f"{attr}: {name}" for _, attr, _, name in DEFECTS])
+IDS = [f"{attr}: {name}" for _, attr, _, name in DEFECTS]
+# an attribute with two defects for one check is told apart by its mutant
+IDS = [f"{i} ({mutant.__name__.lstrip('_')})" if IDS.count(i) > 1 else i
+       for i, (_, _, mutant, _) in zip(IDS, DEFECTS)]
+
+
+@pytest.mark.parametrize("owner, attr, mutant, name", DEFECTS, ids=IDS)
 def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
     monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
     result = checks.run_check(checks.SuiteContext(0, 256), NAMES.index(name))

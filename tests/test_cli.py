@@ -156,6 +156,7 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"stop_tolerance": float("nan")}},
                                       {"control": {"stop_tolerance": "x"}},
                                       {"control": {"stop_tolerance": -1.0}},
+                                      {"control": {"stop_tolerance": float("inf")}},
                                       {"lattice": {"period": True}},
                                       {"control": {"t_end": True}},
                                       {"control": {"dt": True}},
@@ -178,8 +179,8 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "amplitude_nan", "mode_float", "component_float",
                               "active_axes_float", "period_inf", "stop_tolerance_nan",
                               "stop_tolerance_str", "stop_tolerance_negative",
-                              "period_true", "t_end_true", "dt_true", "cfl_true",
-                              "max_dt_true", "t_end_inf", "directory_int", "plot_str",
+                              "stop_tolerance_inf", "period_true", "t_end_true", "dt_true",
+                              "cfl_true", "max_dt_true", "t_end_inf", "directory_int", "plot_str",
                               "mode_nyquist", "mode_negative_nyquist", "mode_aliased"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)

@@ -357,6 +357,19 @@ def test_step_clamped_to_short_remainder_lands_on_t_end():
     assert flow.step_rk4(state, control).t == 0.1
 
 
+def test_sampled_structures_keep_only_what_the_next_step_reads(rng):
+    # the snapshot's d phi, connection, curvature, torsion and nabla T go
+    # once it is recorded; u = e_i . phi and the tau2 that k1 reads stay
+    lat = Lattice((1, 2), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    control = flow.StepControl(t_end=3 * 2.0 ** -6, dt=2.0 ** -6)
+    final, records = flow.run_flow(st, g2.flat_reference(lat), "deturck", control,
+                                   sample_interval=1)
+    assert len(records) == 4
+    for structure in (st, final.structure):
+        assert set(structure._cache) == {"interior_phi", "tau2"}
+
+
 def test_resumed_run_flow_snapshots_only_the_samples_it_records(monkeypatch):
     # a resume off the sample grid takes no snapshot at the resume point
     lat = Lattice((1,), 16, TWO_PI)

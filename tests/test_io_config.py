@@ -163,7 +163,7 @@ def test_step_control_validates_itself():
     with pytest.raises(ValueError, match="max_halvings"):
         StepControl(max_halvings=-1)
     StepControl(max_halvings=0)  # a single attempt per step is a valid policy
-    for value in ("x", float("nan"), -1.0, True):
+    for value in ("x", float("nan"), -1.0, True, float("inf")):
         with pytest.raises(ValueError, match="stop_tolerance"):
             StepControl(stop_tolerance=value)
     StepControl(stop_tolerance=0)  # run to t_end whatever theta does

@@ -1,5 +1,7 @@
 """Connection, curvature, gauge vector and monitor quantities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,8 @@ def test_covariant_derivative_form_matches_full_array(closed_structure, rng, fie
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd4"])
 def test_curvature_matches_index_formula(rng, scheme):
-    lat = Lattice((2, 3), 8, TWO_PI, scheme=scheme)
+    # 100 sites are no multiple of riemann._SITE_BLOCK: the last block is short
+    lat = Lattice((2, 3), 10, TWO_PI, scheme=scheme)
     gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
     a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
     g = np.swapaxes(a, -1, -2) @ a
@@ -128,6 +131,47 @@ def test_curvature_matches_index_formula(rng, scheme):
     rm, ric, scalar = oracles.curvature(gamma, lat.gradient(gamma), g, g_inv)
     for got, want in ((g2.expand_form(curv.rm, 2), rm), (curv.ric, ric), (curv.scalar, scalar)):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
+    lat = Lattice((1, 2), 10, TWO_PI)
+    sites = np.prod(lat.grid_shape)
+    assert sites % riemann._SITE_BLOCK != 0
+    gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
+    a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
+    g = np.swapaxes(a, -1, -2) @ a
+    metric = _metric(g, np.linalg.inv(g))
+    phi = closed_perturbed_phi(lat, rng, amp=2e-2)
+    blocked = riemann.curvature(gamma, metric, lat)
+    lam = riemann.lambda_monitor(g2.G2Structure.from_phi(phi))
+    monkeypatch.setattr(riemann, "_SITE_BLOCK", sites + 1)
+    whole = riemann.curvature(gamma, metric, lat)
+    for name in ("rm", "ric", "scalar"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+    assert np.array_equal(lam, riemann.lambda_monitor(g2.G2Structure.from_phi(phi)))
+
+
+def test_curvature_and_monitor_peaks_stay_below_a_grid_of_7_to_the_4(rng):
+    # at 3-D n=8 one (..., 7, 7, 7, 7) array is 9.4 MiB; whole-grid
+    # evaluation peaked at 13.2 MiB past its outputs in curvature and at
+    # 9.8 MiB, three raised copies of Rm, in lambda_monitor
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    gamma = riemann.connection_of(st)
+    riemann.nabla_torsion_of(st)
+    tracemalloc.start()
+    try:
+        curv = riemann.curvature_of(st)
+        curv_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        riemann.lambda_monitor(st)
+        monitor_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = curv.rm.nbytes + curv.ric.nbytes + curv.scalar.nbytes
+    assert curv_peak - returned < gamma.nbytes * 7  # 7^4 doubles per site
+    assert monitor_peak < curv.rm.nbytes  # less than one raised copy of Rm
 
 
 # --- curvature -------------------------------------------------------------------
