@@ -102,7 +102,7 @@ def _write_summary(path, state, records, steps, stop_reason):
     series = [(r.t, r.l2_theta) for r in records]
     positive = [s for s in series if s[1] > 0]
     try:
-        fit = diagnostics.fit_decay_rate(positive, lambda1=lam1)
+        fit = diagnostics.fit_decay_rate(positive)
         bound_ok = all(r.l2_theta <= 1.05 * records[0].l2_theta * np.exp(-0.5 * lam1 * r.t)
                        for r in records)
         summary["decay"] = {
@@ -155,10 +155,11 @@ def _resume_state(path, cfg):
         raise ConfigError(f"checkpoint deturck_a {extra['deturck_a']!r} is not the "
                           "fixed DeTurck gauge (0)")
     t, step = extra["t"], extra["step"]
-    if not (is_number(t) and np.isfinite(t)):
-        raise ConfigError(f"checkpoint t {t!r} is not a finite number")
-    if not is_number(step, integer=True):
-        raise ConfigError(f"checkpoint step {step!r} is not an integer")
+    t_max = cfg.control.t_end * (1.0 + flow.END_RTOL)  # a step may pass t_end by roundoff
+    if not (is_number(t) and 0.0 <= t <= t_max):
+        raise ConfigError(f"checkpoint t {t!r} is not a number in [0, t_end = {t_max:.6g}]")
+    if not (is_number(step, integer=True) and step >= 0):
+        raise ConfigError(f"checkpoint step {step!r} is not an integer >= 0")
     # The flow's invariants: positive, closed, and in the reference's class.
     try:
         initial = flow._validate(phi, flat_reference(cfg.lattice))

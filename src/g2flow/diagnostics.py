@@ -36,7 +36,7 @@ class TimeSeriesRecord:
     scalar_identity_residual: float  # max |R + |T|^2|
     lambda_max: float              # max (|Rm|^2 + |nabla T|^2)^(1/2)
     harmonic_residual: float       # max |grid mean of theta| per component
-    rhs_cross_residual: float      # relative gap between the two RHS assemblies
+    rhs_cross_residual: float      # relative gap between the flow's d d* phi and i_phi(h)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -58,7 +58,6 @@ class DecayFit:
     window: tuple
     fitted_rate: float
     r_squared: float
-    lambda1: float
 
 
 def total_volume(structure: G2Structure) -> float:
@@ -140,7 +139,7 @@ def rayleigh_lowest_mode(lattice: Lattice) -> float:
     return num / den
 
 
-def fit_decay_rate(series, window=None, lambda1: float = None) -> DecayFit:
+def fit_decay_rate(series, window=None) -> DecayFit:
     """Least-squares slope of log(l2_theta) vs t; fitted_rate is -slope.
 
     series is a sequence of (t, l2_theta) pairs; the default window keeps the
@@ -165,8 +164,7 @@ def fit_decay_rate(series, window=None, lambda1: float = None) -> DecayFit:
     ss_tot = float(np.sum((logy - logy.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return DecayFit(window=(float(window[0]), float(window[1])),
-                    fitted_rate=float(-coeffs[0]), r_squared=r_sq,
-                    lambda1=lambda1 if lambda1 is not None else float("nan"))
+                    fitted_rate=float(-coeffs[0]), r_squared=r_sq)
 
 
 def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:

@@ -113,6 +113,19 @@ def dphi_of(structure: G2Structure) -> FormField:
     return FormField(structure.lattice, 4, data)
 
 
+def require_closed(structure: G2Structure) -> None:
+    """Raise NotClosed unless max|d phi| <= CLOSED_TOL max|phi|.
+
+    The one closedness rule: _validate applies it to every accepted state,
+    and each closed-only formula (both Laplacians of phi, riemann.torsion_of)
+    to its input. flow_rhs does not, because an RK4 stage structure has no
+    d phi to read.
+    """
+    dphi_max = dphi_of(structure).max_norm()
+    if dphi_max > CLOSED_TOL * max(structure.phi.max_norm(), 1e-300):
+        raise NotClosed(f"closedness violated: {dphi_max:.3e}")
+
+
 def codifferential(structure: G2Structure, alpha: FormField) -> FormField:
     """d* = (-1)^k * d * on k-forms of the 7-torus (adjoint of d)."""
     sign = -1.0 if alpha.degree % 2 else 1.0
@@ -132,13 +145,14 @@ def hodge_laplacian(structure: G2Structure, alpha: FormField) -> FormField:
 
 
 def laplacian_phi_hodge(structure: G2Structure) -> FormField:
-    """Hodge Laplacian of phi: d d* phi + d* d phi with d* = (-1)^k * d * .
+    """Hodge Laplacian of a closed phi: d d* phi, the Laplacian flow's own velocity.
 
-    d* phi is coexact_part, which reads the structure's psi = *phi; d* d phi
-    is the general codifferential of the 4-form d phi.
+    d* d phi vanishes on closed phi, so this is d of coexact_part, the
+    d tau2 that flow_rhs integrates for kind "laplacian". Raises NotClosed
+    on any other phi; hodge_laplacian assembles d d* + d* d for any form.
     """
-    return (exterior_derivative(coexact_part(structure))
-            + codifferential(structure, dphi_of(structure)))
+    require_closed(structure)
+    return exterior_derivative(coexact_part(structure))
 
 
 def intrinsic_h(structure: G2Structure) -> np.ndarray:
@@ -163,10 +177,8 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
 
 
 def laplacian_phi_intrinsic(structure: G2Structure) -> FormField:
-    """i_phi(h) form of the Laplacian; valid only for closed structures."""
-    dphi_max = dphi_of(structure).max_norm()
-    if dphi_max > 1e-6 * max(structure.phi.max_norm(), 1e-300):
-        raise NotClosed(f"dphi max-norm {dphi_max:.3e} too large for the closed formula")
+    """i_phi(h) form of the Laplacian; raises NotClosed unless phi is closed."""
+    require_closed(structure)
     data = i_phi(intrinsic_h(structure), structure.phi.data, structure)
     return FormField(structure.lattice, 3, data)
 
@@ -214,16 +226,13 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
 def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
     """Re-validate the FlowState invariants; raises on violation.
 
-    The returned structure carries its d phi, which the snapshot's
-    Laplacians read again.
+    The returned structure carries its d phi, which the closedness guard of
+    the snapshot's Laplacians and torsion reads again.
     """
     structure = G2Structure.from_phi(phi)  # NotPositive on positivity loss
-    scale = max(phi.max_norm(), 1e-300)
-    dphi_max = dphi_of(structure).max_norm()
-    if dphi_max > CLOSED_TOL * scale:
-        raise NotClosed(f"closedness violated: {dphi_max:.3e}")
+    require_closed(structure)
     theta_mean = phi.lattice.site_mean(phi.data - reference.phi.data)
-    if np.max(np.abs(theta_mean)) > HARMONIC_TOL * scale:
+    if np.max(np.abs(theta_mean)) > HARMONIC_TOL * max(phi.max_norm(), 1e-300):
         raise NotClosed(f"harmonic part drifted: {np.max(np.abs(theta_mean)):.3e}")
     return structure
 

@@ -175,11 +175,13 @@ def torsion_of(structure) -> np.ndarray:
 
     Holds only for closed phi, whose torsion is the 14-type 2-form
     tau2 = d* phi, the flow's own potential (flow.coexact_part, cached with
-    the structure). A non-closed structure's torsion has further parts; it
-    is g2algebra.full_torsion(structure, nabla_phi_of(structure)).
+    the structure); raises flow.NotClosed on any other phi
+    (flow.require_closed). A non-closed structure's torsion has further
+    parts; it is g2algebra.full_torsion(structure, nabla_phi_of(structure)).
     """
-    from .flow import coexact_part  # flow imports this module
+    from .flow import coexact_part, require_closed  # flow imports this module
 
+    require_closed(structure)
     return structure.cached(
         "torsion", lambda: -0.5 * g2algebra.expand_form(coexact_part(structure).data, 2))
 

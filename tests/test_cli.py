@@ -454,7 +454,10 @@ def test_flow_resume_from_checkpoint_off_the_flow_exit_2(tmp_path, capsys, bump,
                                                  (None, "blob", 5),
                                                  (None, "extra", 5),
                                                  (None, "extra", ["t", "step", "kind"]),
-                                                 (None, None, [1, 2])])
+                                                 (None, None, [1, 2]),
+                                                 ("extra", "step", -3),
+                                                 ("extra", "t", 1e9),
+                                                 ("extra", "t", -0.5)])
 def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, key, value):
     path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
                                               "checkpoint_every": 5})

@@ -66,10 +66,9 @@ def test_fd4_lambda1_is_least_discrete_symbol(n, k_low, period):
 def test_fit_decay_rate_exact_exponential():
     ts = np.linspace(0.0, 5.0, 60)
     series = [(t, np.exp(-3.0 * t)) for t in ts]
-    fit = diagnostics.fit_decay_rate(series, window=(0.0, 5.0), lambda1=1.0)
+    fit = diagnostics.fit_decay_rate(series, window=(0.0, 5.0))
     assert abs(fit.fitted_rate - 3.0) < 1e-9
     assert abs(fit.r_squared - 1.0) < 1e-12
-    assert fit.lambda1 == 1.0
 
 
 def test_fit_decay_rate_perturbed_exponential():
@@ -176,8 +175,9 @@ def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
 
 
 def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
-    # the step check takes d phi and the snapshot d psi; both Laplacians and
-    # the next step's first RK4 stage read them from the structure
+    # the step check takes d phi and the snapshot d psi; the closedness guard
+    # of both Laplacians and the torsion reads d phi, and the Hodge Laplacian
+    # and the next step's first RK4 stage read d* phi, from the structure
     lat = Lattice((1, 2), 8, TWO_PI)
     ref = g2.flat_reference(lat)
     phi = closed_perturbed_phi(lat, rng)
@@ -195,6 +195,43 @@ def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
     flow.flow_rhs(state)
     assert [a is st.phi for a in calls].count(True) == 1
     assert [a is st.psi for a in calls].count(True) == 1
+
+
+def test_snapshot_takes_no_codifferential_and_stars_no_4form(rng, monkeypatch):
+    # d* d phi = 0 on closed phi: the Hodge Laplacian is d of the cached
+    # d* phi, and the one star a snapshot takes is that of the 5-form d psi
+    codifferentials, star_degrees = [], []
+    original_codifferential, original_star = flow.codifferential, g2.hodge_star
+
+    def counted_codifferential(structure, alpha):
+        codifferentials.append(alpha.degree)
+        return original_codifferential(structure, alpha)
+
+    def counted_star(alpha, k, metric=None):
+        star_degrees.append(k)
+        return original_star(alpha, k, metric)
+
+    monkeypatch.setattr(flow, "codifferential", counted_codifferential)
+    monkeypatch.setattr(g2, "hodge_star", counted_star)
+    lat = Lattice((1, 2), 8, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
+    assert codifferentials == []
+    assert star_degrees == [5]
+
+
+def test_rhs_cross_residual_compares_the_flow_rhs(rng):
+    # the snapshot checks the Delta phi the laplacian flow integrates; at
+    # n = 16 the gap is resolved (about 6e-5), so a roundoff-sized term added
+    # to either side, such as a d* d phi of closed phi, shows in its bits
+    lat = Lattice((1, 2), 16, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=2e-2))
+    state = flow.FlowState(0.0, st, g2.flat_reference(lat), "laplacian")
+    rec = diagnostics.diagnostic_snapshot(state)
+    rhs = flow.flow_rhs(state)
+    gap = (rhs - flow.laplacian_phi_intrinsic(st)).max_norm() / rhs.max_norm()
+    assert rec.rhs_cross_residual == gap
+    assert rec.rhs_cross_residual > 0.0
 
 
 def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):

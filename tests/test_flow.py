@@ -96,12 +96,24 @@ def test_laplacian_small_perturbation_first_order_oracle():
     assert np.max(np.abs(lap.data - theta0.data)) > eps
 
 
-def test_intrinsic_requires_closed(rng):
+@pytest.mark.parametrize(
+    "formula", [flow.laplacian_phi_intrinsic, flow.laplacian_phi_hodge, riemann.torsion_of],
+    ids=["laplacian_phi_intrinsic", "laplacian_phi_hodge", "torsion_of"])
+def test_intrinsic_requires_closed(rng, formula):
+    # a closed phi passes; a non-closed bump raises, from max|d phi| of 1e-2
+    # max|phi| down to 1e-8, between CLOSED_TOL (1e-9) and 1e-6, so that a
+    # closed-only formula accepts no form that _validate rejects
     lat = Lattice((1, 2), 16, TWO_PI)
-    pert = band_limited_form(lat, 3, rng, amp=1e-2)
-    st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
-    with pytest.raises(flow.NotClosed):
-        flow.laplacian_phi_intrinsic(st)
+    closed = closed_perturbed_phi(lat, rng, amp=1e-2)
+    formula(g2.G2Structure.from_phi(closed))
+    bump = band_limited_form(lat, 3, rng)
+    bump = bump * (closed.max_norm() / exterior_derivative(bump).max_norm())
+    for rel_dphi in (1e-2, 1e-8):
+        phi = closed + rel_dphi * bump
+        with pytest.raises(flow.NotClosed, match="closedness violated"):
+            flow._validate(phi, g2.flat_reference(lat))
+        with pytest.raises(flow.NotClosed, match="closedness violated"):
+            formula(g2.G2Structure.from_phi(phi))
 
 
 def test_hodge_vs_intrinsic_cross_validation(closed_structure_32):

@@ -11,7 +11,7 @@ from g2flow.checks import _random_pullbacks
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
 import oracles
-from conftest import closed_perturbed_phi
+from conftest import band_limited_form, closed_perturbed_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -332,13 +332,14 @@ def test_lambda_monitor_zero_at_flat():
 
 
 def test_lambda_monitor_matches_full_tensor_norms(rng):
-    # a constant GL+ pullback puts the metric far from the identity, where
-    # both products of every 2 x 2 minor that raises the pair of Rm count
+    # a^* phi0 + d beta for a constant GL+ map a puts the metric far from the
+    # identity, where both products of every 2 x 2 minor that raises the pair
+    # of Rm count; the form stays closed, as the torsion T = -tau2/2 needs
     lat = Lattice((1, 2), 16, TWO_PI)
     a_t = _random_pullbacks(rng, 1)[0].T
-    phi = closed_perturbed_phi(lat, rng, amp=2e-2)
-    full = g2.contract_slots(g2.expand_form(phi.data, 3), (a_t,) * 3)
-    st = g2.G2Structure.from_phi(FormField(lat, 3, g2.compress_form(full, 3)))
+    pulled = g2.compress_form(g2.contract_slots(g2.expand_form(g2.PHI0, 3), (a_t,) * 3), 3)
+    beta = band_limited_form(lat, 2, rng, n_modes=4, amp=2e-2)
+    st = g2.G2Structure.from_phi(FormField(lat, 3, pulled + exterior_derivative(beta).data))
     assert np.max(np.abs(st.g - np.eye(7))) > 0.1
     rm = g2.expand_form(riemann.curvature_of(st).rm, 2)
     want = np.sqrt(riemann.tensor_norm_sq(rm, st)
