@@ -6,7 +6,8 @@ Inputs are drawn from a seeded generator, so repeated runs with the same seed
 are bit-identical. The base 3-form of the pointwise battery is recovered from
 the stored 4-form via the euclidean star, which cross-anchors the two model
 tables. The G2 algebra that only the checks use lives here too: j_phi, the
-2-form type projection and the torsion forms tau0..tau3.
+2-form type projection, the torsion forms tau0..tau3 and nabla phi, which the
+three torsion checks compare with the flow's T = -tau2/2.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import g2algebra as g2
 from . import riemann, tables
+from .flow import hodge_laplacian
 from .lattice import FormField, Lattice, exterior_derivative
 
 POINTWISE_TOL = 1e-10
@@ -60,6 +62,39 @@ def project_2form(beta: np.ndarray, phi: np.ndarray, metric: g2.Metric):
     l_beta = g2.hodge_star(w, 5, metric)
     beta7 = (l_beta + beta) / 3.0
     return beta7, beta - beta7
+
+
+def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
+                              lattice: Lattice) -> np.ndarray:
+    """Covariant derivative of a compressed k-form field, k >= 1: out[..., m, I].
+
+    The connection acts on forms as a derivation,
+    nabla_m alpha = d_m alpha - sum_{x,z} Gamma^z_mx e^x ^ (e_z . alpha),
+    whose increasing components are those of the index formula
+    nabla_m alpha_a1..ak = d_m alpha_a1..ak - sum_s Gamma^z_m(a_s) alpha_a1..z..ak,
+    with z in slot s. u = e_z . alpha is one interior-table gemm; Gamma
+    arranged [(m, x), z] contracts z in one batched (49, 7) @ (7, C_{k-1})
+    matmul per site; and e^x ^ . contracts (x, J) against the same table
+    read as a (7 C_{k-1}, C_k) matrix.
+    """
+    interior = tables.interior_table(k)
+    out = lattice.gradient(alpha)
+    batch = gamma.shape[:-3]
+    conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
+    v = conn @ tables.apply_table(interior, alpha)  # v[m, x, J]
+    wedge = interior.reshape(-1, interior.shape[-1])
+    out -= v.reshape(batch + (7, wedge.shape[0])) @ wedge
+    return out
+
+
+def nabla_phi_of(structure: g2.G2Structure) -> np.ndarray:
+    """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached.
+
+    g2algebra.full_torsion reads it; the flow and its snapshot take T from
+    d* phi (riemann.torsion_of), and the torsion checks compare the two.
+    """
+    return structure.cached("nabla_phi", lambda: covariant_derivative_form(
+        structure.phi.data, 3, riemann.connection_of(structure), structure.lattice))
 
 
 @dataclass
@@ -300,9 +335,10 @@ def _check_leibniz(rng, ctx):
         a = _band_limited(lat, k, rng)
         b = _band_limited(lat, l, rng)
         da, db = exterior_derivative(a).data, exterior_derivative(b).data
-        lhs = exterior_derivative(FormField(lat, k + l, tables.wedge_arrays(a.data, k, b.data, l)))
-        rhs = (tables.wedge_arrays(da, k + 1, b.data, l)
-               + ((-1.0) ** k) * tables.wedge_arrays(a.data, k, db, l + 1))
+        ab = FormField(lat, k + l, g2.wedge_components(a.data, k, b.data, l))
+        lhs = exterior_derivative(ab)
+        rhs = (g2.wedge_components(da, k + 1, b.data, l)
+               + ((-1.0) ** k) * g2.wedge_components(a.data, k, db, l + 1))
         worst = max(worst, float(np.max(np.abs(lhs.data - rhs))) / max(lhs.max_norm(), 1e-300))
     return worst
 
@@ -336,8 +372,6 @@ def _check_fd4_order(rng, ctx):
 
 
 def _check_flat_weitzenboeck(rng, ctx):
-    from .flow import hodge_laplacian
-
     lat = Lattice((1, 2), 16, 2.0 * np.pi)
     ref = g2.flat_reference(lat)
     worst = 0.0
@@ -393,7 +427,7 @@ def _check_riemann_symmetries(rng, ctx):
 
 def _check_torsion_closed(rng, ctx):
     st, lat = ctx.closed_structure()
-    t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # torsion_of is skew by construction
+    t = g2.full_torsion(st, nabla_phi_of(st))  # torsion_of is skew by construction
     td = extract_torsion_forms(st)
     worst = float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
     worst = max(worst, float(np.max(np.abs(t + 0.5 * g2.expand_form(td.tau2, 2)))))
@@ -407,7 +441,7 @@ def _check_torsion_closed(rng, ctx):
 def _check_torsion_reconstruction(rng, ctx):
     st, lat = ctx.closed_structure()
     t = riemann.torsion_of(st)
-    nphi = riemann.nabla_phi_of(st)
+    nphi = nabla_phi_of(st)
     t_up = np.einsum("...ia,...am->...im", t, st.g_inv)
     recon = np.einsum("...im,...mjkl->...ijkl", t_up, g2.expand_form(st.psi.data, 4))
     return float(np.max(np.abs(nphi - g2.compress_form(recon, 3))))
@@ -418,7 +452,7 @@ def _check_torsion_assembly(rng, ctx):
     pert = _band_limited(lat, 3, rng, n_modes=4, amp=5e-3, kmax=2)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
     td = extract_torsion_forms(st)
-    t = g2.full_torsion(st, riemann.nabla_phi_of(st))  # phi is not closed
+    t = g2.full_torsion(st, nabla_phi_of(st))  # phi is not closed
     tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
                          g2.expand_form(st.phi.data, 3))
     bar_tau3 = j_phi(td.tau3, st.phi.data, st) / 4.0

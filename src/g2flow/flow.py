@@ -279,7 +279,7 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     (G2Structure.retain): the snapshot's geometry would otherwise stay
     cached as long as the caller holds the structure.
     """
-    from .diagnostics import diagnostic_snapshot
+    from .diagnostics import diagnostic_snapshot  # diagnostics imports this module
 
     state = FlowState(t=t0, structure=initial, reference=reference, kind=kind)
     records = []

@@ -4,8 +4,10 @@ The array-level functions act on trailing component axes and broadcast over
 any leading batch/grid shape, so the same code serves single covectors,
 randomized test batches and whole lattice fields. The structure and its
 cache live at the bottom. Algebra that only the identity suite uses (j_phi,
-the 2-form projection, the torsion forms) lives in checks; wedge_components
-and project_3form stay here while the benchmark wraps them.
+the 2-form projection, the torsion forms, nabla phi) lives in checks. Three
+functions that only the checks call stay here while the benchmark wraps them
+by these paths: wedge_components, the one wedge of compressed forms,
+project_3form and full_torsion.
 """
 
 import numpy as np
@@ -230,8 +232,13 @@ def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 def wedge_components(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndarray:
-    """Pointwise wedge on raw compressed components."""
-    return tables.wedge_arrays(alpha, k, beta, l)
+    """Pointwise wedge of compressed k- and l-forms on raw component arrays.
+
+    The wedge table is applied to beta (one gemm), which leaves a
+    (C_{k+l}, C_k) matrix per site; a batched matvec with alpha finishes it.
+    """
+    mat = tables.apply_table(tables.wedge_table(k, l), beta)
+    return (mat @ alpha[..., None])[..., 0]
 
 
 def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: Metric):
@@ -257,7 +264,7 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     Holds for any positive phi; on closed phi, riemann.torsion_of reads
     T = -tau2/2 from d* phi instead, and the check suite compares the two.
     nabla_phi[..., i, I] holds nabla_i phi_lmn at the 35 increasing lmn
-    (riemann.nabla_phi_of). T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the
+    (checks.nabla_phi_of). T_i^j = (1/24) nabla_i phi_lmn psi^jlmn; the
     result satisfies nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are
     antisymmetric in lmn, so the sum runs over increasing lmn with weight
     3!/24: psi is raised in compressed storage and psi^jlmn is the interior
@@ -349,11 +356,6 @@ class G2Structure(Metric):
     def star(self, alpha: FormField) -> FormField:
         data = hodge_star(alpha.data, alpha.degree, self)
         return FormField(self.lattice, 7 - alpha.degree, data)
-
-    def inner(self, alpha: FormField, beta: FormField) -> np.ndarray:
-        if alpha.degree != beta.degree:
-            raise ValueError("degree mismatch")
-        return form_inner(alpha.data, beta.data, alpha.degree, self)
 
 
 def flat_reference(lattice: Lattice) -> G2Structure:

@@ -245,11 +245,6 @@ class FormField:
         object.__setattr__(self, "data", _freeze(self.data))
 
     @classmethod
-    def zero(cls, lattice: Lattice, degree: int) -> "FormField":
-        shape = lattice.grid_shape + (tables.num_components(degree),)
-        return cls(lattice, degree, np.zeros(shape))
-
-    @classmethod
     def constant(cls, lattice: Lattice, degree: int, components) -> "FormField":
         comp = np.asarray(components, dtype=np.float64)
         data = np.broadcast_to(comp, lattice.grid_shape + comp.shape).copy()
@@ -270,9 +265,6 @@ class FormField:
         return self.replace_data(self.data * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "FormField":
-        return self.replace_data(-self.data)
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0

@@ -6,9 +6,9 @@ integrated metric), so the metric-evolution and curvature identities of the
 flow are genuine cross-checks rather than consequences of bookkeeping.
 
 Every tensor here is covariant, all slots lower, and norms raise them with
-the metric's g_inv. There are two covariant derivatives, one per storage:
-covariant_derivative_form for compressed k-forms (phi, psi) and
-covariant_derivative_array for full lower 2-tensors (T, g, Ric).
+the metric's g_inv. The one covariant derivative is covariant_derivative_array,
+for full lower 2-tensors (T, g, Ric); the flow needs no nabla phi, which only
+the check suite takes (checks.covariant_derivative_form).
 """
 
 from dataclasses import dataclass
@@ -75,29 +75,6 @@ def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
     return out
 
 
-def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
-                              lattice: Lattice) -> np.ndarray:
-    """Covariant derivative of a compressed k-form field, k >= 1: out[..., m, I].
-
-    The connection acts on forms as a derivation,
-    nabla_m alpha = d_m alpha - sum_{x,z} Gamma^z_mx e^x ^ (e_z . alpha),
-    whose increasing components are those of the index formula
-    nabla_m alpha_a1..ak = d_m alpha_a1..ak - sum_s Gamma^z_m(a_s) alpha_a1..z..ak,
-    with z in slot s. u = e_z . alpha is one interior-table gemm; Gamma
-    arranged [(m, x), z] contracts z in one batched (49, 7) @ (7, C_{k-1})
-    matmul per site; and e^x ^ . contracts (x, J) against the same table
-    read as a (7 C_{k-1}, C_k) matrix.
-    """
-    interior = tables.interior_table(k)
-    out = lattice.gradient(alpha)
-    batch = gamma.shape[:-3]
-    conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
-    v = conn @ tables.apply_table(interior, alpha)  # v[m, x, J]
-    wedge = interior.reshape(-1, interior.shape[-1])
-    out -= v.reshape(batch + (7, wedge.shape[0])) @ wedge
-    return out
-
-
 def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> CurvatureData:
     """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
 
@@ -160,16 +137,6 @@ def connection_of(structure) -> np.ndarray:
     return structure.cached("conn", lambda: christoffels(structure, structure.lattice))
 
 
-def nabla_phi_of(structure) -> np.ndarray:
-    """Covariant derivative of phi, (nabla phi)[..., m, I] for the 35 increasing lmn, cached.
-
-    The check suite's second torsion formula, g2algebra.full_torsion, reads
-    it; the flow and its snapshot take T from d* phi (torsion_of).
-    """
-    return structure.cached("nabla_phi", lambda: covariant_derivative_form(
-        structure.phi.data, 3, connection_of(structure), structure.lattice))
-
-
 def torsion_of(structure) -> np.ndarray:
     """Full torsion tensor T_ij = -tau2_ij / 2 of a closed structure, cached.
 
@@ -177,7 +144,7 @@ def torsion_of(structure) -> np.ndarray:
     tau2 = d* phi, the flow's own potential (flow.coexact_part, cached with
     the structure); raises flow.NotClosed on any other phi
     (flow.require_closed). A non-closed structure's torsion has further
-    parts; it is g2algebra.full_torsion(structure, nabla_phi_of(structure)).
+    parts; it is g2algebra.full_torsion(structure, checks.nabla_phi_of(structure)).
     """
     from .flow import coexact_part, require_closed  # flow imports this module
 

@@ -74,16 +74,6 @@ def apply_table(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape[:-1] + table.shape[:-1])
 
 
-def wedge_arrays(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndarray:
-    """Pointwise wedge of compressed k- and l-forms on raw component arrays.
-
-    The wedge table is applied to beta (one gemm), which leaves a
-    (C_{k+l}, C_k) matrix per site; a batched matvec with alpha finishes it.
-    """
-    mat = apply_table(wedge_table(k, l), beta)
-    return (mat @ alpha[..., None])[..., 0]
-
-
 @lru_cache(maxsize=None)
 def interior_table(k: int) -> np.ndarray:
     """Signs T with (X . a)_out = sum T[i, out, in] X^i a_in, shape (7, C_{k-1}, C_k).

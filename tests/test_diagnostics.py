@@ -159,7 +159,7 @@ def test_ck_channels_match_ordered_stack(rng, axes, n, scheme):
 
 def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
     # nabla T only (shared by the intrinsic Laplacian and the lambda
-    # monitor); nabla phi is taken in form storage by covariant_derivative_form
+    # monitor); the snapshot takes no nabla phi, which only the checks use
     calls = []
     original = riemann.covariant_derivative_array
 
@@ -222,16 +222,35 @@ def test_snapshot_takes_no_codifferential_and_stars_no_4form(rng, monkeypatch):
 
 def test_rhs_cross_residual_compares_the_flow_rhs(rng):
     # the snapshot checks the Delta phi the laplacian flow integrates; at
-    # n = 16 the gap is resolved (about 6e-5), so a roundoff-sized term added
-    # to either side, such as a d* d phi of closed phi, shows in its bits
+    # n = 16 the gap is resolved (about 1e-5 of max|phi|), so a roundoff-sized
+    # term added to either side, such as a d* d phi of closed phi, shows in its bits
     lat = Lattice((1, 2), 16, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=2e-2))
     state = flow.FlowState(0.0, st, g2.flat_reference(lat), "laplacian")
     rec = diagnostics.diagnostic_snapshot(state)
     rhs = flow.flow_rhs(state)
-    gap = (rhs - flow.laplacian_phi_intrinsic(st)).max_norm() / rhs.max_norm()
+    gap = (rhs - flow.laplacian_phi_intrinsic(st)).max_norm() / st.phi.max_norm()
     assert rec.rhs_cross_residual == gap
     assert rec.rhs_cross_residual > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_rhs_cross_residual_stays_at_roundoff_as_theta_vanishes(scheme):
+    # phi0 + a d beta, beta = sin(x1 + 2 x2) e34 + sin(2 x1 - x2) e15: the
+    # gap falls with a and max|phi| does not, so the channel stays at or
+    # below roundoff (measured at most 3.9e-13, fd4 at a = 1e-6)
+    lat = Lattice((1, 2), 16, TWO_PI, scheme=scheme)
+    x1, x2 = lat.coordinate(1), lat.coordinate(2)
+    pos = tables.index_position(2)
+    beta = np.zeros(lat.grid_shape + (21,))
+    beta[..., pos[(2, 3)]] = np.sin(x1 + 2 * x2)
+    beta[..., pos[(0, 4)]] = np.sin(2 * x1 - x2)
+    dbeta = exterior_derivative(FormField(lat, 2, beta)).data
+    ref = g2.flat_reference(lat)
+    for amplitude in (1e-6, 1e-8, 1e-10, 1e-12):
+        st = flow._validate(FormField(lat, 3, g2.PHI0 + amplitude * dbeta), ref)
+        rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "deturck"))
+        assert rec.rhs_cross_residual <= 1e-12, amplitude
 
 
 def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2flow import g2algebra as g2
-from g2flow import riemann, tables
+from g2flow import checks, riemann, tables
 from g2flow.checks import _random_pullbacks
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
@@ -68,7 +68,7 @@ def test_nabla_psi_formula(closed_structure):
     st, lat = closed_structure
     gamma = riemann.connection_of(st)
     t = riemann.torsion_of(st)
-    npsi = riemann.covariant_derivative_form(st.psi.data, 4, gamma, lat)
+    npsi = checks.covariant_derivative_form(st.psi.data, 4, gamma, lat)
     phi_full = g2.expand_form(st.phi.data, 3)
     rhs = g2.compress_form(-(np.einsum("...mi,...jkl->...mijkl", t, phi_full)
                              - np.einsum("...mj,...ikl->...mijkl", t, phi_full)
@@ -112,7 +112,7 @@ def test_covariant_derivative_form_matches_full_array(closed_structure, rng, fie
         lat = Lattice((1, 2), 16, TWO_PI)
         gamma = _conformal_connection(lat)
         alpha = rng.standard_normal(lat.grid_shape + (tables.num_components(k),))
-    got = riemann.covariant_derivative_form(alpha, k, gamma, lat)
+    got = checks.covariant_derivative_form(alpha, k, gamma, lat)
     full = g2.expand_form(alpha, k)
     want = g2.compress_form(oracles.covariant_derivative(full, gamma, lat.gradient(full)), k)
     assert got.shape == lat.grid_shape + (7, tables.num_components(k))
@@ -261,7 +261,7 @@ def test_torsion_formulas_converge_together():
         dbeta = exterior_derivative(FormField(lat, 2, beta))
         st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + dbeta.data))
         l2 = [lat.integrate(riemann.tensor_norm_sq(t, st), vol_density=st.vol)
-              for t in (riemann.torsion_of(st), g2.full_torsion(st, riemann.nabla_phi_of(st)))]
+              for t in (riemann.torsion_of(st), g2.full_torsion(st, checks.nabla_phi_of(st)))]
         gaps.append(abs(l2[0] - l2[1]) / l2[1])
     assert all(fine <= coarse / 100.0 for coarse, fine in zip(gaps, gaps[1:])), gaps
     assert gaps[-1] <= 1e-12

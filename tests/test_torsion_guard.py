@@ -2,7 +2,8 @@
 
 The flow and its snapshot read T = -tau2/2 from the cached d* phi
 (riemann.torsion_of). The nabla phi formula, g2algebra.full_torsion of
-riemann.nabla_phi_of, is the check suite's cross-check of that identity.
+checks.nabla_phi_of, is the check suite's cross-check of that identity;
+nabla phi of forms (checks.covariant_derivative_form) lives in checks too.
 """
 
 import ast
