@@ -75,15 +75,22 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
     with z in slot s. u = e_z . alpha is one interior-table gemm; Gamma
     arranged [(m, x), z] contracts z in one batched (49, 7) @ (7, C_{k-1})
     matmul per site; and e^x ^ . contracts (x, J) against the same table
-    read as a (7 C_{k-1}, C_k) matrix.
+    read as a (7 C_{k-1}, C_k) matrix. The partials are taken over the
+    whole grid; the connection term is per site and runs on blocks of
+    riemann._SITE_BLOCK sites, so its (49, C_{k-1}) product exists for one
+    block at a time.
     """
     interior = tables.interior_table(k)
-    out = lattice.gradient(alpha)
-    batch = gamma.shape[:-3]
-    conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))
-    v = conn @ tables.apply_table(interior, alpha)  # v[m, x, J]
     wedge = interior.reshape(-1, interior.shape[-1])
-    out -= v.reshape(batch + (7, wedge.shape[0])) @ wedge
+    out = lattice.gradient(alpha)
+    flat = out.reshape((-1, 7) + alpha.shape[-1:])
+    alpha = alpha.reshape(-1, alpha.shape[-1])
+    gamma = gamma.reshape(-1, 7, 7, 7)
+    for start in range(0, flat.shape[0], riemann._SITE_BLOCK):
+        block = slice(start, start + riemann._SITE_BLOCK)
+        conn = np.moveaxis(gamma[block], -3, -1).reshape(-1, 49, 7)  # conn[(m, x), z] = Gamma^z_mx
+        v = conn @ tables.apply_table(interior, alpha[block])  # v[m, x, J]
+        flat[block] -= v.reshape(-1, 7, wedge.shape[0]) @ wedge
     return out
 
 
@@ -414,15 +421,26 @@ def _check_bianchi(rng, ctx):
 
 
 def _check_riemann_symmetries(rng, ctx):
+    """Rm_ijkl = -Rm_jikl = Rm_klij and the first Bianchi identity, over max|Rm|.
+
+    Each identity reads expand_form of one block of riemann._SITE_BLOCK
+    sites of the stored (..., 7, 7, 21) Rm, so the 7^4 array exists for
+    one block at a time. Antisymmetry in kl is not tested: expand_form
+    writes Rm_ijlk as the negated copy of Rm_ijkl, so their sum is exactly
+    0 and could never fail. np.maximum keeps a NaN in any block.
+    """
     st, lat = ctx.closed_structure()
-    rm = g2.expand_form(riemann.curvature_of(st).rm, 2)
-    scale = max(np.max(np.abs(rm)), 1e-300)
-    worst = np.max(np.abs(rm + np.einsum("...jikl->...ijkl", rm)))
-    worst = max(worst, np.max(np.abs(rm + np.einsum("...ijlk->...ijkl", rm))))
-    worst = max(worst, np.max(np.abs(rm - np.einsum("...klij->...ijkl", rm))))
-    worst = max(worst, np.max(np.abs(
-        rm + np.einsum("...iklj->...ijkl", rm) + np.einsum("...iljk->...ijkl", rm))))
-    return float(worst / scale)
+    rm = riemann.curvature_of(st).rm.reshape(-1, 7, 7, 21)
+    scale = worst = 0.0
+    for start in range(0, rm.shape[0], riemann._SITE_BLOCK):
+        block = rm[start:start + riemann._SITE_BLOCK]
+        full = g2.expand_form(block, 2)
+        scale = np.maximum(scale, np.max(np.abs(block)))
+        worst = np.maximum(worst, np.max(np.abs(full + np.einsum("...jikl->...ijkl", full))))
+        worst = np.maximum(worst, np.max(np.abs(full - np.einsum("...klij->...ijkl", full))))
+        worst = np.maximum(worst, np.max(np.abs(
+            full + np.einsum("...iklj->...ijkl", full) + np.einsum("...iljk->...ijkl", full))))
+    return float(worst / max(scale, 1e-300))
 
 
 def _check_torsion_closed(rng, ctx):
@@ -439,12 +457,18 @@ def _check_torsion_closed(rng, ctx):
 
 
 def _check_torsion_reconstruction(rng, ctx):
+    """nabla_i phi_jkl = T_i^m psi_mjkl at the 35 increasing jkl.
+
+    psi_mjkl at increasing jkl is e_m . psi, (7, 35) per site, the size of
+    the stored nabla phi, so no 7^4 array of psi is built.
+    """
     st, lat = ctx.closed_structure()
     t = riemann.torsion_of(st)
-    nphi = nabla_phi_of(st)
     t_up = np.einsum("...ia,...am->...im", t, st.g_inv)
-    recon = np.einsum("...im,...mjkl->...ijkl", t_up, g2.expand_form(st.psi.data, 4))
-    return float(np.max(np.abs(nphi - g2.compress_form(recon, 3))))
+    int_psi = tables.apply_table(tables.interior_table(4), st.psi.data)
+    recon = np.einsum("...im,...mJ->...iJ", t_up, int_psi)
+    recon -= nabla_phi_of(st)
+    return float(np.max(np.abs(recon, out=recon)))
 
 
 def _check_torsion_assembly(rng, ctx):

@@ -1,15 +1,19 @@
-"""The identity suite case by case, and the defects its checks must catch.
+"""The identity suite case by case, the defects its checks must catch, and their memory.
 
 Each defect was caught by a tier-1 restatement of a check's identity, since
 deleted; the check must fail under it in the restatement's place. The two
 derivative_matrix defects are the same on every grid line, which only the
-Stokes check's modes constant along the other axis can see.
+Stokes check's modes constant along the other axis can see. The three
+curvature defects add a term to the stored Rm that breaks antisymmetry in ij,
+pair symmetry, or the first Bianchi identity alone.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from g2flow import checks, lattice, riemann
+from g2flow import checks, lattice, riemann, tables
 from g2flow import g2algebra as g2
 from g2flow.lattice import Lattice
 
@@ -51,6 +55,39 @@ def _one_entry_changed(derivative_matrix):
     return changed
 
 
+def _two_form(*pairs):
+    """Compressed 2-form sum of e^ab over the 1-based pairs (a, b), a < b."""
+    pos = tables.index_position(2)
+    comp = np.zeros(21)
+    for a, b in pairs:
+        comp[pos[(a - 1, b - 1)]] = 1.0
+    return comp
+
+
+def _rm_term_added(name, term):
+    """curvature with 1e-6 max|Rm| term[i, j, K] added to the stored Rm at every site."""
+    def mutant(curvature):
+        def changed(gamma, metric, lattice):
+            curv = curvature(gamma, metric, lattice)
+            curv.rm += 1e-6 * np.max(np.abs(curv.rm)) * term
+            return curv
+        return changed
+    mutant.__name__ = name
+    return mutant
+
+
+E12, E34, OMEGA = _two_form((1, 2)), _two_form((3, 4)), _two_form((1, 2), (3, 4))
+# delta_ij e12 is symmetric in ij. e12 (x) e34 is antisymmetric in ij and in kl
+# but not pair-symmetric, so it breaks the first Bianchi identity too: the two
+# antisymmetries and Bianchi imply pair symmetry. omega (x) omega with
+# omega = e12 + e34 has every symmetry but Bianchi, because omega ^ omega != 0.
+_IJ_SYMMETRIC = _rm_term_added("ij_symmetric", np.eye(7)[..., None] * E12)
+_PAIR_ASYMMETRIC = _rm_term_added(
+    "pair_asymmetric", g2.expand_form(E12, 2)[..., None] * E34)
+_BIANCHI_BROKEN = _rm_term_added(
+    "omega_omega", g2.expand_form(OMEGA, 2)[..., None] * OMEGA)
+
+
 # (owner, attribute, its mutant, the check that must fail)
 DEFECTS = [
     (checks, "j_phi_raw", _scaled(1.001), "j_phi(i_phi(h)) = 4h + 2tr(h) metric"),
@@ -61,6 +98,9 @@ DEFECTS = [
     (lattice, "derivative_matrix", _one_entry_changed, "Stokes on the closed torus"),
     (riemann, "christoffels", _scaled(0.99), "metric compatibility"),
     (riemann, "christoffels", _scaled(0.99), "Riemann tensor symmetries"),
+    (riemann, "curvature", _IJ_SYMMETRIC, "Riemann tensor symmetries"),
+    (riemann, "curvature", _PAIR_ASYMMETRIC, "Riemann tensor symmetries"),
+    (riemann, "curvature", _BIANCHI_BROKEN, "Riemann tensor symmetries"),
     (riemann, "christoffels", _scaled(0.99), "Ricci symmetry + contracted Bianchi"),
     (riemann, "torsion_of", _scaled(1.01), "scalar curvature = -|T|^2 (closed)"),
     (riemann, "torsion_of", _scaled(1.01), "torsion reconstructs nabla phi"),
@@ -78,3 +118,21 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
     monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
     result = checks.run_check(checks.SuiteContext(0, 256), NAMES.index(name))
     assert not result.passed and result.error is None, result.to_dict()
+
+
+@pytest.mark.parametrize("name", ["Riemann tensor symmetries", "torsion reconstructs nabla phi"])
+def test_check_peak_below_one_stored_rm(ctx, name):
+    """With the structure and its cached geometry built, the check's traced peak stays
+    below the (..., 7, 7, 21) Rm it reads: no 7^4 array spans the grid."""
+    st, _ = ctx.closed_structure()
+    limit = riemann.curvature_of(st).rm.nbytes
+    riemann.torsion_of(st)
+    checks.nabla_phi_of(st)
+    tracemalloc.start()
+    try:
+        result = checks.run_check(ctx, NAMES.index(name))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.to_dict()
+    assert peak < limit, f"{name}: traced peak {peak / 2**20:.1f} MiB"

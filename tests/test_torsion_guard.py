@@ -14,7 +14,7 @@ import pytest
 import g2flow
 
 PACKAGE = Path(g2flow.__file__).parent
-ALLOWED = {"checks", "g2algebra"}
+ALLOWED = {"checks"}
 NAMES = {"full_torsion", "nabla_phi_of"}
 
 
