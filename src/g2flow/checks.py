@@ -17,7 +17,7 @@ import numpy as np
 from . import g2algebra as g2
 from . import riemann, tables
 from .flow import hodge_laplacian
-from .lattice import FormField, Lattice, exterior_derivative
+from .lattice import FormField, Lattice, exterior_derivative, site_blocks
 
 POINTWISE_TOL = 1e-10
 
@@ -77,7 +77,7 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
     matmul per site; and e^x ^ . contracts (x, J) against the same table
     read as a (7 C_{k-1}, C_k) matrix. The partials are taken over the
     whole grid; the connection term is per site and runs on blocks of
-    riemann._SITE_BLOCK sites, so its (49, C_{k-1}) product exists for one
+    lattice.SITE_BLOCK sites, so its (49, C_{k-1}) product exists for one
     block at a time.
     """
     interior = tables.interior_table(k)
@@ -86,8 +86,7 @@ def covariant_derivative_form(alpha: np.ndarray, k: int, gamma: np.ndarray,
     flat = out.reshape((-1, 7) + alpha.shape[-1:])
     alpha = alpha.reshape(-1, alpha.shape[-1])
     gamma = gamma.reshape(-1, 7, 7, 7)
-    for start in range(0, flat.shape[0], riemann._SITE_BLOCK):
-        block = slice(start, start + riemann._SITE_BLOCK)
+    for block in site_blocks(flat.shape[0]):
         conn = np.moveaxis(gamma[block], -3, -1).reshape(-1, 49, 7)  # conn[(m, x), z] = Gamma^z_mx
         v = conn @ tables.apply_table(interior, alpha[block])  # v[m, x, J]
         flat[block] -= v.reshape(-1, 7, wedge.shape[0]) @ wedge
@@ -423,7 +422,7 @@ def _check_bianchi(rng, ctx):
 def _check_riemann_symmetries(rng, ctx):
     """Rm_ijkl = -Rm_jikl = Rm_klij and the first Bianchi identity, over max|Rm|.
 
-    Each identity reads expand_form of one block of riemann._SITE_BLOCK
+    Each identity reads expand_form of one block of lattice.SITE_BLOCK
     sites of the stored (..., 7, 7, 21) Rm, so the 7^4 array exists for
     one block at a time. Antisymmetry in kl is not tested: expand_form
     writes Rm_ijlk as the negated copy of Rm_ijkl, so their sum is exactly
@@ -432,8 +431,8 @@ def _check_riemann_symmetries(rng, ctx):
     st, lat = ctx.closed_structure()
     rm = riemann.curvature_of(st).rm.reshape(-1, 7, 7, 21)
     scale = worst = 0.0
-    for start in range(0, rm.shape[0], riemann._SITE_BLOCK):
-        block = rm[start:start + riemann._SITE_BLOCK]
+    for sites in site_blocks(rm.shape[0]):
+        block = rm[sites]
         full = g2.expand_form(block, 2)
         scale = np.maximum(scale, np.max(np.abs(block)))
         worst = np.maximum(worst, np.max(np.abs(full + np.einsum("...jikl->...ijkl", full))))

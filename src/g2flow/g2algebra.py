@@ -13,7 +13,7 @@ project_3form and full_torsion.
 import numpy as np
 
 from . import tables
-from .lattice import FormField, Lattice
+from .lattice import FormField, Lattice, site_blocks
 
 # Calibration of the metric map, frozen by requiring that the model 3-form
 # produce the identity metric and unit volume density (see metric_from_phi).
@@ -82,9 +82,21 @@ def _interior_phi(phi: np.ndarray) -> np.ndarray:
 
 
 def _cubic_contraction(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma, with u = _interior_phi(phi)."""
-    t = tables.apply_table(tables.triple_wedge_223(), gamma)
-    return u @ t @ np.swapaxes(u, -1, -2)
+    """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma, with u = _interior_phi(phi).
+
+    b = u t u^T with t the (21, 21) matrix of the (2,2,3) table applied to
+    gamma. t and the products run on blocks of lattice.SITE_BLOCK sites, so
+    only b, (..., 7, 7), spans the batch; each site's arithmetic is the
+    same for any block size.
+    """
+    batch = u.shape[:-2]
+    u = u.reshape(-1, 7, 21)
+    gamma = gamma.reshape(-1, 35)
+    b = np.empty((len(u), 7, 7))
+    for block in site_blocks(len(u)):
+        t = tables.apply_table(tables.triple_wedge_223(), gamma[block])
+        b[block] = u[block] @ t @ np.swapaxes(u[block], -1, -2)
+    return b.reshape(batch + (7, 7))
 
 
 def _eliminate(b: np.ndarray):
@@ -95,21 +107,30 @@ def _eliminate(b: np.ndarray):
     pivot is > 0 (Sylvester). A zero pivot, an indefinite b or a NaN gives
     non-finite or meaningless entries without a warning, which callers
     reject by reading the pivots.
+
+    The sweep runs on a component-major copy a[i, j, site], so every row
+    operation reads contiguous runs of sites; b itself is never written
+    (a one-matrix batch reshapes to a contiguous view of b, hence the
+    explicit copy). b^-1 and the pivots come back C-contiguous: a matmul
+    that reads a strided g^-1 rounds differently from one that reads a
+    contiguous one.
     """
-    a = b.copy()
-    pivots = np.empty(b.shape[:-1])
+    n = b.shape[-1]
+    a = np.moveaxis(b.reshape(-1, n, n), 0, -1).copy()
+    pivots = np.empty((n, a.shape[-1]))
     with np.errstate(all="ignore"):
-        for k in range(b.shape[-1]):
-            p = a[..., k, k].copy()
-            pivots[..., k] = p
-            f = a[..., :, k].copy()
-            f[..., k] = 0.0
-            a[..., :, k] = 0.0
-            a[..., k, k] = 1.0
-            row = a[..., k, :] / p[..., None]
-            a -= f[..., :, None] * row[..., None, :]
-            a[..., k, :] = row
-    return a, pivots
+        for k in range(n):
+            p = a[k, k].copy()
+            pivots[k] = p
+            f = a[:, k].copy()
+            f[k] = 0.0
+            a[:, k] = 0.0
+            a[k, k] = 1.0
+            row = a[k] / p
+            a -= f[:, None] * row
+            a[k] = row
+    b_inv = np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(b.shape)
+    return b_inv, np.ascontiguousarray(pivots.T).reshape(b.shape[:-1])
 
 
 class Metric:
@@ -156,9 +177,11 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     gives the identity (for it, b = 6 * id). Volume density scales
     correspondingly as (det b)^(1/9) / 6^(7/9).
 
-    One batched Gauss-Jordan sweep over b (_eliminate) gives b^-1, whence
-    g^-1, and the pivots: det b takes its sign from theirs and (det b)^(1/9)
-    from the sum of their logs, so no scale of phi overflows. Raises
+    b is built in site blocks (_cubic_contraction), and one batched
+    Gauss-Jordan sweep over a component-major copy of it (_eliminate) gives
+    b^-1, whence g^-1, and the pivots: det b takes its sign from theirs and
+    (det b)^(1/9) from the sum of their logs, so no scale of phi overflows.
+    phi is left unchanged, and g, g^-1 and vol are C-contiguous. Raises
     NotPositive unless det b > 0 (which a NaN fails) and every pivot is > 0,
     i.e. unless phi is in the open GL+ orbit of the model.
     """
@@ -276,11 +299,17 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     return t_mixed @ structure.g
 
 
-# The 35 increasing ijkl: i, j, k, l, and the flat position 21 P(ij) + P(kl)
-# of the pairs ij and kl among the 21 increasing pairs.
-_QUADS = np.array(tables.index_sets(4)).T
-_QUAD_PAIRS = np.array([21 * tables.index_position(2)[q[:2]] + tables.index_position(2)[q[2:]]
-                        for q in tables.index_sets(4)])
+# The 35 increasing ijkl = (ij, kl) read only 10 x 10 pairs: the first
+# pair ij has j <= 4 (_PSI_ROWS, pair positions), the second has k >= 2,
+# which are the positions 11:21 (_PSI_COLS). _QUAD_PAIRS holds the flat
+# position 10 r + c of (ij, kl) in that block, and _QUAD_METRIC the flat
+# positions 7a + b of g_ik, g_jl, g_il and g_jk, one run of 35 each.
+_PSI_ROWS = np.array([pos for pos, (i, j) in enumerate(tables.index_sets(2)) if j <= 4])
+_PSI_COLS = slice(11, 21)
+_QUAD_PAIRS = np.array([10 * list(_PSI_ROWS).index(tables.index_position(2)[q[:2]])
+                        + tables.index_position(2)[q[2:]] - 11 for q in tables.index_sets(4)])
+_QUAD_METRIC = np.array([[7 * q[a] + q[b] for q in tables.index_sets(4)]
+                         for a, b in ((0, 2), (1, 3), (0, 3), (1, 2))]).ravel()
 
 
 def _psi_of(u: np.ndarray, metric: Metric) -> np.ndarray:
@@ -289,15 +318,21 @@ def _psi_of(u: np.ndarray, metric: Metric) -> np.ndarray:
     The G2 identity phi_ijm g^mn phi_kln = g_ik g_jl - g_il g_jk + psi_ijkl
     (Bryant, "Some remarks on G2-structures", arXiv:math/0305124; the sign is
     the one of the orientation dx^1 ^ ... ^ dx^7) has u^T g_inv u as its left
-    side, a (21, 21) matrix over the pairs ij and kl, read here at the 35
-    increasing ijkl.
+    side, a (21, 21) matrix over the pairs ij and kl. The 35 increasing ijkl
+    read only its (_PSI_ROWS, _PSI_COLS) block, which is formed on blocks
+    of lattice.SITE_BLOCK sites, so only psi spans the grid.
     """
-    m = np.swapaxes(u, -1, -2) @ (metric.g_inv @ u)
-    m = m.reshape(m.shape[:-2] + (441,))
-    g = metric.g.reshape(metric.g.shape[:-2] + (49,))
-    i, j, k, l = _QUADS
-    return (m[..., _QUAD_PAIRS] - g[..., 7 * i + k] * g[..., 7 * j + l]
-            + g[..., 7 * i + l] * g[..., 7 * j + k])
+    batch = u.shape[:-2]
+    u = u.reshape(-1, 7, 21)
+    g_inv = metric.g_inv.reshape(-1, 7, 7)
+    g = metric.g.reshape(-1, 49)
+    psi = np.empty((len(u), 35))
+    for block in site_blocks(len(u)):
+        ub = u[block]
+        m = np.swapaxes(ub[..., _PSI_ROWS], -1, -2) @ (g_inv[block] @ ub[..., _PSI_COLS])
+        q = g[block][:, _QUAD_METRIC].reshape(-1, 4, 35)  # g_ik, g_jl, g_il, g_jk
+        psi[block] = m.reshape(-1, 100)[:, _QUAD_PAIRS] - q[:, 0] * q[:, 1] + q[:, 2] * q[:, 3]
+    return psi.reshape(batch + (35,))
 
 
 class G2Structure(Metric):

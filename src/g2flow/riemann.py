@@ -16,17 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2algebra, tables
-from .lattice import Lattice
+from .lattice import Lattice, site_blocks
 
 # flat position 7k + l of each increasing pair K = (k < l), and 7l + k of its swap
 _PAIRS = tables.compress_positions(2)
 _SWAPPED = _PAIRS % 7 * 7 + _PAIRS // 7
-
-# Sites per block of curvature and lambda_monitor: a block's (7, 7, 7, 7)
-# intermediate is 32 * 2401 doubles, 0.6 MB. Warm at 3-D n=8 on a 2-CPU
-# Xeon, 16 to 64 sites ran fastest and the whole grid slowest (curvature
-# 10 against 23 ms per call).
-_SITE_BLOCK = 32
 
 
 @dataclass
@@ -86,9 +80,11 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
 
     The dGamma partials are taken over the whole grid, one per active axis,
     because they differentiate along grid axes. Everything after them is
-    per site and runs on blocks of _SITE_BLOCK sites, so the 7^4 array
-    exists for one block at a time; each site's arithmetic is the same
-    for any block size.
+    per site and runs on blocks of lattice.SITE_BLOCK sites, so the 7^4
+    array exists for one block at a time; each site's arithmetic is the
+    same for any block size. Warm at 3-D n=8 on a 2-CPU Xeon, blocks of 16
+    to 64 sites ran fastest and the whole grid slowest (10 against 23 ms
+    per call).
     """
     batch = gamma.shape[:-3]
     dgamma = [(axis - 1, lattice.partial_array(gamma, axis).reshape(-1, 7, 7, 7))
@@ -102,8 +98,7 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
     # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
     ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
-    for start in range(0, sites, _SITE_BLOCK):
-        block = slice(start, start + _SITE_BLOCK)
+    for block in site_blocks(sites):
         gb = gamma[block]
         # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
         # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
@@ -207,16 +202,15 @@ def lambda_monitor(structure) -> np.ndarray:
     |Rm|^2 = 2 sum Rm_ij,K Rm^ij,K over the increasing pairs K of the
     2-form-valued Rm: i and j are raised with g_inv, the pair with
     _pair_metric(g_inv). The raise and the contraction run on blocks of
-    _SITE_BLOCK sites, as in curvature, so the raised copies of Rm exist
-    for one block at a time.
+    lattice.SITE_BLOCK sites, as in curvature, so the raised copies of Rm
+    exist for one block at a time.
     """
     rm = curvature_of(structure).rm
     batch = rm.shape[:-3]
     rm = rm.reshape(-1, 7, 7, 21)
     g_inv = structure.g_inv.reshape(-1, 7, 7)
     rm_sq = np.empty(rm.shape[0])
-    for start in range(0, rm.shape[0], _SITE_BLOCK):
-        block = slice(start, start + _SITE_BLOCK)
+    for block in site_blocks(rm.shape[0]):
         gb = g_inv[block]
         rm_up = g2algebra.contract_slots(rm[block], (gb, gb, _pair_metric(gb)))
         rm_sq[block] = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm[block])

@@ -1,12 +1,13 @@
 """Pointwise G2 algebra: metric map, star, type projections, torsion."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from g2flow import g2algebra as g2
-from g2flow import checks, riemann, tables
+from g2flow import checks, lattice, riemann, tables
 from g2flow.checks import _random_pullbacks as pullback_batch
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
@@ -126,6 +127,27 @@ def test_elimination_finds_indefinite_with_positive_det(rng):
     _, pivots = g2._eliminate(b)
     assert np.all(np.prod(pivots, axis=-1) > 0.0)
     assert np.all(np.any(pivots <= 0.0, axis=-1))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (1, 1), (3,), (2, 1, 3)])
+def test_metric_path_leaves_input_unchanged_and_matches_per_matrix_loop(batch):
+    # a one-matrix batch reshapes to a contiguous view of its input; a
+    # sweep on that view overwrote b (and gave metric_from_phi(PHI0) = I/36)
+    a = pullback_batch(np.random.default_rng(5), int(np.prod(batch))).reshape(batch + (7, 7))
+    phi = oracles.pullback_3form(a, g2.PHI0)
+    b = g2._cubic_contraction(g2._interior_phi(phi), phi)
+    phi_in, b_in = phi.copy(), b.copy()
+    b_inv, pivots = g2._eliminate(b)
+    m = g2.metric_from_phi(phi)
+    assert np.array_equal(b, b_in) and np.array_equal(phi, phi_in)
+    assert b_inv.shape == batch + (7, 7) and pivots.shape == batch + (7,)
+    for idx in np.ndindex(batch):
+        inv_1, pivots_1 = g2._eliminate(b[idx])
+        assert np.array_equal(b_inv[idx], inv_1) and np.array_equal(pivots[idx], pivots_1)
+        m_1 = g2.metric_from_phi(phi[idx])
+        for got, want in ((m.g, m_1.g), (m.g_inv, m_1.g_inv), (m.vol, m_1.vol)):
+            assert np.array_equal(got[idx], want)
+    assert np.array_equal(b, b_in)  # b[idx] is a view of b
 
 
 def test_split_form_is_not_positive_definite():
@@ -364,6 +386,41 @@ def test_psi_identity_matches_hodge_star_far_from_flat(curved_batch):
     phi, _, m, psi = curved_batch
     got = g2._psi_of(g2._interior_phi(phi), m)
     assert np.max(np.abs(got - psi)) < 1e-12 * np.max(np.abs(psi))
+
+
+def _structure_arrays(st):
+    return {"g": st.g, "g_inv": st.g_inv, "vol": st.vol, "psi": st.psi.data,
+            "interior_phi": st.cached("interior_phi", None)}
+
+
+def test_from_phi_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
+    lat = Lattice((1, 2), 10, TWO_PI)
+    sites = np.prod(lat.grid_shape)
+    assert sites % lattice.SITE_BLOCK != 0  # the last block is short
+    phi = closed_perturbed_phi(lat, rng, amp=5e-2)
+    blocked = _structure_arrays(g2.G2Structure.from_phi(phi))
+    monkeypatch.setattr(lattice, "SITE_BLOCK", sites + 1)
+    whole = _structure_arrays(g2.G2Structure.from_phi(phi))
+    for name, got in blocked.items():
+        assert got.dtype == np.float64 and got.flags.c_contiguous, name
+        assert np.array_equal(got, whole[name]), name
+
+
+def test_from_phi_peak_stays_below_a_grid_of_441_per_site(rng):
+    # at 3-D n=8 one (..., 441) array is 1.72 MiB; whole-grid evaluation of
+    # b's table product and of u^T g_inv u peaked at 2.16 MiB past the
+    # returned arrays, site blocks at 0.34 MiB
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    phi = closed_perturbed_phi(lat, rng)
+    g2.G2Structure.from_phi(phi)  # tables and BLAS warm
+    tracemalloc.start()
+    try:
+        st = g2.G2Structure.from_phi(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in _structure_arrays(st).values())
+    assert peak - returned < np.prod(lat.grid_shape) * 441 * 8
 
 
 def test_structure_psi_matches_hodge_star_on_closed_perturbed(rng):

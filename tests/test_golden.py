@@ -27,7 +27,7 @@ GOLDEN_ATOL = 1e-14
 # to which any reordered sum is a large change
 ABSOLUTE = ("harmonic_residual", "scalar_identity_residual", "rhs_cross_residual")
 
-# Two beta modes on the first axis, and two on the 2-D lattice; each mode
+# Two beta modes on the first axis, two on the 2-D and two on the 3-D lattice; each mode
 # excites an axis outside its component, so d beta is not zero.
 MODES_1D = [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3], "amplitude": 0.05},
             {"mode": [2, 0, 0, 0, 0, 0, 0], "component": [4, 6], "amplitude": 0.03,
@@ -35,6 +35,9 @@ MODES_1D = [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3], "amplitude": 0.
 MODES_2D = [{"mode": [1, 2, 0, 0, 0, 0, 0], "component": [3, 4], "amplitude": 0.04},
             {"mode": [2, -1, 0, 0, 0, 0, 0], "component": [1, 5], "amplitude": 0.03,
              "phase": 1.1}]
+MODES_3D = [{"mode": [1, 0, 1, 0, 0, 0, 0], "component": [2, 6], "amplitude": 0.04},
+            {"mode": [0, 1, -1, 0, 0, 0, 0], "component": [4, 7], "amplitude": 0.03,
+             "phase": 0.4}]
 
 
 def _config(axes, n, scheme, kind, modes):
@@ -50,6 +53,8 @@ CONFIGS = {
     for kind in ("deturck", "laplacian") for scheme in ("spectral", "fd4")
 }
 CONFIGS["2d_n8_deturck_spectral"] = _config([1, 2], 8, "spectral", "deturck", MODES_2D)
+# 512 sites: the only config past one site block of the metric path
+CONFIGS["3d_n8_deturck_spectral"] = _config([1, 2, 3], 8, "spectral", "deturck", MODES_3D)
 
 
 def run_series(name, workdir: Path) -> list:

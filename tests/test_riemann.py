@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2flow import g2algebra as g2
-from g2flow import checks, riemann, tables
+from g2flow import checks, lattice, riemann, tables
 from g2flow.checks import _random_pullbacks
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
@@ -121,7 +121,7 @@ def test_covariant_derivative_form_matches_full_array(closed_structure, rng, fie
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd4"])
 def test_curvature_matches_index_formula(rng, scheme):
-    # 100 sites are no multiple of riemann._SITE_BLOCK: the last block is short
+    # 100 sites are no multiple of lattice.SITE_BLOCK: the last block is short
     lat = Lattice((2, 3), 10, TWO_PI, scheme=scheme)
     gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
     a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
@@ -136,7 +136,7 @@ def test_curvature_matches_index_formula(rng, scheme):
 def test_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
     lat = Lattice((1, 2), 10, TWO_PI)
     sites = np.prod(lat.grid_shape)
-    assert sites % riemann._SITE_BLOCK != 0
+    assert sites % lattice.SITE_BLOCK != 0
     gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
     a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
     g = np.swapaxes(a, -1, -2) @ a
@@ -144,7 +144,7 @@ def test_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
     phi = closed_perturbed_phi(lat, rng, amp=2e-2)
     blocked = riemann.curvature(gamma, metric, lat)
     lam = riemann.lambda_monitor(g2.G2Structure.from_phi(phi))
-    monkeypatch.setattr(riemann, "_SITE_BLOCK", sites + 1)
+    monkeypatch.setattr(lattice, "SITE_BLOCK", sites + 1)
     whole = riemann.curvature(gamma, metric, lat)
     for name in ("rm", "ric", "scalar"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
@@ -183,6 +183,26 @@ def test_curvature_flat_metric_vanishes():
     curv = riemann.curvature(riemann.christoffels(metric, lat), metric, lat)
     assert np.max(np.abs(curv.rm)) == 0.0
     assert np.max(np.abs(curv.ric)) == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_exact_orbit_state_has_zero_torsion_and_curvature(scheme):
+    # phi = psi^* phi0 with psi = id + X: a torsion-free structure whose
+    # metric is not constant, so Gamma != 0 and the dGamma and Gamma Gamma
+    # terms of Rm must cancel
+    lat = Lattice((1,), 16, TWO_PI, scheme=scheme)
+    x1 = lat.coordinate(1)
+    x = np.zeros(lat.grid_shape + (7,))
+    x[..., 3] = 0.05 * np.sin(x1)
+    x[..., 1] = 0.05 * np.cos(x1 + 0.3)
+    jt = np.eye(7) + lat.gradient(x)  # jt[a, i] = J^i_a = delta + d_a X^i
+    phi = g2.compress_form(g2.contract_slots(g2.expand_form(g2.PHI0, 3), (jt,) * 3), 3)
+    st = g2.G2Structure.from_phi(FormField(lat, 3, phi))
+    assert np.max(np.abs(riemann.connection_of(st))) > 1e-2
+    curv = riemann.curvature_of(st)
+    for got in (riemann.torsion_of(st), riemann.nabla_torsion_of(st), curv.rm, curv.ric,
+                curv.scalar, riemann.lambda_monitor(st)):
+        assert np.max(np.abs(got)) < 1e-12
 
 
 def test_curvature_warped_metric_symbolic_oracle():
