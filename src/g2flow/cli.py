@@ -133,8 +133,8 @@ def _flow_extra(cfg, t, step) -> dict:
     return {"t": t, "step": step, **asdict(cfg.flow)}
 
 
-def _resume_state(path, cfg):
-    """(structure, t, step) of a flow checkpoint; ConfigError unless it fits cfg."""
+def _resume_state(path, cfg, reference):
+    """(structure, t, step) of a flow checkpoint; ConfigError unless it fits cfg and reference."""
     try:
         phi, extra = ckpt.read_form_field(Path(path).with_suffix(""))
     except (OSError, KeyError, ValueError) as exc:
@@ -162,7 +162,7 @@ def _resume_state(path, cfg):
         raise ConfigError(f"checkpoint step {step!r} is not an integer >= 0")
     # The flow's invariants: positive, closed, and in the reference's class.
     try:
-        initial = flow._validate(phi, flat_reference(cfg.lattice))
+        initial = flow._validate(phi, reference)
     except (NotPositive, flow.NotClosed) as exc:
         raise ConfigError(f"checkpoint form breaks a flow invariant: {exc}") from exc
     return initial, t, step
@@ -201,7 +201,7 @@ def cmd_flow(args) -> int:
 
     t0, step0 = 0.0, 0
     if args.resume:
-        initial, t0, step0 = _resume_state(args.resume, cfg)
+        initial, t0, step0 = _resume_state(args.resume, cfg, reference)
         series_mode = "a"
         _drop_samples_from(series_path, t0)
     else:

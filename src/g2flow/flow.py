@@ -54,31 +54,29 @@ class FlowState:
         return self.structure.phi.data - self.reference.phi.data
 
 
+# The CFL step, taken when dt is unset, is CFL_COEFFICIENT * (L/n)^2 / (a s)
+# where a is the number of active axes and s the largest eigenvalue of g^{-1}
+# over all sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and
+# the largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
+# a (1.372 / h)^2 (fd4), so a coefficient <= 0.28 keeps the step inside the
+# RK4 stability interval [-2.785, 0] on every lattice.
+CFL_COEFFICIENT = 0.2
+
+
 @dataclass
 class StepControl:
-    """Time-step policy.
-
-    With dt unset the step is cfl_coefficient * (L/n)^2 / (a s) where a is
-    the number of active axes and s the largest eigenvalue of g^{-1} over all
-    sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and the
-    largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
-    a (1.372 / h)^2 (fd4), so cfl_coefficient <= 0.28 keeps it inside the
-    RK4 stability interval [-2.785, 0] on every lattice. A set dt is used
-    as is; max_dt, when set, caps either step.
-    """
+    """Time-step policy: a set dt is used as is, else every step is the CFL step."""
 
     t_end: float = 10.0
     dt: float = None
-    cfl_coefficient: float = 0.2
-    max_dt: float = None
     stop_tolerance: float = 1e-10
     checkpoint_every: int = 200
     max_halvings: int = 10
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "cfl_coefficient", "max_dt"):
+        for name in ("t_end", "dt"):
             value = getattr(self, name)
-            if value is None and name in ("dt", "max_dt"):
+            if value is None and name == "dt":
                 continue
             if not (is_number(value) and 0 < value < np.inf):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
@@ -203,7 +201,7 @@ def reached_end(t: float, control: StepControl) -> bool:
 
 
 def propose_dt(state: FlowState, control: StepControl) -> float:
-    """Step size from the policy, capped by max_dt and clamped to t_end - t.
+    """The set dt, else the CFL step; clamped to t_end - t.
 
     Only a remainder genuinely shorter than dt is clamped. One within
     roundoff of dt takes dt itself, so t follows the same t + dt sums as a
@@ -214,10 +212,8 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
     else:
         lattice = state.structure.lattice
         h = lattice.spacing
-        dt = (control.cfl_coefficient * h * h
+        dt = (CFL_COEFFICIENT * h * h
               / (lattice.ndim_active * max_metric_speed(state.structure)))
-    if control.max_dt is not None:
-        dt = min(dt, control.max_dt)
     if state.t + dt > control.t_end * (1.0 + END_RTOL):
         dt = control.t_end - state.t
     return dt
@@ -269,8 +265,9 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     """Integrate to t_end (or to stop_tolerance on |theta|_L2), sampling diagnostics.
 
     Returns (final_state, records). record_cb/checkpoint_cb, when given, are
-    called as record_cb(record) per sample and checkpoint_cb(state, step) per
-    control.checkpoint_every accepted steps (and at the end). t0/step0 resume
+    called as record_cb(record) per sample and checkpoint_cb(state, step) once
+    per step number: every control.checkpoint_every accepted steps, and at the
+    end unless the last step was one of those. t0/step0 resume
     an interrupted run: its first state is sampled iff step0 is a sample
     step, as the uninterrupted run sampled it. The stop test reads the last
     sample, so a resumed and an uninterrupted run stop at the same step.
@@ -310,6 +307,6 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
         raise
     if step % sample_interval != 0:
         sample(state)
-    if checkpoint_cb is not None:
+    if checkpoint_cb is not None and (step == step0 or step % control.checkpoint_every != 0):
         checkpoint_cb(state, step)
     return state, records

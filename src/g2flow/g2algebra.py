@@ -157,11 +157,10 @@ def _metric_of(u: np.ndarray, phi: np.ndarray) -> Metric:
     """metric_from_phi with u = _interior_phi(phi) given."""
     b = _cubic_contraction(u, phi)
     b_inv, pivots = _eliminate(b)
-    bad = ~(np.prod(np.sign(pivots), axis=-1) > 0.0)
+    bad = ~np.all(pivots > 0.0, axis=-1)  # a NaN pivot fails too
     if np.any(bad):
-        raise NotPositive(f"det b is not > 0 at {int(np.sum(bad))} site(s)")
-    if np.any(pivots <= 0.0):
-        raise NotPositive("metric candidate is not positive-definite")
+        raise NotPositive(f"metric candidate is not positive-definite at "
+                          f"{int(np.sum(bad))} site(s)")
     scale = np.exp(np.sum(np.log(pivots), axis=-1) / -9.0)
     g = _METRIC_SCALE * b * scale[..., None, None]
     g_inv = b_inv / (_METRIC_SCALE * scale)[..., None, None]
@@ -179,11 +178,11 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
 
     b is built in site blocks (_cubic_contraction), and one batched
     Gauss-Jordan sweep over a component-major copy of it (_eliminate) gives
-    b^-1, whence g^-1, and the pivots: det b takes its sign from theirs and
-    (det b)^(1/9) from the sum of their logs, so no scale of phi overflows.
-    phi is left unchanged, and g, g^-1 and vol are C-contiguous. Raises
-    NotPositive unless det b > 0 (which a NaN fails) and every pivot is > 0,
-    i.e. unless phi is in the open GL+ orbit of the model.
+    b^-1, whence g^-1, and the pivots: (det b)^(1/9) comes from the sum of
+    their logs, so no scale of phi overflows. phi is left unchanged, and g,
+    g^-1 and vol are C-contiguous. Raises NotPositive unless every pivot is
+    > 0 (which a NaN fails), the test is_positive applies, i.e. unless phi is
+    in the open GL+ orbit of the model.
     """
     return _metric_of(_interior_phi(phi), phi)
 

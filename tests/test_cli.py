@@ -11,6 +11,8 @@ from g2flow import g2algebra as g2
 from g2flow.checks import CHECKS, SuiteContext, run_check, run_identity_suite
 from g2flow.tables import index_position
 
+from test_golden import MODES_2D
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -21,7 +23,7 @@ def write_config(tmp_path, **overrides):
         "flow": {"kind": "deturck"},
         "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
                           "amplitude": 1e-3, "phase": 0.0}],
-        "control": {"t_end": 0.5, "cfl_coefficient": 0.2, "checkpoint_every": 20},
+        "control": {"t_end": 0.5, "checkpoint_every": 20},
         "output": {"directory": str(tmp_path / "out"), "sample_interval": 5,
                    "plot": False},
         "seed": 0,
@@ -138,6 +140,12 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"cfl_coefficient": 0.0}},
                                       {"control": {"max_dt": 0.0}},
                                       {"control": {"max_dt": -0.1}},
+                                      {"control": {"cfl_coefficient": 0.2}},
+                                      {"control": {"max_dt": 0.1}},
+                                      # dt * lambda_max = 7.6, outside RK4's [-2.785, 0]
+                                      {"lattice": {"active_axes": [1, 2]},
+                                       "perturbation": MODES_2D,
+                                       "control": {"t_end": 2.0, "cfl_coefficient": 1.0}},
                                       {"control": {"checkpoint_every": 0}},
                                       {"control": {"max_halvings": -1}},
                                       {"output": {"sample_interval": 0}},
@@ -171,7 +179,8 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"perturbation": [_mode(mode=[17, 0, 0, 0, 0, 0, 0])]}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
-                              "max_dt_negative", "checkpoint_every0",
+                              "max_dt_negative", "cfl_coefficient", "max_dt",
+                              "cfl_over_rk4_interval", "checkpoint_every0",
                               "max_halvings_negative", "sample_interval0",
                               "max_halvings_float", "checkpoint_every_float",
                               "sample_interval_float", "points_per_axis_float",

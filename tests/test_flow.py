@@ -339,13 +339,33 @@ def test_run_flow_ends_at_non_dyadic_t_end(dt, steps):
     assert done == [steps]
 
 
+@pytest.mark.parametrize("every, t0, step0, want", [(1, 0.0, 0, [1, 2, 3, 4]),
+                                                     (2, 0.0, 0, [2, 4]),
+                                                     (3, 0.0, 0, [3, 4]),
+                                                     (1, 0.04, 4, [4])],
+                         ids=["every1", "every2", "every3", "no_step"])
+def test_run_flow_checkpoints_each_step_once(every, t0, step0, want):
+    # four steps of 0.01, or none from a resume at t_end: the last state is
+    # written once, whether or not its step is a checkpoint step
+    lat = Lattice((1,), 16, TWO_PI)
+    st, _ = lowest_mode_initial(lat, 1e-3)
+    control = flow.StepControl(t_end=0.04, dt=0.01, checkpoint_every=every)
+    done = []
+    flow.run_flow(st, g2.flat_reference(lat), "deturck", control, sample_interval=100,
+                  checkpoint_cb=lambda state, step: done.append(step), t0=t0, step0=step0)
+    assert done == want
+
+
 @pytest.mark.parametrize("scheme, oracle", [("spectral", oracles.fft_partial),
                                             ("fd4", oracles.fd4_partial)])
-def test_default_step_inside_rk4_interval(scheme, oracle):
-    # dt * lambda_max <= 2.785 (RK4's real stability interval) for the default
-    # and the largest documented cfl_coefficient; lambda_max = s a max|sigma|^2
-    # with s = 1/scale^2 for phi = scale^3 phi0 (g = scale^2 I)
+def test_default_step_inside_rk4_interval(scheme, oracle, monkeypatch):
+    # dt * lambda_max <= 2.785 (RK4's real stability interval) for
+    # CFL_COEFFICIENT and the largest coefficient its comment proves stable;
+    # lambda_max = s a max|sigma|^2 with s = 1/scale^2 for phi = scale^3 phi0
+    # (g = scale^2 I)
     scale, period = 1.25, 1.7
+    coefficients = (flow.CFL_COEFFICIENT, 0.28)
+    control = flow.StepControl(t_end=1e300)
     ns = (8, 10, 16, 32) if scheme == "spectral" else (5, 6, 7, 9, 16, 32)
     for a in (1, 2, 3):
         for n in ns:
@@ -356,8 +376,8 @@ def test_default_step_inside_rk4_interval(scheme, oracle):
             assert np.isclose(flow.max_metric_speed(st), scale ** -2)
             sigma = oracles.derivative_symbol(lambda f: oracle(f, 0, period), n)
             lam_max = a * np.max(sigma) ** 2 / scale ** 2
-            for c in (0.2, 0.28):
-                control = flow.StepControl(t_end=1e300, cfl_coefficient=c)
+            for c in coefficients:
+                monkeypatch.setattr(flow, "CFL_COEFFICIENT", c)
                 dt = flow.propose_dt(flow.FlowState(0.0, st, st, "deturck"), control)
                 assert dt * lam_max <= 2.785, (scheme, a, n, c)
 

@@ -83,8 +83,16 @@ def test_metric_at_extreme_scales(c):
 
 
 def test_not_positive_raised():
-    with pytest.raises(g2.NotPositive):
-        g2.metric_from_phi(-g2.PHI0)
+    # one test, every pivot > 0, for an orientation flip, a NaN and the
+    # split form; the message counts the sites that fail it
+    nan = np.stack([g2.PHI0] * 3)
+    nan[1:, 4] = np.nan
+    split = -g2.PHI0  # the split form: every term of PHI0 but e123 negated
+    split[tables.index_position(3)[(0, 1, 2)]] = 1.0
+    for phi, count in ((-g2.PHI0, 1), (nan, 2), (split, 1)):
+        with pytest.raises(g2.NotPositive, match=rf"^metric candidate is not "
+                           rf"positive-definite at {count} site\(s\)$"):
+            g2.metric_from_phi(phi)
 
 
 def test_is_positive_cases(rng):

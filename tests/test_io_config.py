@@ -104,7 +104,7 @@ CANONICAL = {
     "flow": {"kind": "deturck"},
     "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
                       "amplitude": 1e-3, "phase": 0.0}],
-    "control": {"t_end": 10.0, "cfl_coefficient": 0.2},
+    "control": {"t_end": 10.0},
     "output": {"directory": "run", "sample_interval": 10, "plot": False},
     "seed": 0,
 }
@@ -123,7 +123,7 @@ def test_config_sections_are_library_objects():
     cfg = RunConfig.from_dict(CANONICAL)
     assert cfg.lattice == Lattice((1,), 32, TWO_PI, "spectral")
     assert cfg.control == StepControl(t_end=10.0)
-    assert cfg.control.max_dt is None and cfg.control.dt is None
+    assert cfg.control.dt is None
     minimal = RunConfig.from_dict({"lattice": {"active_axes": [2]}})
     assert minimal.lattice == Lattice((2,))
     assert minimal.control == StepControl()
@@ -153,11 +153,6 @@ def test_step_control_validates_itself():
         StepControl(t_end=0.0)
     with pytest.raises(ValueError, match="dt"):
         StepControl(t_end=1.0, dt=-1e-3)
-    with pytest.raises(ValueError, match="cfl_coefficient"):
-        StepControl(cfl_coefficient=0.0)
-    for max_dt in (0.0, -0.1):
-        with pytest.raises(ValueError, match="max_dt"):
-            StepControl(max_dt=max_dt)
     with pytest.raises(ValueError, match="checkpoint_every"):
         StepControl(checkpoint_every=0)
     with pytest.raises(ValueError, match="max_halvings"):
