@@ -207,6 +207,10 @@ def cmd_flow(args) -> int:
     else:
         initial = cfg.build_initial(reference)
         series_mode = "w"
+    # run_flow gets the only reference to the initial structure (start.pop()),
+    # so the structure is freed once step 1 replaces it
+    start = [initial]
+    del initial
 
     ckpt.write_form_field(ckpt_dir / "reference", reference.phi)
     last_ckpt = {"path": None, "step": step0}
@@ -224,7 +228,7 @@ def cmd_flow(args) -> int:
 
         try:
             state, _ = flow.run_flow(
-                initial, reference, cfg.flow.kind, cfg.control,
+                start.pop(), reference, cfg.flow.kind, cfg.control,
                 sample_interval=cfg.output.sample_interval, record_cb=record_cb,
                 checkpoint_cb=checkpoint_cb, t0=t0, step0=step0)
         except flow.StepFailed as exc:

@@ -39,7 +39,12 @@ class StepFailed(Exception):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Time stamp, evolving structure and the fixed reference structure."""
+    """Time stamp, evolving structure and the fixed reference structure.
+
+    theta is measured from the reference. The DeTurck gauge is relative to
+    the flat background (riemann.deturck_vector), which is the reference of
+    every flow the command line runs: flat_reference of its lattice.
+    """
 
     t: float
     structure: G2Structure
@@ -186,7 +191,7 @@ def flow_rhs(state: FlowState) -> FormField:
     structure = state.structure
     sigma = coexact_part(structure)
     if state.kind == "deturck":
-        sigma = sigma + structure.interior(riemann.deturck_vector(structure, state.reference))
+        sigma = sigma + structure.interior(riemann.deturck_vector(structure))
     return exterior_derivative(sigma)
 
 
@@ -274,11 +279,14 @@ def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
     After its snapshot, a sampled structure, initial included, caches only
     interior_phi and the tau2 that k1 of the next step reads
     (G2Structure.retain): the snapshot's geometry would otherwise stay
-    cached as long as the caller holds the structure.
+    cached as long as the caller holds the structure. Nor does run_flow
+    keep the initial structure past step 1, so a caller that hands over
+    its only reference has it freed then.
     """
     from .diagnostics import diagnostic_snapshot  # diagnostics imports this module
 
     state = FlowState(t=t0, structure=initial, reference=reference, kind=kind)
+    del initial  # the state holds it until step 1 replaces the state
     records = []
 
     def sample(st):

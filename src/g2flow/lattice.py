@@ -25,8 +25,8 @@ SCHEMES = ("spectral", "fd4")
 _GEMM_LIMIT = 65536 * 4
 
 # Sites per block of the per-site kernels: G2Structure.from_phi's metric
-# and psi, riemann's curvature and lambda_monitor, and the check suite's
-# blocked identities. No per-call temporary then spans the grid: from_phi's
+# and psi, riemann's curvature_blocks and the |Rm|^2 that curvature takes
+# from them, and the check suite's blocked identities. No per-call temporary then spans the grid: from_phi's
 # largest, the (21, 21) cubic table per site, is 64 * 441 doubles (0.2 MB),
 # and curvature's (7, 7, 7, 7) is 1.2 MB. Each site's arithmetic is the
 # same for any block size. On a 2-CPU Xeon (3-D n=8 flow, a snapshot after

@@ -9,6 +9,10 @@ Every tensor here is covariant, all slots lower, and norms raise them with
 the metric's g_inv. The one covariant derivative is covariant_derivative_array,
 for full lower 2-tensors (T, g, Ric); the flow needs no nabla phi, which only
 the check suite takes (checks.covariant_derivative_form).
+
+Rm is never stored for the whole grid. curvature_blocks yields it one block
+of lattice.SITE_BLOCK sites at a time, and curvature keeps of it only what
+the flow reads, the pointwise |Rm|^2, next to Ric and the scalar curvature.
 """
 
 from dataclasses import dataclass
@@ -25,17 +29,16 @@ _SWAPPED = _PAIRS % 7 * 7 + _PAIRS // 7
 
 @dataclass
 class CurvatureData:
-    """Riemann tensor as a 2-form-valued 2-tensor, Ricci tensor, scalar curvature.
+    """Ricci tensor, scalar curvature and pointwise |Rm|^2 of a connection.
 
-    rm[..., i, j, K] = Rm_ijkl, all indices lowered, for the 21 increasing
-    pairs K = (k < l) of tables.index_sets(2). Rm is antisymmetric in kl,
-    so these carry all of it: g2algebra.expand_form(rm, 2) is the full
-    (..., 7, 7, 7, 7) array.
+    ric[..., j, l] = Ric_jl, scalar = g^jl Ric_jl and rm_sq = |Rm|^2, each
+    per site in the metric that curvature was given. Rm itself is not kept:
+    curvature_blocks yields it per site block to whatever reads it.
     """
 
-    rm: np.ndarray
     ric: np.ndarray
     scalar: np.ndarray
+    rm_sq: np.ndarray
 
 
 def christoffels(metric: g2algebra.Metric, lattice: Lattice) -> np.ndarray:
@@ -69,36 +72,38 @@ def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
     return out
 
 
-def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> CurvatureData:
-    """Curvature of the connection from the coordinate dGamma + Gamma Gamma formula.
+def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice):
+    """Rm and Ric of the connection, one block of lattice.SITE_BLOCK sites at a time.
 
-    Both Gamma Gamma terms come from one per-site (49, 7) @ (7, 49) product,
-    into which dGamma is added in place. R^i_jK at the increasing pairs
-    K = (k < l) is the difference of two gathers from it, Rm = g @ R over
-    the upper index, and Ric_jl = R^k_jkl reads the pair through
-    interior_table(2): R^k_jkl = sum_K T[k, l, K] R^k_jK.
+    Yields (sites, rm, ric) for consecutive slices sites of the flattened
+    grid: rm[s, i, j, K] = Rm_ijkl, all indices lowered, for the 21
+    increasing pairs K = (k < l) of tables.index_sets(2), and
+    ric[s, j, l] = Ric_jl. Rm is antisymmetric in kl, so these carry all of
+    it: g2algebra.expand_form(rm, 2) is the full (..., 7, 7, 7, 7) block.
+
+    Rm comes from the coordinate dGamma + Gamma Gamma formula. Both
+    Gamma Gamma terms come from one per-site (49, 7) @ (7, 49) product,
+    into which dGamma is added in place. R^i_jK at the increasing pairs is
+    the difference of two gathers from it, Rm = g @ R over the upper index,
+    and Ric_jl = R^k_jkl reads the pair through interior_table(2):
+    R^k_jkl = sum_K T[k, l, K] R^k_jK.
 
     The dGamma partials are taken over the whole grid, one per active axis,
     because they differentiate along grid axes. Everything after them is
-    per site and runs on blocks of lattice.SITE_BLOCK sites, so the 7^4
-    array exists for one block at a time; each site's arithmetic is the
-    same for any block size. Warm at 3-D n=8 on a 2-CPU Xeon, blocks of 16
-    to 64 sites ran fastest and the whole grid slowest (10 against 23 ms
-    per call).
+    per site, so the 7^4 array exists for one block at a time; each site's
+    arithmetic is the same for any block size. Warm at 3-D n=8 on a 2-CPU
+    Xeon, blocks of 16 to 64 sites ran fastest and the whole grid slowest
+    (10 against 23 ms per call).
     """
-    batch = gamma.shape[:-3]
     dgamma = [(axis - 1, lattice.partial_array(gamma, axis).reshape(-1, 7, 7, 7))
               for axis in lattice.active_axes]
     gamma = gamma.reshape(-1, 7, 7, 7)
     g = metric.g.reshape(-1, 7, 7)
-    sites = gamma.shape[0]
-    rm = np.empty((sites, 7, 7, 21))
-    ric = np.empty((sites, 7, 7))
     # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
     # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
     ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
-    for block in site_blocks(sites):
+    for block in site_blocks(gamma.shape[0]):
         gb = gamma[block]
         # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
         # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
@@ -108,13 +113,37 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
         for k, partial in dgamma:
             a[:, :, k, :, :] += partial[block]
         a = a.reshape(-1, 2401)
-        r_up = np.take(a, ij + 7 * _PAIRS, axis=-1) - np.take(a, ij + 7 * _SWAPPED, axis=-1)
-        rm[block] = (g[block] @ r_up.reshape(-1, 7, 147)).reshape(r_up.shape)
+        r_up = np.take(a, ij + 7 * _PAIRS, axis=-1)
+        r_up -= np.take(a, ij + 7 * _SWAPPED, axis=-1)
+        del a  # so that the consumer's temporaries do not sit beside it
         # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
-        ric[block] = np.swapaxes(r_up, -3, -2).reshape(-1, 7, 147) @ ric_table
-    ric = ric.reshape(batch + (7, 7))
-    scalar = np.einsum("...jl,...jl->...", metric.g_inv, ric)
-    return CurvatureData(rm=rm.reshape(batch + (7, 7, 21)), ric=ric, scalar=scalar)
+        ric = np.swapaxes(r_up, -3, -2).reshape(-1, 7, 147) @ ric_table
+        yield block, (g[block] @ r_up.reshape(-1, 7, 147)).reshape(r_up.shape), ric
+
+
+def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> CurvatureData:
+    """Ric, the scalar curvature and |Rm|^2 of the connection, from curvature_blocks.
+
+    |Rm|^2 = 2 sum Rm_ij,K Rm^ij,K over the increasing pairs K of the
+    2-form-valued Rm: i and j are raised with g_inv, the pair with
+    _pair_metric(g_inv). The raise, the contraction and the scalar
+    curvature g^jl Ric_jl run on each block as curvature_blocks yields it,
+    so Rm and its raised copies exist for one block at a time.
+    """
+    batch = gamma.shape[:-3]
+    g_inv = metric.g_inv.reshape(-1, 7, 7)
+    sites = g_inv.shape[0]
+    ric = np.empty((sites, 7, 7))
+    scalar = np.empty(sites)
+    rm_sq = np.empty(sites)
+    for block, rm, ric_block in curvature_blocks(gamma, metric, lattice):
+        gb = g_inv[block]
+        rm_sq[block] = 2.0 * np.einsum(
+            "...ijK,...ijK->...", g2algebra.contract_slots(rm, (gb, gb, _pair_metric(gb))), rm)
+        ric[block] = ric_block
+        scalar[block] = np.einsum("...jl,...jl->...", gb, ric_block)
+    return CurvatureData(ric=ric.reshape(batch + (7, 7)), scalar=scalar.reshape(batch),
+                         rm_sq=rm_sq.reshape(batch))
 
 
 def tensor_norm_sq(t: np.ndarray, metric: g2algebra.Metric) -> np.ndarray:
@@ -160,30 +189,29 @@ def curvature_of(structure) -> CurvatureData:
         "curv", lambda: curvature(connection_of(structure), structure, structure.lattice))
 
 
-def deturck_vector(structure, reference) -> np.ndarray:
-    """Gauge-fixing vector field V^i = g^pq S^i_pq, S = Gamma(g) - Gamma(g_ref).
+def deturck_vector(structure) -> np.ndarray:
+    """Gauge-fixing vector field V^i = g^pq Gamma(g)^i_pq, relative to the flat background.
 
-    Returns the (..., 7) array of V^i. This connection-difference vector
-    linearizes at a torsion-free point to div h - d(tr h)/2, the weighting
-    for which the gauge-fixed flow linearizes to the negative rough
-    Laplacian there. V vanishes at the reference.
+    Returns the (..., 7) array of V^i. Against a background metric g_bar the
+    DeTurck vector is g^pq (Gamma(g) - Gamma(g_bar))^i_pq; the flow's
+    background is the constant phi0 of flat_reference, whose Gamma is
+    exactly 0.0, so V has no background term. V linearizes at a
+    torsion-free point to div h - d(tr h)/2, the weighting for which the
+    gauge-fixed flow linearizes to the negative rough Laplacian there, and
+    vanishes at phi0.
 
-    The structure's half needs no Gamma: g^pq Gamma^i_pq = g^ij w_j with
+    V needs no Gamma: g^pq Gamma^i_pq = g^ij w_j with
     w_j = g^pq d_p g_jq - g^pq d_j g_pq / 2, and only the active axes a
     differentiate, so w_j sums (d_a g g_inv)_ja, less tr(g_inv d_a g) / 2
-    at j = a. The reference's half contracts its cached connection.
+    at j = a.
     """
-    if structure.lattice != reference.lattice:
-        raise ValueError("structure and reference live on different lattices")
     lattice, g_inv = structure.lattice, structure.g_inv
     w = np.zeros(lattice.grid_shape + (7,))
     for axis in lattice.active_axes:
         dg = lattice.partial_array(structure.g, axis)
         w += (dg @ g_inv[..., axis - 1, :, None])[..., 0]
         w[..., axis - 1] -= 0.5 * np.sum(g_inv * dg, axis=(-2, -1))
-    batch = g_inv.shape[:-2]
-    gamma_ref = connection_of(reference).reshape(batch + (7, 49))
-    return ((g_inv @ w[..., None]) - gamma_ref @ g_inv.reshape(batch + (49, 1)))[..., 0]
+    return (g_inv @ w[..., None])[..., 0]
 
 
 def _pair_metric(g_inv: np.ndarray) -> np.ndarray:
@@ -199,20 +227,8 @@ def _pair_metric(g_inv: np.ndarray) -> np.ndarray:
 def lambda_monitor(structure) -> np.ndarray:
     """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric.
 
-    |Rm|^2 = 2 sum Rm_ij,K Rm^ij,K over the increasing pairs K of the
-    2-form-valued Rm: i and j are raised with g_inv, the pair with
-    _pair_metric(g_inv). The raise and the contraction run on blocks of
-    lattice.SITE_BLOCK sites, as in curvature, so the raised copies of Rm
-    exist for one block at a time.
+    |Rm|^2 is the cached curvature's, contracted block by block with Rm
+    itself (curvature).
     """
-    rm = curvature_of(structure).rm
-    batch = rm.shape[:-3]
-    rm = rm.reshape(-1, 7, 7, 21)
-    g_inv = structure.g_inv.reshape(-1, 7, 7)
-    rm_sq = np.empty(rm.shape[0])
-    for block in site_blocks(rm.shape[0]):
-        gb = g_inv[block]
-        rm_up = g2algebra.contract_slots(rm[block], (gb, gb, _pair_metric(gb)))
-        rm_sq[block] = 2.0 * np.einsum("...ijK,...ijK->...", rm_up, rm[block])
-    nt_sq = tensor_norm_sq(nabla_torsion_of(structure), structure)
-    return np.sqrt(rm_sq.reshape(batch) + nt_sq)
+    rm_sq = curvature_of(structure).rm_sq
+    return np.sqrt(rm_sq + tensor_norm_sq(nabla_torsion_of(structure), structure))

@@ -4,8 +4,9 @@ Each defect was caught by a tier-1 restatement of a check's identity, since
 deleted; the check must fail under it in the restatement's place. The two
 derivative_matrix defects are the same on every grid line, which only the
 Stokes check's modes constant along the other axis can see. The three
-curvature defects add a term to the stored Rm that breaks antisymmetry in ij,
-pair symmetry, or the first Bianchi identity alone.
+curvature defects add a term to each block of Rm that curvature_blocks yields,
+which breaks antisymmetry in ij, pair symmetry, or the first Bianchi identity
+alone.
 """
 
 import tracemalloc
@@ -65,12 +66,11 @@ def _two_form(*pairs):
 
 
 def _rm_term_added(name, term):
-    """curvature with 1e-6 max|Rm| term[i, j, K] added to the stored Rm at every site."""
-    def mutant(curvature):
+    """curvature_blocks with 1e-6 max|Rm| term[i, j, K] added at every site of each block."""
+    def mutant(curvature_blocks):
         def changed(gamma, metric, lattice):
-            curv = curvature(gamma, metric, lattice)
-            curv.rm += 1e-6 * np.max(np.abs(curv.rm)) * term
-            return curv
+            for sites, rm, ric in curvature_blocks(gamma, metric, lattice):
+                yield sites, rm + 1e-6 * np.max(np.abs(rm)) * term, ric
         return changed
     mutant.__name__ = name
     return mutant
@@ -98,9 +98,9 @@ DEFECTS = [
     (lattice, "derivative_matrix", _one_entry_changed, "Stokes on the closed torus"),
     (riemann, "christoffels", _scaled(0.99), "metric compatibility"),
     (riemann, "christoffels", _scaled(0.99), "Riemann tensor symmetries"),
-    (riemann, "curvature", _IJ_SYMMETRIC, "Riemann tensor symmetries"),
-    (riemann, "curvature", _PAIR_ASYMMETRIC, "Riemann tensor symmetries"),
-    (riemann, "curvature", _BIANCHI_BROKEN, "Riemann tensor symmetries"),
+    (riemann, "curvature_blocks", _IJ_SYMMETRIC, "Riemann tensor symmetries"),
+    (riemann, "curvature_blocks", _PAIR_ASYMMETRIC, "Riemann tensor symmetries"),
+    (riemann, "curvature_blocks", _BIANCHI_BROKEN, "Riemann tensor symmetries"),
     (riemann, "christoffels", _scaled(0.99), "Ricci symmetry + contracted Bianchi"),
     (riemann, "torsion_of", _scaled(1.01), "scalar curvature = -|T|^2 (closed)"),
     (riemann, "torsion_of", _scaled(1.01), "torsion reconstructs nabla phi"),
@@ -123,9 +123,15 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
 @pytest.mark.parametrize("name", ["Riemann tensor symmetries", "torsion reconstructs nabla phi"])
 def test_check_peak_below_one_stored_rm(ctx, name):
     """With the structure and its cached geometry built, the check's traced peak stays
-    below the (..., 7, 7, 21) Rm it reads: no 7^4 array spans the grid."""
-    st, _ = ctx.closed_structure()
-    limit = riemann.curvature_of(st).rm.nbytes
+    below one whole-grid (..., 7, 7, 21) Rm, 3 connections: no 7^4 array spans the grid.
+
+    No Rm is stored, so the Riemann check takes it from riemann.curvature_blocks,
+    beside the whole-grid dGamma partials, one connection per active axis.
+    Counted so, its peak was 6.2 connections when the check read a cached Rm.
+    """
+    st, lat = ctx.closed_structure()
+    partials = lat.ndim_active if name == "Riemann tensor symmetries" else 0
+    limit = (3 + partials) * riemann.connection_of(st).nbytes
     riemann.torsion_of(st)
     checks.nabla_phi_of(st)
     tracemalloc.start()

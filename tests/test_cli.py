@@ -1,14 +1,17 @@
 """CLI subcommands: exit codes, outputs, determinism, resume."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from g2flow import cli
+from g2flow import cli, flow
 from g2flow import io as ckpt
 from g2flow import g2algebra as g2
 from g2flow.checks import CHECKS, SuiteContext, run_check, run_identity_suite
+from g2flow.config import RunConfig
 from g2flow.tables import index_position
 
 from test_golden import MODES_2D
@@ -386,6 +389,42 @@ def test_flow_resume_from_final_checkpoint_matches_uninterrupted_run(tmp_path):
     final = tmp_path / "out" / "checkpoints" / "step_00000005.json"
     assert cli.main(["flow", str(path), "--resume", str(final)]) == 0
     assert _run_outputs(tmp_path / "out") == full
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_flow_frees_the_initial_structure_after_step_1(tmp_path, monkeypatch, resume):
+    path, _ = write_config(tmp_path, control={"t_end": 0.03, "dt": 0.01})
+    args = ["flow", str(path)]
+    if resume:
+        assert cli.main(["perturb", str(path)]) == 0
+        args += ["--resume", str(tmp_path / "out" / "checkpoints" / "initial.json")]
+    initial = []
+    build = RunConfig.build_initial
+    resume_state = cli._resume_state
+
+    def built(cfg, reference):
+        st = build(cfg, reference)
+        initial.append(weakref.ref(st))
+        return st
+
+    def resumed(*args):
+        st, t, step = resume_state(*args)
+        initial.append(weakref.ref(st))
+        return st, t, step
+
+    step_rk4 = flow.step_rk4
+    alive = []
+
+    def step(state, control):
+        gc.collect()
+        alive.append(initial[0]() is not None)
+        return step_rk4(state, control)
+
+    monkeypatch.setattr(RunConfig, "build_initial", built)
+    monkeypatch.setattr(cli, "_resume_state", resumed)
+    monkeypatch.setattr(flow, "step_rk4", step)
+    assert cli.main(args) == 0
+    assert alive == [True, False, False]  # at the start of steps 1, 2 and 3
 
 
 def _set_sidecar_extra(sidecar_path, key, value):

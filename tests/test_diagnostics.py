@@ -1,5 +1,6 @@
 """Functionals, spectral quantities, decay fitting, snapshots."""
 
+import tracemalloc
 from dataclasses import is_dataclass
 
 import numpy as np
@@ -254,8 +255,9 @@ def test_rhs_cross_residual_stays_at_roundoff_as_theta_vanishes(scheme):
 
 
 def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
-    # d phi and tau2 = d* phi are kept compressed, (35,) and (21,), and Rm as
-    # (7, 7, 21) per site, never 7^4
+    # d phi and tau2 = d* phi are kept compressed, (35,) and (21,), and no Rm
+    # at all, so the largest entries are the (7, 7, 7) per site of Gamma and
+    # nabla T
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
@@ -266,7 +268,25 @@ def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
         arrays.update({f"{key}.{name}": data for name, data in fields.items()})
     sites = np.prod(lat.grid_shape)
     assert {key: data.size / sites for key, data in arrays.items()
-            if data.size > 7 * 7 * 21 * sites} == {}
+            if data.size > 7 * 7 * 7 * sites} == {}
+
+
+def test_snapshot_peak_stays_below_8_connections():
+    # at 3-D n=8, from a state as the flow validates it; with a whole-grid
+    # Rm (3 connections) the traced peak was 9.7 connections (12.9 MiB), now
+    # 6.6: the three dGamma partials, the cached Gamma, and block temporaries
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    ref = g2.flat_reference(lat)
+    st = flow._validate(closed_perturbed_phi(lat, np.random.default_rng(0)), ref)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "deturck"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    gamma = riemann.connection_of(st)
+    assert peak < 8 * gamma.nbytes, f"{peak / gamma.nbytes:.2f} connections"
 
 
 def test_record_round_trip():

@@ -1,5 +1,8 @@
 """Flow right-hand sides, RK4 stepping and structural preservation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -354,6 +357,28 @@ def test_run_flow_checkpoints_each_step_once(every, t0, step0, want):
     flow.run_flow(st, g2.flat_reference(lat), "deturck", control, sample_interval=100,
                   checkpoint_cb=lambda state, step: done.append(step), t0=t0, step0=step0)
     assert done == want
+
+
+def test_run_flow_frees_the_initial_structure_after_step_1():
+    # the caller hands over its only reference; none in run_flow outlives step 1
+    lat = Lattice((1,), 16, TWO_PI)
+    initial = []
+
+    def built():
+        st, _ = lowest_mode_initial(lat, 1e-3)
+        initial.append(weakref.ref(st))
+        return st
+
+    alive = []
+
+    def checkpoint_cb(state, step):
+        gc.collect()
+        alive.append(initial[0]() is not None)
+
+    control = flow.StepControl(t_end=0.03, dt=0.01, checkpoint_every=1)
+    flow.run_flow(built(), g2.flat_reference(lat), "deturck", control, sample_interval=1,
+                  checkpoint_cb=checkpoint_cb)
+    assert alive == [False, False, False]
 
 
 @pytest.mark.parametrize("scheme, oracle", [("spectral", oracles.fft_partial),
