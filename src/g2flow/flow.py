@@ -29,7 +29,7 @@ class NotClosed(Exception):
 
 
 class StepFailed(Exception):
-    """Raised after repeated step rejections (positivity loss or blow-up)."""
+    """Raised when a step is rejected (positivity loss or blow-up); names the cause."""
 
     def __init__(self, message, state=None, step=None):
         super().__init__(message)
@@ -70,13 +70,12 @@ CFL_COEFFICIENT = 0.2
 
 @dataclass
 class StepControl:
-    """Time-step policy: a set dt is used as is, else every step is the CFL step."""
+    """Time-step policy: a set dt is used as is, else the CFL step; one attempt per step."""
 
     t_end: float = 10.0
     dt: float = None
     stop_tolerance: float = 1e-10
     checkpoint_every: int = 200
-    max_halvings: int = 10
 
     def __post_init__(self):
         for name in ("t_end", "dt"):
@@ -88,14 +87,10 @@ class StepControl:
         tol = self.stop_tolerance
         if not (is_number(tol) and 0 <= tol < np.inf):
             raise ValueError(f"stop_tolerance must be a finite number >= 0, got {tol!r}")
-        for name in ("checkpoint_every", "max_halvings"):
-            value = getattr(self, name)
-            if not is_number(value, integer=True):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not is_number(self.checkpoint_every, integer=True):
+            raise ValueError(f"checkpoint_every must be an integer, got {self.checkpoint_every!r}")
         if not self.checkpoint_every >= 1:
             raise ValueError("checkpoint_every must be at least 1")
-        if not self.max_halvings >= 0:
-            raise ValueError("max_halvings must not be negative")
 
 
 def coexact_part(structure: G2Structure) -> FormField:
@@ -239,28 +234,25 @@ def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
 
 
 def step_rk4(state: FlowState, control: StepControl) -> FlowState:
-    """One classical RK4 step with rejection and dt halving on invariant loss."""
+    """One classical RK4 step at the proposed dt; StepFailed if it loses an invariant."""
     dt = propose_dt(state, control)
     phi = state.structure.phi
-    k1 = flow_rhs(state)  # independent of dt, so shared by every attempt
-    for _ in range(control.max_halvings + 1):
-        try:
-            s2 = G2Structure.from_phi(phi + (0.5 * dt) * k1)
-            k2 = flow_rhs(replace(state, structure=s2))
-            s3 = G2Structure.from_phi(phi + (0.5 * dt) * k2)
-            k3 = flow_rhs(replace(state, structure=s3))
-            s4 = G2Structure.from_phi(phi + dt * k3)
-            k4 = flow_rhs(replace(state, structure=s4))
-            new_phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            structure = _validate(new_phi, state.reference)
-        except (NotPositive, NotClosed):
-            dt *= 0.5
-            continue
-        # A step clamped to t_end lands on it exactly, free of roundoff in t + dt.
-        t = control.t_end if dt == control.t_end - state.t else state.t + dt
-        return replace(state, t=t, structure=structure)
-    raise StepFailed(f"step rejected {control.max_halvings + 1} times at t={state.t:.6g}",
-                     state=state)
+    try:
+        k1 = flow_rhs(state)
+        s2 = G2Structure.from_phi(phi + (0.5 * dt) * k1)
+        k2 = flow_rhs(replace(state, structure=s2))
+        s3 = G2Structure.from_phi(phi + (0.5 * dt) * k2)
+        k3 = flow_rhs(replace(state, structure=s3))
+        s4 = G2Structure.from_phi(phi + dt * k3)
+        k4 = flow_rhs(replace(state, structure=s4))
+        new_phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        structure = _validate(new_phi, state.reference)
+    except (NotPositive, NotClosed) as exc:
+        raise StepFailed(f"step rejected at t={state.t:.6g}: {type(exc).__name__}: {exc}",
+                         state=state) from exc
+    # A step clamped to t_end lands on it exactly, free of roundoff in t + dt.
+    t = control.t_end if dt == control.t_end - state.t else state.t + dt
+    return replace(state, t=t, structure=structure)
 
 
 def run_flow(initial: G2Structure, reference: G2Structure, kind: str,

@@ -153,6 +153,7 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"control": {"max_halvings": -1}},
                                       {"output": {"sample_interval": 0}},
                                       {"control": {"max_halvings": 1.5}},
+                                      {"control": {"max_halvings": 10}},
                                       {"control": {"checkpoint_every": 2.5}},
                                       {"output": {"sample_interval": 2.5}},
                                       {"lattice": {"points_per_axis": 16.0}},
@@ -185,7 +186,7 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "max_dt_negative", "cfl_coefficient", "max_dt",
                               "cfl_over_rk4_interval", "checkpoint_every0",
                               "max_halvings_negative", "sample_interval0",
-                              "max_halvings_float", "checkpoint_every_float",
+                              "max_halvings_float", "max_halvings", "checkpoint_every_float",
                               "sample_interval_float", "points_per_axis_float",
                               "deturck_a", "amplitude_str", "phase_str",
                               "amplitude_nan", "mode_float", "component_float",
@@ -523,20 +524,34 @@ def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, ke
 
 
 def test_flow_step_failure_exit_3(tmp_path, capsys):
-    path, _ = write_config(tmp_path, control={"t_end": 5.0, "dt": 2.0,
-                                              "max_halvings": 0},
+    path, _ = write_config(tmp_path, control={"t_end": 5.0, "dt": 2.0},
                            perturbation=[{"mode": [1, 0, 0, 0, 0, 0, 0],
                                           "component": [2, 3],
                                           "amplitude": 1e-2, "phase": 0.0}])
     assert cli.main(["flow", str(path)]) == 3
     err = capsys.readouterr().err
     assert "integration failed" in err
+    assert "NotPositive" in err  # the rejection names its cause
     assert "last checkpoint" in err
+
+
+def test_flow_over_rk4_interval_dt_exit_3(tmp_path, capsys):
+    # a set dt with dt * lambda_max ~ 6.1, outside RK4's [-2.785, 0]: step 6
+    # loses positivity, and that first rejected step ends the run
+    path, _ = write_config(tmp_path, lattice={"active_axes": [1, 2]},
+                           perturbation=MODES_2D,
+                           control={"t_end": 2.0, "dt": 0.0625})
+    assert cli.main(["flow", str(path)]) == 3
+    assert "integration failed" in capsys.readouterr().err
+    out = tmp_path / "out"
+    failed = out / "checkpoints" / "failed_step_00000005.json"
+    assert json.loads(failed.read_text())["extra"]["t"] == 0.3125
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("dt", [1e200, 1e300])
 def test_flow_overflowing_step_exit_3(tmp_path, capsys, dt):
-    # the first step overflows to a non-finite form, which no halving rescues
+    # the first step overflows to a non-finite form
     path, _ = write_config(tmp_path, control={"t_end": 1e300, "dt": dt})
     with pytest.warns(RuntimeWarning):
         assert cli.main(["flow", str(path)]) == 3

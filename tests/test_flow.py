@@ -254,29 +254,8 @@ def test_accepted_step_calls_four_stages_and_one_validation(monkeypatch):
     monkeypatch.setattr(flow, "_validate", counted("_validate", flow._validate))
     out = flow.step_rk4(flow.FlowState(0.0, st, ref, "deturck"),
                         flow.StepControl(t_end=1.0, dt=1e-3))
-    assert out.t == 1e-3  # accepted at the proposed dt, no halving
+    assert out.t == 1e-3  # the proposed dt, attempted once
     assert calls == {"from_phi": 4, "flow_rhs": 4, "_validate": 1}
-
-
-def test_rejected_step_evaluates_k1_once(monkeypatch):
-    # dt = 10 loses positivity and dt = 5 is accepted; k1 = flow_rhs(state)
-    # does not depend on dt, so the start state is evaluated once, not per attempt
-    lat = Lattice((1,), 16, TWO_PI)
-    st, _ = lowest_mode_initial(lat, 1e-2)  # mode 1 on e^23
-    ref = g2.flat_reference(lat)
-    state = flow.FlowState(0.0, st, ref, "deturck")
-    flow_rhs = flow.flow_rhs
-    on_start = []
-
-    def counted(s):
-        if s is state:
-            on_start.append(s)
-        return flow_rhs(s)
-
-    monkeypatch.setattr(flow, "flow_rhs", counted)
-    out = flow.step_rk4(state, flow.StepControl(t_end=10.0, dt=10.0, max_halvings=3))
-    assert out.t == 5.0
-    assert len(on_start) == 1
 
 
 def test_temporal_self_convergence():
@@ -303,18 +282,18 @@ def test_step_failure_after_rejections():
     st, _ = lowest_mode_initial(lat, 1e-2)
     ref = g2.flat_reference(lat)
     # an end time far past the step, so the step is not clamped to t_end - t
-    control = flow.StepControl(t_end=1e300, dt=1e6, max_halvings=2)
+    control = flow.StepControl(t_end=1e300, dt=1e6)
     with pytest.raises(flow.StepFailed):
         flow.step_rk4(flow.FlowState(0.0, st, ref, "laplacian"), control)
 
 
 def test_run_flow_step_failure_carries_state():
-    # an over-CFL fixed step with no halvings allowed blows up within a few
-    # steps and surfaces the last good state on the exception
+    # an over-CFL fixed step blows up within a few steps and surfaces the
+    # last good state on the exception
     lat = Lattice((1,), 16, TWO_PI)
     st, _ = lowest_mode_initial(lat, 1e-2)
     ref = g2.flat_reference(lat)
-    control = flow.StepControl(t_end=10.0, dt=2.0, max_halvings=0)
+    control = flow.StepControl(t_end=10.0, dt=2.0)
     with pytest.raises(flow.StepFailed) as exc_info:
         flow.run_flow(st, ref, "laplacian", control, sample_interval=1000)
     assert exc_info.value.state is not None

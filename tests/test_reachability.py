@@ -25,7 +25,7 @@ MODULES = ("flow", "g2algebra", "riemann", "lattice", "tables", "diagnostics")
 
 # name -> why no flow run reaches it
 ALLOWED = {
-    "flow.StepFailed.__init__": "an error path: every halving of one step was rejected",
+    "flow.StepFailed.__init__": "an error path: a step was rejected",
     "g2algebra.Metric.__getitem__": "the check suite slices metric batches with it",
     "g2algebra.metric_from_phi": "public API (g2flow.__all__)",
     "g2algebra.is_positive": "public API (g2flow.__all__)",
