@@ -193,7 +193,7 @@ def _drop_samples_from(series_path, t0):
 
 def cmd_flow(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    reference = flat_reference(cfg.lattice)
+    reference = flat_reference(cfg.lattice).phi  # all a flow reads of the reference
 
     out = _output_directory(cfg)
     ckpt_dir = out / "checkpoints"
@@ -212,7 +212,7 @@ def cmd_flow(args) -> int:
     start = [initial]
     del initial
 
-    ckpt.write_form_field(ckpt_dir / "reference", reference.phi)
+    ckpt.write_form_field(ckpt_dir / "reference", reference)
     last_ckpt = {"path": None, "step": step0}
 
     def checkpoint_cb(state, step):
@@ -270,13 +270,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_perturb(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    reference = flat_reference(cfg.lattice)
+    reference = flat_reference(cfg.lattice).phi
     initial = cfg.build_initial(reference)
     out = _output_directory(cfg)
-    ckpt.write_form_field(out / "checkpoints" / "reference", reference.phi)
+    ckpt.write_form_field(out / "checkpoints" / "reference", reference)
     path = ckpt.write_form_field(
         out / "checkpoints" / "initial", initial.phi, extra=_flow_extra(cfg, 0.0, 0))
-    theta0 = initial.phi.data - reference.phi.data
+    theta0 = initial.phi.data - reference.data
     print(f"initial checkpoint: {path}")
     print(f"theta0 max-norm: {float(np.max(np.abs(theta0))):.6e}")
     return EXIT_OK

@@ -152,10 +152,10 @@ class RunConfig:
                 m.amplitude * np.broadcast_to(np.sin(arg), lattice.grid_shape))
         return FormField(lattice, 2, data)
 
-    def build_initial(self, reference: G2Structure = None) -> G2Structure:
-        """Reference plus d(beta), validated positive."""
-        reference = reference or flat_reference(self.lattice)
-        phi0 = reference.phi + exterior_derivative(self.build_beta())
+    def build_initial(self, reference: FormField = None) -> G2Structure:
+        """The reference 3-form (default: the flat one) plus d(beta), validated positive."""
+        reference = reference or flat_reference(self.lattice).phi
+        phi0 = reference + exterior_derivative(self.build_beta())
         try:
             return G2Structure.from_phi(phi0)
         except NotPositive as exc:

@@ -98,19 +98,26 @@ def ck_channels(lattice: Lattice, data: np.ndarray, k_max: int = 3) -> tuple:
     of active axes. Flat partials commute, so each multiset of axes is
     differentiated once and its squared norm weighted by the number of
     orderings, k! / prod(alpha_j!) for axis multiplicities alpha_j: in 3-D,
-    orders 1..3 take 3, 6 and 10 fields instead of 3, 9 and 27.
+    orders 1..3 take 3, 6 and 10 fields instead of 3, 9 and 27. The
+    multisets are walked depth first, as nondecreasing tuples of axis
+    positions, so at most k_max derivative fields are held at once, and
+    each order's weighted squares are added in lexicographic order.
     """
     comp_axes = tuple(range(lattice.ndim_active, data.ndim))
-    out = [float(np.sqrt(np.max(np.sum(data * data, axis=comp_axes))))]
-    level = {(): data}  # nondecreasing tuple of axis positions -> derivative
-    for k in range(1, k_max + 1):
-        level = {axes + (pos,): lattice.partial_array(field, lattice.active_axes[pos])
-                 for axes, field in level.items()
-                 for pos in range(axes[-1] if axes else 0, lattice.ndim_active)}
-        sq = sum(factorial(k) // prod(factorial(axes.count(p)) for p in set(axes))
-                 * np.sum(field * field, axis=comp_axes) for axes, field in level.items())
-        out.append(float(np.sqrt(np.max(sq))))
-    return tuple(out)
+    sq = [np.sum(data * data, axis=comp_axes)] + [0] * k_max
+
+    def visit(field, axes):
+        """Add the squares of field = d_axes data, then descend to its partials."""
+        k = len(axes)
+        if k:
+            sq[k] = sq[k] + (factorial(k) // prod(factorial(axes.count(p)) for p in set(axes))
+                             * np.sum(field * field, axis=comp_axes))
+        if k < k_max:
+            for pos in range(axes[-1] if axes else 0, lattice.ndim_active):
+                visit(lattice.partial_array(field, lattice.active_axes[pos]), axes + (pos,))
+
+    visit(data, ())
+    return tuple(float(np.sqrt(np.max(level))) for level in sq)
 
 
 def rayleigh_lowest_mode(lattice: Lattice) -> float:
@@ -165,7 +172,7 @@ def fit_decay_rate(series, window=None) -> DecayFit:
 
 def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:
     """Populate every channel of a TimeSeriesRecord from the current state."""
-    structure, reference = state.structure, state.reference
+    structure = state.structure
     lat = structure.lattice
     theta = state.theta()
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import riemann
-from .g2algebra import G2Structure, NotPositive, expand_form, i_phi
+from .g2algebra import G2Structure, NotPositive, i_phi
 from .lattice import FormField, exterior_derivative, is_number
 
 KINDS = ("laplacian", "deturck")
@@ -39,16 +39,17 @@ class StepFailed(Exception):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Time stamp, evolving structure and the fixed reference structure.
+    """Time stamp, evolving structure and the fixed reference 3-form.
 
-    theta is measured from the reference. The DeTurck gauge is relative to
-    the flat background (riemann.deturck_vector), which is the reference of
-    every flow the command line runs: flat_reference of its lattice.
+    theta is measured from the reference, which is all the flow reads of
+    the reference structure. The DeTurck gauge is relative to the flat
+    background (riemann.deturck_vector), whose 3-form is the reference of
+    every flow the command line runs: flat_reference(lattice).phi.
     """
 
     t: float
     structure: G2Structure
-    reference: G2Structure
+    reference: FormField
     kind: str
 
     def __post_init__(self):
@@ -56,7 +57,7 @@ class FlowState:
             raise ValueError(f"unknown flow kind {self.kind!r}")
 
     def theta(self) -> np.ndarray:
-        return self.structure.phi.data - self.reference.phi.data
+        return self.structure.phi.data - self.reference.data
 
 
 # The CFL step, taken when dt is unset, is CFL_COEFFICIENT * (L/n)^2 / (a s)
@@ -157,18 +158,12 @@ def intrinsic_h(structure: G2Structure) -> np.ndarray:
     """Symmetric tensor h with Laplacian(phi) = i_phi(h) for closed phi.
 
     h_ij = -nabla_m T_ni phi_j^mn - |T|^2 g_ij / 3 - T_i^l T_lj, symmetrized
-    to remove the discretization-level antisymmetric residue.
+    to remove the discretization-level antisymmetric residue. The first
+    term is the cached riemann.torsion_derivative's, built per site block.
     """
     t = riemann.torsion_of(structure)
     g, g_inv = structure.g, structure.g_inv
-    batch = g.shape[:-2]
-    # phi_j^mn = g^am phi_jab g^bn, one (7, 7) sandwich per j
-    phi_mix = (np.swapaxes(g_inv, -1, -2)[..., None, :, :]
-               @ expand_form(structure.phi.data, 3) @ g_inv[..., None, :, :])
-    # nabla_m T_ni phi_j^mn: (i, mn) @ (mn, j)
-    nabla_t = riemann.nabla_torsion_of(structure).reshape(batch + (49, 7))
-    grad_term = np.swapaxes(nabla_t, -1, -2) @ np.swapaxes(
-        phi_mix.reshape(batch + (7, 49)), -1, -2)
+    grad_term = riemann.torsion_derivative_of(structure).phi_term
     t_sq = riemann.tensor_norm_sq(t, structure)
     h = -grad_term - (t_sq / 3.0)[..., None, None] * g - t @ g_inv @ t
     return 0.5 * (h + np.swapaxes(h, -1, -2))
@@ -219,7 +214,7 @@ def propose_dt(state: FlowState, control: StepControl) -> float:
     return dt
 
 
-def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
+def _validate(phi: FormField, reference: FormField) -> G2Structure:
     """Re-validate the FlowState invariants; raises on violation.
 
     The returned structure carries its d phi, which the closedness guard of
@@ -227,24 +222,30 @@ def _validate(phi: FormField, reference: G2Structure) -> G2Structure:
     """
     structure = G2Structure.from_phi(phi)  # NotPositive on positivity loss
     require_closed(structure)
-    theta_mean = phi.lattice.site_mean(phi.data - reference.phi.data)
+    theta_mean = phi.lattice.site_mean(phi.data - reference.data)
     if np.max(np.abs(theta_mean)) > HARMONIC_TOL * max(phi.max_norm(), 1e-300):
         raise NotClosed(f"harmonic part drifted: {np.max(np.abs(theta_mean)):.3e}")
     return structure
 
 
+def _slope(state: FlowState, phi: FormField) -> FormField:
+    """flow_rhs at the structure of phi, an RK4 stage; the structure is freed on return."""
+    return flow_rhs(replace(state, structure=G2Structure.from_phi(phi)))
+
+
 def step_rk4(state: FlowState, control: StepControl) -> FlowState:
-    """One classical RK4 step at the proposed dt; StepFailed if it loses an invariant."""
+    """One classical RK4 step at the proposed dt; StepFailed if it loses an invariant.
+
+    Each stage structure lives only while its slope is taken (_slope), so
+    one stage at a time sits beside the state's structure.
+    """
     dt = propose_dt(state, control)
     phi = state.structure.phi
     try:
         k1 = flow_rhs(state)
-        s2 = G2Structure.from_phi(phi + (0.5 * dt) * k1)
-        k2 = flow_rhs(replace(state, structure=s2))
-        s3 = G2Structure.from_phi(phi + (0.5 * dt) * k2)
-        k3 = flow_rhs(replace(state, structure=s3))
-        s4 = G2Structure.from_phi(phi + dt * k3)
-        k4 = flow_rhs(replace(state, structure=s4))
+        k2 = _slope(state, phi + (0.5 * dt) * k1)
+        k3 = _slope(state, phi + (0.5 * dt) * k2)
+        k4 = _slope(state, phi + dt * k3)
         new_phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         structure = _validate(new_phi, state.reference)
     except (NotPositive, NotClosed) as exc:
@@ -255,7 +256,7 @@ def step_rk4(state: FlowState, control: StepControl) -> FlowState:
     return replace(state, t=t, structure=structure)
 
 
-def run_flow(initial: G2Structure, reference: G2Structure, kind: str,
+def run_flow(initial: G2Structure, reference: FormField, kind: str,
              control: StepControl, sample_interval: int,
              record_cb=None, checkpoint_cb=None,
              t0: float = 0.0, step0: int = 0):

@@ -6,13 +6,18 @@ integrated metric), so the metric-evolution and curvature identities of the
 flow are genuine cross-checks rather than consequences of bookkeeping.
 
 Every tensor here is covariant, all slots lower, and norms raise them with
-the metric's g_inv. The one covariant derivative is covariant_derivative_array,
-for full lower 2-tensors (T, g, Ric); the flow needs no nabla phi, which only
-the check suite takes (checks.covariant_derivative_form).
+the metric's g_inv. The covariant derivative of a full lower 2-tensor
+(T, g, Ric) is its partials less _connection_terms: over the whole grid in
+covariant_derivative_array, which the check suite reads, and per site block
+in torsion_derivative, which the flow reads. The flow needs no nabla phi,
+which only the check suite takes (checks.covariant_derivative_form).
 
-Rm is never stored for the whole grid. curvature_blocks yields it one block
-of lattice.SITE_BLOCK sites at a time, and curvature keeps of it only what
-the flow reads, the pointwise |Rm|^2, next to Ric and the scalar curvature.
+No array of 7^3 or more entries per site is stored for the whole grid but
+the connection Gamma itself. Rm, dGamma, the Christoffel build's
+d_m g_lk stack and nabla T exist one block of lattice.SITE_BLOCK sites at a
+time: curvature_blocks yields Rm per block, and curvature keeps of it the
+pointwise |Rm|^2, Ric and the scalar curvature; torsion_derivative keeps
+of nabla T |nabla T|^2 and the nabla T . phi term of flow.intrinsic_h.
 """
 
 from dataclasses import dataclass
@@ -41,35 +46,62 @@ class CurvatureData:
     rm_sq: np.ndarray
 
 
+def _block_partials(partials: list, block: slice) -> np.ndarray:
+    """The (sites, 7, *comp) stack of one block from per-axis partials [(slot, (sites, *comp))].
+
+    Slot m holds partials[m][block]; the slots of inactive axes are 0.0, as
+    in Lattice.gradient.
+    """
+    first = partials[0][1][block]
+    out = np.zeros((len(first), 7) + first.shape[1:])
+    for m, partial in partials:
+        out[:, m] = partial[block]
+    return out
+
+
 def christoffels(metric: g2algebra.Metric, lattice: Lattice) -> np.ndarray:
     """Levi-Civita connection of g: Gamma^i_jk = g^il (d_j g_lk + d_k g_lj - d_l g_jk)/2.
 
-    Index order of the returned array: upper, lower, lower.
+    Index order of the returned array: upper, lower, lower. The partials
+    d_m g are taken over the whole grid, one (..., 7, 7) array per active
+    axis; the (7, 7, 7) stack of them, s and the product with g_inv are
+    formed per site block, so only Gamma spans the grid.
     """
-    dg = lattice.gradient(metric.g)
-    # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
-    s = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
-    s -= dg
-    gamma = metric.g_inv @ s.reshape(s.shape[:-3] + (7, 49))
-    gamma *= 0.5
-    return gamma.reshape(s.shape)
+    batch = metric.g.shape[:-2]
+    dg = [(axis - 1, lattice.partial_array(metric.g, axis).reshape(-1, 7, 7))
+          for axis in lattice.active_axes]
+    g_inv = metric.g_inv.reshape(-1, 7, 7)
+    gamma = np.empty((len(g_inv), 7, 7, 7))
+    for block in site_blocks(len(g_inv)):
+        d = _block_partials(dg, block)
+        # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
+        s = np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1)
+        s -= d
+        gb = g_inv[block] @ s.reshape(-1, 7, 49)
+        gb *= 0.5
+        gamma[block] = gb.reshape(-1, 7, 7, 7)
+    return gamma.reshape(batch + (7, 7, 7))
 
 
-def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
-                               lattice: Lattice) -> np.ndarray:
-    """Covariant derivative of a lower 2-tensor field: out[..., m, i, j] = nabla_m t_ij.
+def _connection_terms(out: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """nabla t from its partials: out[..., m, i, j] = d_m t_ij, less the Gamma terms, in place.
 
     nabla_m t_ij = d_m t_ij - Gamma^z_mi t_zj - Gamma^z_mj t_iz. With Gamma
     arranged [(m, x), z], each connection term is one batched
     (49, 7) @ (7, 7) matmul per site: against t for the first slot, and
     against its transpose, with x moved back to the last slot, for the second.
     """
-    out = lattice.gradient(t)
     batch = gamma.shape[:-3]
     conn = np.moveaxis(gamma, -3, -1).reshape(batch + (49, 7))  # conn[(m, x), z] = Gamma^z_mx
     out -= (conn @ t).reshape(out.shape)
     out -= np.swapaxes((conn @ np.swapaxes(t, -1, -2)).reshape(out.shape), -1, -2)
     return out
+
+
+def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
+                               lattice: Lattice) -> np.ndarray:
+    """Covariant derivative of a lower 2-tensor field: out[..., m, i, j] = nabla_m t_ij."""
+    return _connection_terms(lattice.gradient(t), gamma, t)
 
 
 def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice):
@@ -88,30 +120,30 @@ def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Latti
     and Ric_jl = R^k_jkl reads the pair through interior_table(2):
     R^k_jkl = sum_K T[k, l, K] R^k_jK.
 
-    The dGamma partials are taken over the whole grid, one per active axis,
-    because they differentiate along grid axes. Everything after them is
-    per site, so the 7^4 array exists for one block at a time; each site's
-    arithmetic is the same for any block size. Warm at 3-D n=8 on a 2-CPU
-    Xeon, blocks of 16 to 64 sites ran fastest and the whole grid slowest
-    (10 against 23 ms per call).
+    The dGamma partials are taken at the block's sites
+    (Lattice.partial_blocks), bit for bit as partial_array takes them over
+    the grid, one active axis at a time, so dGamma and the 7^4 array exist
+    for one block at a time, beside a slab of at most four rows of a line
+    group; each site's arithmetic is the same for any block size. Warm at
+    3-D n=8 on a 2-CPU Xeon, blocks of 16 to 64 sites ran fastest and the
+    whole grid slowest (10 against 23 ms per call).
     """
-    dgamma = [(axis - 1, lattice.partial_array(gamma, axis).reshape(-1, 7, 7, 7))
-              for axis in lattice.active_axes]
-    gamma = gamma.reshape(-1, 7, 7, 7)
+    dgamma = [(axis - 1, lattice.partial_blocks(gamma, axis)) for axis in lattice.active_axes]
+    flat = gamma.reshape(-1, 7, 7, 7)
     g = metric.g.reshape(-1, 7, 7)
     # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
     # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
     ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
-    for block in site_blocks(gamma.shape[0]):
-        gb = gamma[block]
+    for block in site_blocks(flat.shape[0]):
+        gb = flat[block]
         # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
         # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
         #         = a[i, k, l, j] - a[i, l, k, j].
         a = gb.reshape(-1, 49, 7) @ gb.reshape(-1, 7, 49)
         a = a.reshape(-1, 7, 7, 7, 7)
-        for k, partial in dgamma:
-            a[:, :, k, :, :] += partial[block]
+        for k, partials in dgamma:
+            a[:, :, k, :, :] += next(partials)
         a = a.reshape(-1, 2401)
         r_up = np.take(a, ij + 7 * _PAIRS, axis=-1)
         r_up -= np.take(a, ij + 7 * _SWAPPED, axis=-1)
@@ -177,10 +209,58 @@ def torsion_of(structure) -> np.ndarray:
         "torsion", lambda: -0.5 * g2algebra.expand_form(coexact_part(structure).data, 2))
 
 
-def nabla_torsion_of(structure) -> np.ndarray:
-    """Covariant derivative of the full torsion, (nabla T)[..., m, i, j], cached."""
-    return structure.cached("nabla_torsion", lambda: covariant_derivative_array(
-        torsion_of(structure), connection_of(structure), structure.lattice))
+@dataclass
+class TorsionDerivative:
+    """What the flow reads of nabla T, per site.
+
+    norm_sq = |nabla T|^2 in the structure's metric, for lambda_monitor, and
+    phi_term[..., i, j] = nabla_m T_ni phi_j^mn, the gradient term of
+    flow.intrinsic_h. nabla T itself is not kept: torsion_derivative builds
+    it one site block at a time.
+    """
+
+    norm_sq: np.ndarray
+    phi_term: np.ndarray
+
+
+def torsion_derivative(structure) -> TorsionDerivative:
+    """|nabla T|^2 and nabla_m T_ni phi_j^mn of a closed structure, from nabla T per site block.
+
+    The partials d_m T are taken over the whole grid, one (..., 7, 7) array
+    per active axis. Per block, their (7, 7, 7) stack less the connection
+    terms is nabla T, which is raised and contracted into |nabla T|^2
+    (tensor_norm_sq) and contracted with phi_j^mn = g^am phi_jab g^bn, one
+    (7, 49) @ (49, 7) product per site; each site's arithmetic is the same
+    for any block size.
+    """
+    t = torsion_of(structure)
+    batch = t.shape[:-2]
+    dt = [(axis - 1, structure.lattice.partial_array(t, axis).reshape(-1, 7, 7))
+          for axis in structure.lattice.active_axes]
+    t = t.reshape(-1, 7, 7)
+    gamma = connection_of(structure).reshape(-1, 7, 7, 7)
+    metric = g2algebra.Metric(structure.g.reshape(-1, 7, 7), structure.g_inv.reshape(-1, 7, 7),
+                              structure.vol.reshape(-1))
+    phi = structure.phi.data.reshape(-1, 35)
+    norm_sq = np.empty(len(t))
+    phi_term = np.empty((len(t), 7, 7))
+    for block in site_blocks(len(t)):
+        nabla_t = _connection_terms(_block_partials(dt, block), gamma[block], t[block])
+        g_inv = metric.g_inv[block]
+        norm_sq[block] = tensor_norm_sq(nabla_t, metric[block])
+        # phi_j^mn = g^am phi_jab g^bn, one (7, 7) sandwich per j
+        phi_mix = (np.swapaxes(g_inv, -1, -2)[..., None, :, :]
+                   @ g2algebra.expand_form(phi[block], 3) @ g_inv[..., None, :, :])
+        # nabla_m T_ni phi_j^mn: (i, mn) @ (mn, j)
+        phi_term[block] = np.swapaxes(nabla_t.reshape(-1, 49, 7), -1, -2) @ np.swapaxes(
+            phi_mix.reshape(-1, 7, 49), -1, -2)
+    return TorsionDerivative(norm_sq=norm_sq.reshape(batch),
+                             phi_term=phi_term.reshape(batch + (7, 7)))
+
+
+def torsion_derivative_of(structure) -> TorsionDerivative:
+    """torsion_derivative of the structure, cached."""
+    return structure.cached("nabla_torsion", lambda: torsion_derivative(structure))
 
 
 def curvature_of(structure) -> CurvatureData:
@@ -227,8 +307,8 @@ def _pair_metric(g_inv: np.ndarray) -> np.ndarray:
 def lambda_monitor(structure) -> np.ndarray:
     """Pointwise (|Rm|^2 + |nabla T|^2)^(1/2) in the structure's own metric.
 
-    |Rm|^2 is the cached curvature's, contracted block by block with Rm
-    itself (curvature).
+    |Rm|^2 is the cached curvature's and |nabla T|^2 the cached
+    torsion_derivative's, each contracted block by block.
     """
     rm_sq = curvature_of(structure).rm_sq
-    return np.sqrt(rm_sq + tensor_norm_sq(nabla_torsion_of(structure), structure))
+    return np.sqrt(rm_sq + torsion_derivative_of(structure).norm_sq)

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * np.pi
 
 def snapshot_volume(structure):
     """total_volume of a snapshot: int sqrt(det g) = (1/7) int phi ^ psi."""
-    rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, structure, structure, "deturck"))
+    rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, structure, structure.phi, "deturck"))
     return rec.total_volume
 
 
@@ -100,7 +100,7 @@ def test_fit_decay_rate_errors():
 def test_snapshot_at_reference_state():
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
-    state = flow.FlowState(0.0, ref, ref, "deturck")
+    state = flow.FlowState(0.0, ref, ref.phi, "deturck")
     rec = diagnostics.diagnostic_snapshot(state)
     assert rec.l2_theta == 0.0
     assert rec.torsion_l2 < 1e-20
@@ -114,7 +114,7 @@ def test_snapshot_scalar_identity_perturbed(rng):
     lat = Lattice((1, 2), 32, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=5e-3))
     ref = g2.flat_reference(lat)
-    rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "laplacian"))
+    rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref.phi, "laplacian"))
     max_r = np.max(np.abs(riemann.curvature_of(st).scalar))
     assert rec.scalar_identity_residual <= 1e-6 * max_r
     assert rec.l2_theta > 0
@@ -127,7 +127,7 @@ def test_ck_channels_linear_in_amplitude():
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
         st, _ = lowest_mode_initial(lat, eps)
-        rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "deturck"))
+        rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref.phi, "deturck"))
         ratios.append(rec.ck_theta[0] / eps)
     assert max(ratios) / min(ratios) < 1.01
 
@@ -159,20 +159,24 @@ def test_ck_channels_match_ordered_stack(rng, axes, n, scheme):
 
 
 def test_snapshot_computes_each_covariant_derivative_once(rng, monkeypatch):
-    # nabla T only (shared by the intrinsic Laplacian and the lambda
-    # monitor); the snapshot takes no nabla phi, which only the checks use
-    calls = []
-    original = riemann.covariant_derivative_array
+    # one nabla T pass (torsion_derivative, shared by the intrinsic
+    # Laplacian and the lambda monitor), and no whole-grid covariant
+    # derivative; the snapshot takes no nabla phi, which only the checks use
+    passes, whole_grid = [], []
+    original = riemann.torsion_derivative
 
-    def counted(t, gamma, lattice):
-        calls.append(t.shape)
-        return original(t, gamma, lattice)
+    def counted(structure):
+        passes.append(structure)
+        return original(structure)
 
-    monkeypatch.setattr(riemann, "covariant_derivative_array", counted)
+    monkeypatch.setattr(riemann, "torsion_derivative", counted)
+    monkeypatch.setattr(riemann, "covariant_derivative_array",
+                        lambda *args: whole_grid.append(args))
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
-    assert calls == [lat.grid_shape + (7, 7)]
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat).phi, "deturck"))
+    assert passes == [st]
+    assert whole_grid == []
 
 
 def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
@@ -190,8 +194,8 @@ def test_one_dphi_and_one_dpsi_per_sampled_state(rng, monkeypatch):
 
     for module in (lattice, flow):  # every binding a snapshot could reach
         monkeypatch.setattr(module, "exterior_derivative", counted)
-    st = flow._validate(phi, ref)
-    state = flow.FlowState(0.0, st, ref, "deturck")
+    st = flow._validate(phi, ref.phi)
+    state = flow.FlowState(0.0, st, ref.phi, "deturck")
     diagnostics.diagnostic_snapshot(state)
     flow.flow_rhs(state)
     assert [a is st.phi for a in calls].count(True) == 1
@@ -216,7 +220,7 @@ def test_snapshot_takes_no_codifferential_and_stars_no_4form(rng, monkeypatch):
     monkeypatch.setattr(g2, "hodge_star", counted_star)
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat).phi, "deturck"))
     assert codifferentials == []
     assert star_degrees == [5]
 
@@ -227,7 +231,7 @@ def test_rhs_cross_residual_compares_the_flow_rhs(rng):
     # term added to either side, such as a d* d phi of closed phi, shows in its bits
     lat = Lattice((1, 2), 16, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng, amp=2e-2))
-    state = flow.FlowState(0.0, st, g2.flat_reference(lat), "laplacian")
+    state = flow.FlowState(0.0, st, g2.flat_reference(lat).phi, "laplacian")
     rec = diagnostics.diagnostic_snapshot(state)
     rhs = flow.flow_rhs(state)
     gap = (rhs - flow.laplacian_phi_intrinsic(st)).max_norm() / st.phi.max_norm()
@@ -249,8 +253,8 @@ def test_rhs_cross_residual_stays_at_roundoff_as_theta_vanishes(scheme):
     dbeta = exterior_derivative(FormField(lat, 2, beta)).data
     ref = g2.flat_reference(lat)
     for amplitude in (1e-6, 1e-8, 1e-10, 1e-12):
-        st = flow._validate(FormField(lat, 3, g2.PHI0 + amplitude * dbeta), ref)
-        rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref, "deturck"))
+        st = flow._validate(FormField(lat, 3, g2.PHI0 + amplitude * dbeta), ref.phi)
+        rec = diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, ref.phi, "deturck"))
         assert rec.rhs_cross_residual <= 1e-12, amplitude
 
 
@@ -260,7 +264,7 @@ def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
     # nabla T
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
-    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat), "deturck"))
+    diagnostics.diagnostic_snapshot(flow.FlowState(0.0, st, g2.flat_reference(lat).phi, "deturck"))
     assert {"dphi", "tau2", "curv"} <= set(st._cache)
     arrays = {}
     for key, value in st._cache.items():
@@ -273,10 +277,13 @@ def test_snapshot_caches_no_array_above_1029_entries_per_site(rng):
 
 def test_snapshot_peak_stays_below_8_connections():
     # at 3-D n=8, from a state as the flow validates it; with a whole-grid
-    # Rm (3 connections) the traced peak was 9.7 connections (12.9 MiB), now
-    # 6.6: the three dGamma partials, the cached Gamma, and block temporaries
+    # Rm (3 connections) the traced peak was 9.7 connections (12.9 MiB), with
+    # Rm per block 6.6, and with dGamma, the Christoffel build's stack of
+    # partials and nabla T per block and the C^k stack walked depth first,
+    # 4.0: the cached Gamma, a slab of four leading-axis rows of dGamma (half
+    # a connection) and the block temporaries
     lat = Lattice((1, 2, 3), 8, TWO_PI)
-    ref = g2.flat_reference(lat)
+    ref = g2.flat_reference(lat).phi
     st = flow._validate(closed_perturbed_phi(lat, np.random.default_rng(0)), ref)
     tracemalloc.start()
     try:
@@ -286,7 +293,24 @@ def test_snapshot_peak_stays_below_8_connections():
     finally:
         tracemalloc.stop()
     gamma = riemann.connection_of(st)
-    assert peak < 8 * gamma.nbytes, f"{peak / gamma.nbytes:.2f} connections"
+    assert peak < 4.5 * gamma.nbytes, f"{peak / gamma.nbytes:.2f} connections"
+
+
+def test_ck_channels_hold_one_derivative_per_order():
+    # depth first, at most k_max = 3 derivatives of theta are alive at once,
+    # beside the partial being taken: 4.2 theta-sized arrays at the peak.
+    # Level by level, the 6 second and 10 third derivatives were alive
+    # together in 3-D: 17.1
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    theta = np.random.default_rng(1).standard_normal(lat.grid_shape + (35,))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        diagnostics.ck_channels(lat, theta)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * theta.nbytes, f"{peak / theta.nbytes:.2f} fields"
 
 
 def test_record_round_trip():

@@ -1,12 +1,14 @@
 """Flow right-hand sides, RK4 stepping and structural preservation."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from g2flow import diagnostics, flow
+from g2flow import io as ckpt
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
 from g2flow.lattice import FormField, Lattice, exterior_derivative
@@ -117,7 +119,7 @@ def test_intrinsic_requires_closed(rng, formula):
     for rel_dphi in (1e-2, 1e-8):
         phi = closed + rel_dphi * bump
         with pytest.raises(flow.NotClosed, match="closedness violated"):
-            flow._validate(phi, g2.flat_reference(lat))
+            flow._validate(phi, g2.flat_reference(lat).phi)
         with pytest.raises(flow.NotClosed, match="closedness violated"):
             formula(g2.G2Structure.from_phi(phi))
 
@@ -146,7 +148,7 @@ def test_rhs_zero_at_reference():
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
     for kind in flow.KINDS:
-        state = flow.FlowState(0.0, ref, ref, kind)
+        state = flow.FlowState(0.0, ref, ref.phi, kind)
         assert flow.flow_rhs(state).max_norm() < 1e-13
 
 
@@ -164,8 +166,8 @@ def test_rhs_deturck_equals_laplacian_when_metric_flat():
                      g2.expand_form(g2.PHI0, 3))
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.compress_form(full, 3)))
     ref = g2.flat_reference(lat)
-    r_lap = flow.flow_rhs(flow.FlowState(0.0, st, ref, "laplacian"))
-    r_det = flow.flow_rhs(flow.FlowState(0.0, st, ref, "deturck"))
+    r_lap = flow.flow_rhs(flow.FlowState(0.0, st, ref.phi, "laplacian"))
+    r_det = flow.flow_rhs(flow.FlowState(0.0, st, ref.phi, "deturck"))
     assert (r_lap - r_det).max_norm() < 1e-10 * max(r_lap.max_norm(), 1e-300)
 
 
@@ -173,7 +175,7 @@ def test_rhs_is_exact_form(closed_structure_32):
     st, lat = closed_structure_32
     ref = g2.flat_reference(lat)
     for kind in flow.KINDS:
-        rhs = flow.flow_rhs(flow.FlowState(0.0, st, ref, kind))
+        rhs = flow.flow_rhs(flow.FlowState(0.0, st, ref.phi, kind))
         d_rhs = exterior_derivative(rhs)
         assert d_rhs.max_norm() <= 1e-12 * max(rhs.max_norm(), 1e-300)
         assert np.max(np.abs(lat.site_mean(rhs.data))) <= 1e-14 * max(rhs.max_norm(), 1e-300)
@@ -196,8 +198,8 @@ def test_deturck_linearization_centered():
     for e in (1e-2, 1e-3):
         sp = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + e * dbeta.data))
         sm = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 - e * dbeta.data))
-        rp = flow.flow_rhs(flow.FlowState(0.0, sp, ref, "deturck")).data
-        rm = flow.flow_rhs(flow.FlowState(0.0, sm, ref, "deturck")).data
+        rp = flow.flow_rhs(flow.FlowState(0.0, sp, ref.phi, "deturck")).data
+        rm = flow.flow_rhs(flow.FlowState(0.0, sm, ref.phi, "deturck")).data
         errs.append(np.max(np.abs((rp - rm) / (2 * e) - target)))
     slope = np.log(errs[1] / errs[0]) / np.log(0.1)
     assert 1.9 <= slope <= 2.1
@@ -208,7 +210,7 @@ def test_deturck_linearization_centered():
 def test_step_leaves_stationary_point_fixed():
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
-    state = flow.FlowState(0.0, ref, ref, "deturck")
+    state = flow.FlowState(0.0, ref, ref.phi, "deturck")
     control = flow.StepControl(t_end=1.0)
     out = flow.step_rk4(state, control)
     assert (out.structure.phi - ref.phi).max_norm() < 1e-14
@@ -224,7 +226,7 @@ def test_step_matches_scalar_exponential_oracle():
     ref = g2.flat_reference(lat)
     dt = 0.05
     control = flow.StepControl(t_end=1.0, dt=dt)
-    out = flow.step_rk4(flow.FlowState(0.0, st, ref, "deturck"), control)
+    out = flow.step_rk4(flow.FlowState(0.0, st, ref.phi, "deturck"), control)
     theta1 = out.structure.phi.data - ref.phi.data
     ratio = np.sum(theta1 * theta0.data) / np.sum(theta0.data * theta0.data)
     x = dt  # |k|^2 (2 pi / L)^2 = 1 for the lowest mode at L = 2 pi
@@ -252,7 +254,7 @@ def test_accepted_step_calls_four_stages_and_one_validation(monkeypatch):
                         classmethod(counted("from_phi", from_phi)))
     monkeypatch.setattr(flow, "flow_rhs", counted("flow_rhs", flow.flow_rhs))
     monkeypatch.setattr(flow, "_validate", counted("_validate", flow._validate))
-    out = flow.step_rk4(flow.FlowState(0.0, st, ref, "deturck"),
+    out = flow.step_rk4(flow.FlowState(0.0, st, ref.phi, "deturck"),
                         flow.StepControl(t_end=1.0, dt=1e-3))
     assert out.t == 1e-3  # the proposed dt, attempted once
     assert calls == {"from_phi": 4, "flow_rhs": 4, "_validate": 1}
@@ -267,7 +269,7 @@ def test_temporal_self_convergence():
     t_end = 0.8
     finals = []
     for dt in (0.04, 0.02, 0.01):
-        state = flow.FlowState(0.0, st, ref, "deturck")
+        state = flow.FlowState(0.0, st, ref.phi, "deturck")
         control = flow.StepControl(t_end=t_end, dt=dt)
         while state.t < t_end - 1e-12:
             state = flow.step_rk4(state, control)
@@ -284,7 +286,7 @@ def test_step_failure_after_rejections():
     # an end time far past the step, so the step is not clamped to t_end - t
     control = flow.StepControl(t_end=1e300, dt=1e6)
     with pytest.raises(flow.StepFailed):
-        flow.step_rk4(flow.FlowState(0.0, st, ref, "laplacian"), control)
+        flow.step_rk4(flow.FlowState(0.0, st, ref.phi, "laplacian"), control)
 
 
 def test_run_flow_step_failure_carries_state():
@@ -295,7 +297,7 @@ def test_run_flow_step_failure_carries_state():
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=10.0, dt=2.0)
     with pytest.raises(flow.StepFailed) as exc_info:
-        flow.run_flow(st, ref, "laplacian", control, sample_interval=1000)
+        flow.run_flow(st, ref.phi, "laplacian", control, sample_interval=1000)
     assert exc_info.value.state is not None
     assert exc_info.value.step is not None
 
@@ -312,7 +314,7 @@ def test_run_flow_ends_at_non_dyadic_t_end(dt, steps):
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=0.1, dt=dt)
     done = []
-    final, records = flow.run_flow(st, ref, "deturck", control, sample_interval=100,
+    final, records = flow.run_flow(st, ref.phi, "deturck", control, sample_interval=100,
                                    checkpoint_cb=lambda state, step: done.append(step))
     assert final.t == pytest.approx(0.1, rel=1e-12)
     assert final.t <= 0.1
@@ -333,7 +335,7 @@ def test_run_flow_checkpoints_each_step_once(every, t0, step0, want):
     st, _ = lowest_mode_initial(lat, 1e-3)
     control = flow.StepControl(t_end=0.04, dt=0.01, checkpoint_every=every)
     done = []
-    flow.run_flow(st, g2.flat_reference(lat), "deturck", control, sample_interval=100,
+    flow.run_flow(st, g2.flat_reference(lat).phi, "deturck", control, sample_interval=100,
                   checkpoint_cb=lambda state, step: done.append(step), t0=t0, step0=step0)
     assert done == want
 
@@ -355,9 +357,60 @@ def test_run_flow_frees_the_initial_structure_after_step_1():
         alive.append(initial[0]() is not None)
 
     control = flow.StepControl(t_end=0.03, dt=0.01, checkpoint_every=1)
-    flow.run_flow(built(), g2.flat_reference(lat), "deturck", control, sample_interval=1,
+    flow.run_flow(built(), g2.flat_reference(lat).phi, "deturck", control, sample_interval=1,
                   checkpoint_cb=checkpoint_cb)
     assert alive == [False, False, False]
+
+
+def _traced_peak(fn) -> int:
+    """Bytes of the tracemalloc peak of fn() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_peak_holds_one_stage_structure():
+    # 3-D n=8, from a state as a run holds it (its tau2 cached): with the
+    # three stage structures alive until _validate returned the step peaked
+    # at 4.6 connections (6.2 MiB) above that, with each freed once its slope
+    # is taken at 1.7
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    ref = g2.flat_reference(lat).phi
+    state = flow.FlowState(0.0, flow._validate(closed_perturbed_phi(
+        lat, np.random.default_rng(2)), ref), ref, "deturck")
+    flow.flow_rhs(state)
+    state.structure.retain("tau2")
+    connection = np.prod(lat.grid_shape) * 343 * 8
+    peak = _traced_peak(lambda: flow.step_rk4(state, flow.StepControl(t_end=1.0, dt=1e-3)))
+    assert peak < 2 * connection, f"{peak / connection:.2f} connections"
+
+
+def test_diag_3d_shaped_run_peak(tmp_path):
+    # 3-D n=8 DeTurck, 3 steps, a snapshot and a checkpoint after every step:
+    # above the initial structure, run_flow peaked at 7.8 connections
+    # (10.5 MiB, fresh process) with whole-grid dGamma, Christoffel stack and
+    # nabla T, RK4 stages alive to the end of each step and the C^k stack
+    # taken level by level; with those per block, freed or depth first, at
+    # 5.4 in a fresh process and 5.1 in the suite, where the tables it
+    # builds on first use already exist
+    lat = Lattice((1, 2, 3), 8, TWO_PI)
+    initial = [g2.G2Structure.from_phi(closed_perturbed_phi(lat, np.random.default_rng(3)))]
+    ref = g2.flat_reference(lat).phi
+    control = flow.StepControl(t_end=3e-3, dt=1e-3, checkpoint_every=1)
+    done = []
+
+    def checkpoint_cb(state, step):
+        done.append(ckpt.write_form_field(tmp_path / f"step_{step}", state.structure.phi))
+
+    connection = np.prod(lat.grid_shape) * 343 * 8
+    peak = _traced_peak(lambda: flow.run_flow(initial.pop(), ref, "deturck", control,
+                                              sample_interval=1, checkpoint_cb=checkpoint_cb))
+    assert len(done) == 3
+    assert peak < 5.5 * connection, f"{peak / connection:.2f} connections"
 
 
 @pytest.mark.parametrize("scheme, oracle", [("spectral", oracles.fft_partial),
@@ -382,7 +435,7 @@ def test_default_step_inside_rk4_interval(scheme, oracle, monkeypatch):
             lam_max = a * np.max(sigma) ** 2 / scale ** 2
             for c in coefficients:
                 monkeypatch.setattr(flow, "CFL_COEFFICIENT", c)
-                dt = flow.propose_dt(flow.FlowState(0.0, st, st, "deturck"), control)
+                dt = flow.propose_dt(flow.FlowState(0.0, st, st.phi, "deturck"), control)
                 assert dt * lam_max <= 2.785, (scheme, a, n, c)
 
 
@@ -391,7 +444,7 @@ def test_step_clamped_to_short_remainder_lands_on_t_end():
     st, _ = lowest_mode_initial(lat, 1e-3)
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=0.1, dt=0.03)
-    state = flow.FlowState(0.09, st, ref, "deturck")
+    state = flow.FlowState(0.09, st, ref.phi, "deturck")
     assert flow.propose_dt(state, control) == 0.1 - 0.09
     assert flow.step_rk4(state, control).t == 0.1
 
@@ -402,7 +455,7 @@ def test_sampled_structures_keep_only_what_the_next_step_reads(rng):
     lat = Lattice((1, 2), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     control = flow.StepControl(t_end=3 * 2.0 ** -6, dt=2.0 ** -6)
-    final, records = flow.run_flow(st, g2.flat_reference(lat), "deturck", control,
+    final, records = flow.run_flow(st, g2.flat_reference(lat).phi, "deturck", control,
                                    sample_interval=1)
     assert len(records) == 4
     for structure in (st, final.structure):
@@ -420,7 +473,7 @@ def test_resumed_run_flow_snapshots_only_the_samples_it_records(monkeypatch):
                         lambda state: calls.append(state.t) or snapshot(state))
     written = []
     control = flow.StepControl(t_end=0.1, dt=0.01)
-    _, records = flow.run_flow(st, ref, "deturck", control, sample_interval=2,
+    _, records = flow.run_flow(st, ref.phi, "deturck", control, sample_interval=2,
                                record_cb=written.append, t0=0.05, step0=5)
     assert len(calls) == len(written) == len(records) == 3  # steps 6, 8 and 10
     assert calls == [r.t for r in written]
@@ -435,13 +488,13 @@ def test_resumed_run_flow_stops_where_the_uninterrupted_run_stops():
     ref = g2.flat_reference(lat)
     states = {}
     probe = flow.StepControl(t_end=1.0, dt=0.05, checkpoint_every=1)
-    flow.run_flow(st, ref, "deturck", probe, sample_interval=5,
+    flow.run_flow(st, ref.phi, "deturck", probe, sample_interval=5,
                   checkpoint_cb=lambda state, step: states.setdefault(step, state))
     norm = {k: np.sqrt(diagnostics.flat_l2(lat, s.theta())) for k, s in states.items()}
     tol = 0.5 * (norm[10] + norm[11])
     control = flow.StepControl(t_end=3.0, dt=0.05, stop_tolerance=tol)
-    full, full_records = flow.run_flow(st, ref, "deturck", control, sample_interval=5)
-    resumed, records = flow.run_flow(states[11].structure, ref, "deturck", control,
+    full, full_records = flow.run_flow(st, ref.phi, "deturck", control, sample_interval=5)
+    resumed, records = flow.run_flow(states[11].structure, ref.phi, "deturck", control,
                                      sample_interval=5, t0=states[11].t, step0=11)
     assert full.t == resumed.t == states[15].t
     assert [r.to_dict() for r in records] == [r.to_dict() for r in full_records[-1:]]
@@ -451,7 +504,7 @@ def test_run_flow_immediate_stop_at_reference():
     lat = Lattice((1,), 16, TWO_PI)
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=1.0)
-    final, records = flow.run_flow(ref, ref, "deturck", control, sample_interval=10)
+    final, records = flow.run_flow(ref, ref.phi, "deturck", control, sample_interval=10)
     assert final.t == 0.0
     assert len(records) == 1
     assert records[0].l2_theta == 0.0
@@ -462,7 +515,7 @@ def test_run_flow_preserves_exactness_and_closure():
     st, _ = lowest_mode_initial(lat, 1e-3)
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=0.5)
-    final, records = flow.run_flow(st, ref, "deturck", control, sample_interval=5)
+    final, records = flow.run_flow(st, ref.phi, "deturck", control, sample_interval=5)
     for rec in records:
         assert rec.harmonic_residual <= 1e-10 * np.max(np.abs(g2.PHI0))
     dphi = exterior_derivative(final.structure.phi)
@@ -477,7 +530,7 @@ def test_metric_evolution_identity_along_flow():
     ref = g2.flat_reference(lat)
     half = 0.002
     control = flow.StepControl(t_end=1.0, dt=half)
-    s0 = flow.FlowState(0.0, st, ref, "laplacian")
+    s0 = flow.FlowState(0.0, st, ref.phi, "laplacian")
     s1 = flow.step_rk4(s0, control)
     s2 = flow.step_rk4(s1, control)
     fd = (s2.structure.g - s0.structure.g) / (2 * half)
@@ -516,7 +569,7 @@ def test_volume_form_evolution_pointwise():
     ref = g2.flat_reference(lat)
     dt = 0.004
     control = flow.StepControl(t_end=1.0, dt=dt)
-    s0 = flow.FlowState(0.0, st, ref, "laplacian")
+    s0 = flow.FlowState(0.0, st, ref.phi, "laplacian")
     s1 = flow.step_rk4(s0, control)
     s2 = flow.step_rk4(s1, control)
     fd = (s2.structure.vol - s0.structure.vol) / (2 * dt)
@@ -531,5 +584,5 @@ def test_run_flow_cross_residual_recorded():
     st, _ = lowest_mode_initial(lat, 1e-3)
     ref = g2.flat_reference(lat)
     control = flow.StepControl(t_end=0.3)
-    _, records = flow.run_flow(st, ref, "laplacian", control, sample_interval=10)
+    _, records = flow.run_flow(st, ref.phi, "laplacian", control, sample_interval=10)
     assert all(rec.rhs_cross_residual <= 1e-5 for rec in records)

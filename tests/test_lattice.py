@@ -134,6 +134,43 @@ def test_gemm_blocks_stay_under_single_thread_limit():
         assert n * n * width <= lattice._GEMM_LIMIT
 
 
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+@pytest.mark.parametrize("axes, n", [((2,), 8), ((2,), 10), ((2,), 12), ((2,), 16), ((2,), 32),
+                                     ((2,), 128), ((1, 3), 8), ((1, 3), 10), ((1, 3), 12),
+                                     ((1, 3), 16), ((1, 3), 32), ((2, 4, 6), 8), ((2, 4, 6), 10),
+                                     ((2, 4, 6), 12), ((2, 4, 6), 16), ((2, 4, 6), 32)])
+def test_partial_block_matches_rows_of_partial_array(axes, n, scheme, rng):
+    # every block of site_blocks, bit for bit, one at a time and through
+    # partial_blocks: n = 10 and 12 do not divide SITE_BLOCK, so blocks
+    # start and end inside rows; above it (1-D n=128) a block is part of the
+    # one line; along the leading axis of 2-D n=32 and 3-D a block holds
+    # fewer than four rows, so partial_blocks reads it from a slab. Scalars
+    # take one-column (gemv) products.
+    lat = Lattice(axes, n, 1.7, scheme)
+    sites = n ** len(axes)
+    blocks = lattice.site_blocks(sites)
+    comps = [(), (7,), (7, 7, 7)] if sites * 343 <= 2 ** 20 else [(), (7,)]
+    for comp in comps:
+        data = rng.standard_normal(lat.grid_shape + comp)
+        for axis in axes + (7,):
+            whole = lat.partial_array(data, axis).reshape((sites,) + comp)
+            streamed = list(lat.partial_blocks(data, axis))
+            assert len(streamed) == len(blocks)
+            for block, got_streamed in zip(blocks, streamed):
+                got = lat.partial_block(data, axis, block)
+                assert got.shape == got_streamed.shape == whole[block].shape
+                assert np.array_equal(got, whole[block]), (comp, axis, block)
+                assert np.array_equal(got_streamed, whole[block]), (comp, axis, block)
+    # constant along each axis in turn: exactly 0.0 there
+    for pos, axis in enumerate(axes):
+        shape = list(lat.grid_shape + (7,))
+        shape[pos] = 1
+        data = np.broadcast_to(rng.standard_normal(shape), lat.grid_shape + (7,)).copy()
+        for block, streamed in zip(blocks, lat.partial_blocks(data, axis)):
+            assert np.all(lat.partial_block(data, axis, block) == 0.0)
+            assert np.all(streamed == 0.0)
+
+
 @pytest.mark.parametrize("scheme, n", [("spectral", 16), ("fd4", 7)])
 def test_partial_exactly_zero_along_constant_axis(scheme, n, rng):
     # varies along the other axes only; given as a broadcast (strided) view

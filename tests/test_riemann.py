@@ -144,23 +144,58 @@ def test_curvature_matches_index_formula(rng, scheme):
 
 
 def test_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
-    lat = Lattice((1, 2), 10, TWO_PI)
-    sites = np.prod(lat.grid_shape)
-    assert sites % lattice.SITE_BLOCK != 0
-    gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
-    a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
-    g = np.swapaxes(a, -1, -2) @ a
-    metric = _metric(g, np.linalg.inv(g))
-    phi = closed_perturbed_phi(lat, rng, amp=2e-2)
-    blocked = riemann.curvature(gamma, metric, lat)
-    blocked_rm = _stacked_rm(gamma, metric, lat)
-    lam = riemann.lambda_monitor(g2.G2Structure.from_phi(phi))
-    monkeypatch.setattr(lattice, "SITE_BLOCK", sites + 1)
-    whole = riemann.curvature(gamma, metric, lat)
-    for name in ("ric", "scalar", "rm_sq"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
-    assert np.array_equal(blocked_rm, _stacked_rm(gamma, metric, lat))
-    assert np.array_equal(lam, riemann.lambda_monitor(g2.G2Structure.from_phi(phi)))
+    # 2-D n=10: blocks start inside rows and the last is short; 2-D n=32:
+    # two rows per block, so dGamma takes the leading axis on four rows;
+    # 3-D n=8: one row per block. One block reads whole line groups only,
+    # as the whole-grid partials do.
+    for axes, n in (((1, 2), 10), ((1, 2), 32), ((1, 2, 3), 8)):
+        lat = Lattice(axes, n, TWO_PI)
+        sites = n ** len(axes)
+        gamma = rng.standard_normal(lat.grid_shape + (7, 7, 7))
+        a = np.eye(7) + 0.2 * rng.standard_normal(lat.grid_shape + (7, 7))
+        g = np.swapaxes(a, -1, -2) @ a
+        metric = _metric(g, np.linalg.inv(g))
+        phi = closed_perturbed_phi(lat, rng, amp=2e-2)
+
+        def evaluate():
+            st = g2.G2Structure.from_phi(phi)
+            curv = riemann.curvature(gamma, metric, lat)
+            nabla_t = riemann.torsion_derivative(st)
+            return {"christoffels": riemann.christoffels(metric, lat), "ric": curv.ric,
+                    "scalar": curv.scalar, "rm_sq": curv.rm_sq,
+                    "rm": _stacked_rm(gamma, metric, lat), "nabla_t_sq": nabla_t.norm_sq,
+                    "phi_term": nabla_t.phi_term, "lambda": riemann.lambda_monitor(st)}
+
+        blocked = evaluate()
+        monkeypatch.setattr(lattice, "SITE_BLOCK", sites + 1)
+        whole = evaluate()
+        monkeypatch.undo()
+        for name, got in blocked.items():
+            assert np.array_equal(got, whole[name]), (axes, n, name)
+
+
+@pytest.mark.parametrize("axes, n", [((1, 2), 10), ((1, 2, 3), 8)])
+def test_blocked_geometry_matches_whole_grid_formulas_bit_for_bit(axes, n):
+    # the whole-grid arrays these replace: the (..., 7, 7, 7) stack of
+    # partials of g behind Gamma, and nabla T, raised for |nabla T|^2 and
+    # contracted with phi_j^mn for intrinsic_h
+    lat = Lattice(axes, n, TWO_PI)
+    st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, np.random.default_rng(n)))
+    dg = lat.gradient(st.g)
+    s = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
+    s -= dg
+    gamma = st.g_inv @ s.reshape(lat.grid_shape + (7, 49))
+    gamma *= 0.5
+    assert np.array_equal(riemann.connection_of(st), gamma.reshape(s.shape))
+    nabla_t = riemann.covariant_derivative_array(riemann.torsion_of(st),
+                                                 riemann.connection_of(st), lat)
+    phi_mix = (np.swapaxes(st.g_inv, -1, -2)[..., None, :, :]
+               @ g2.expand_form(st.phi.data, 3) @ st.g_inv[..., None, :, :])
+    phi_term = np.swapaxes(nabla_t.reshape(lat.grid_shape + (49, 7)), -1, -2) @ np.swapaxes(
+        phi_mix.reshape(lat.grid_shape + (7, 49)), -1, -2)
+    got = riemann.torsion_derivative_of(st)
+    assert np.array_equal(got.norm_sq, riemann.tensor_norm_sq(nabla_t, st))
+    assert np.array_equal(got.phi_term, phi_term)
 
 
 @pytest.mark.parametrize("one_block", [False, True])
@@ -193,11 +228,14 @@ def test_fused_scalars_match_a_stacked_rm_bit_for_bit(monkeypatch, n, one_block)
 def test_curvature_and_monitor_peaks_stay_below_a_grid_of_7_to_the_4(rng):
     # at 3-D n=8 one (..., 7, 7, 7, 7) array is 9.4 MiB; whole-grid
     # evaluation peaked at 13.2 MiB past its outputs in curvature and at
-    # 9.8 MiB, three raised copies of Rm, in lambda_monitor
+    # 9.8 MiB, three raised copies of Rm, in lambda_monitor. With Rm per
+    # block curvature read 5.0 connections, three of them the whole-grid
+    # dGamma partials; with dGamma per block too, 2.5, half a connection of
+    # it the slab of four leading-axis rows
     lat = Lattice((1, 2, 3), 8, TWO_PI)
     st = g2.G2Structure.from_phi(closed_perturbed_phi(lat, rng))
     gamma = riemann.connection_of(st)
-    riemann.nabla_torsion_of(st)
+    riemann.torsion_derivative_of(st)
     tracemalloc.start()
     try:
         curv = riemann.curvature_of(st)
@@ -209,7 +247,7 @@ def test_curvature_and_monitor_peaks_stay_below_a_grid_of_7_to_the_4(rng):
     finally:
         tracemalloc.stop()
     returned = curv.ric.nbytes + curv.scalar.nbytes + curv.rm_sq.nbytes
-    assert curv_peak - returned < gamma.nbytes * 7  # 7^4 doubles per site
+    assert curv_peak - returned < gamma.nbytes * 3
     assert monitor_peak < gamma.nbytes * 3  # less than one raised copy of Rm
 
 
@@ -242,8 +280,10 @@ def test_exact_orbit_state_has_zero_torsion_and_curvature(scheme):
     assert np.max(np.abs(riemann.connection_of(st))) > 1e-2
     curv = riemann.curvature_of(st)
     rm = _stacked_rm(riemann.connection_of(st), st, lat)
-    for got in (riemann.torsion_of(st), riemann.nabla_torsion_of(st), rm, curv.ric,
-                curv.scalar, riemann.lambda_monitor(st)):
+    nabla_t = riemann.covariant_derivative_array(riemann.torsion_of(st),
+                                                 riemann.connection_of(st), lat)
+    for got in (riemann.torsion_of(st), nabla_t, riemann.torsion_derivative_of(st).phi_term, rm,
+                curv.ric, curv.scalar, riemann.lambda_monitor(st)):
         assert np.max(np.abs(got)) < 1e-12
 
 
@@ -403,8 +443,9 @@ def test_lambda_monitor_matches_full_tensor_norms(rng):
     st = g2.G2Structure.from_phi(FormField(lat, 3, pulled + exterior_derivative(beta).data))
     assert np.max(np.abs(st.g - np.eye(7))) > 0.1
     rm = g2.expand_form(_stacked_rm(riemann.connection_of(st), st, lat), 2)
-    want = np.sqrt(riemann.tensor_norm_sq(rm, st)
-                   + riemann.tensor_norm_sq(riemann.nabla_torsion_of(st), st))
+    nabla_t = riemann.covariant_derivative_array(riemann.torsion_of(st),
+                                                 riemann.connection_of(st), lat)
+    want = np.sqrt(riemann.tensor_norm_sq(rm, st) + riemann.tensor_norm_sq(nabla_t, st))
     assert np.max(np.abs(riemann.lambda_monitor(st) - want)) < 1e-12 * np.max(want)
 
 
