@@ -65,8 +65,11 @@ class FlowState:
 # over all sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and
 # the largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
 # a (1.372 / h)^2 (fd4), so a coefficient <= 0.28 keeps the step inside the
-# RK4 stability interval [-2.785, 0] on every lattice.
+# RK4 stability interval [-RK4_INTERVAL, 0] on every lattice. A set dt gets
+# the same bound at the starting state, dt a max sigma^2 s <= RK4_INTERVAL
+# with sigma the scheme's symbol, or the command line exits 2.
 CFL_COEFFICIENT = 0.2
+RK4_INTERVAL = 2.785
 
 
 @dataclass

@@ -4,9 +4,14 @@ The blob layout is site-major in lexicographic site order with the component
 index minor, exactly the in-memory layout of FormField data; the sidecar
 records the lattice spec, field degree, endianness tag, format version and
 the blob's byte length and sha256.
+
+The digest is CPython's built-in SHA-256 (_sha2 on 3.12+, _sha256 before),
+hashlib's only where neither exists, as the stdlib's random.py takes its
+sha512: importing hashlib loads OpenSSL's libcrypto (about 3.6 MB resident),
+which a flow process would map for this digest alone. The hex digest is the
+same, so sidecars written either way verify each other.
 """
 
-import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -15,6 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import FormField, Lattice
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FORMAT_VERSION = 1
 
@@ -51,7 +64,7 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
         "lattice": asdict(field.lattice),
         "blob": base.with_suffix(".bin").name,
         "blob_bytes": len(raw),
-        "blob_sha256": hashlib.sha256(raw).hexdigest(),
+        "blob_sha256": sha256(raw).hexdigest(),
     }
     if extra:
         sidecar["extra"] = extra
@@ -87,7 +100,7 @@ def read_form_field(base):
             raise ValueError(f"checkpoint blob has {len(raw)} bytes, "
                              f"sidecar records {sidecar['blob_bytes']}")
         if ("blob_sha256" in sidecar
-                and hashlib.sha256(raw).hexdigest() != sidecar["blob_sha256"]):
+                and sha256(raw).hexdigest() != sidecar["blob_sha256"]):
             raise ValueError("checkpoint blob does not match the sidecar's sha256")
         data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(sidecar["shape"])
         return FormField(lattice, sidecar["degree"], data), extra

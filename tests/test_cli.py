@@ -523,36 +523,100 @@ def test_flow_resume_from_corrupted_sidecar_exit_2(tmp_path, capsys, section, ke
     assert "config error" in capsys.readouterr().err
 
 
-def test_flow_step_failure_exit_3(tmp_path, capsys):
-    path, _ = write_config(tmp_path, control={"t_end": 5.0, "dt": 2.0},
-                           perturbation=[{"mode": [1, 0, 0, 0, 0, 0, 0],
-                                          "component": [2, 3],
-                                          "amplitude": 1e-2, "phase": 0.0}])
+def test_flow_step_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # the third step loses positivity; the run ends there and checkpoints
+    # the last accepted state, step 2
+    real_validate, calls = flow._validate, []
+
+    def validate(phi, reference):
+        calls.append(phi)
+        if len(calls) == 3:
+            raise g2.NotPositive("metric is not positive definite")
+        return real_validate(phi, reference)
+
+    monkeypatch.setattr(flow, "_validate", validate)
+    path, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01})
     assert cli.main(["flow", str(path)]) == 3
     err = capsys.readouterr().err
     assert "integration failed" in err
     assert "NotPositive" in err  # the rejection names its cause
-    assert "last checkpoint" in err
-
-
-def test_flow_over_rk4_interval_dt_exit_3(tmp_path, capsys):
-    # a set dt with dt * lambda_max ~ 6.1, outside RK4's [-2.785, 0]: step 6
-    # loses positivity, and that first rejected step ends the run
-    path, _ = write_config(tmp_path, lattice={"active_axes": [1, 2]},
-                           perturbation=MODES_2D,
-                           control={"t_end": 2.0, "dt": 0.0625})
-    assert cli.main(["flow", str(path)]) == 3
-    assert "integration failed" in capsys.readouterr().err
     out = tmp_path / "out"
-    failed = out / "checkpoints" / "failed_step_00000005.json"
-    assert json.loads(failed.read_text())["extra"]["t"] == 0.3125
+    failed = out / "checkpoints" / "failed_step_00000002.json"
+    assert f"last checkpoint: {failed}" in err
+    assert json.loads(failed.read_text())["extra"]["t"] == 0.02
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("dt", [1e200, 1e300])
-def test_flow_overflowing_step_exit_3(tmp_path, capsys, dt):
-    # the first step overflows to a non-finite form
-    path, _ = write_config(tmp_path, control={"t_end": 1e300, "dt": dt})
+def test_largest_eigenvalue_matches_eigvalsh(rng):
+    q = rng.standard_normal((3, 7, 7))
+    stack = np.stack([np.eye(7),  # one eigenvalue 7 times
+                      np.diag([1.0, 2.0, 2.0 - 1e-12, 0.5, 1.0, 1.0, 0.1]),  # a 1e-12 gap
+                      *(np.eye(7) * 1e-3 + q @ np.swapaxes(q, -1, -2))])
+    for m in stack:
+        want = np.max(np.linalg.eigvalsh(m))
+        assert cli._largest_eigenvalue(m[None]) == pytest.approx(want, rel=1e-12)
+    assert cli._largest_eigenvalue(stack) == pytest.approx(
+        np.max(np.linalg.eigvalsh(stack)), rel=1e-12)
+
+
+def _stable_dt_bound(path):
+    """The largest dt RK4 takes at the initial state of a 1-D n=16 spectral config.
+
+    sigma's largest magnitude on n=16 points of period 2 pi is 7, the highest
+    mode below Nyquist.
+    """
+    cfg = RunConfig.from_file(path)
+    initial = cfg.build_initial(g2.flat_reference(cfg.lattice).phi)
+    return 2.785 / (7.0 ** 2 * float(np.max(np.linalg.eigvalsh(initial.g_inv))))
+
+
+@pytest.mark.parametrize("fraction, code", [(0.99, 0), (1.01, 2)])
+def test_flow_dt_at_rk4_bound(tmp_path, capsys, fraction, code):
+    path, _ = write_config(tmp_path)
+    dt = fraction * _stable_dt_bound(path)
+    path, _ = write_config(tmp_path, control={"t_end": 3 * dt, "dt": dt})
+    assert cli.main(["flow", str(path)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "config error" in err and "2.785" in err and f"dt {dt!r}" in err
+        assert not (tmp_path / "out" / "checkpoints").exists()
+
+
+def test_flow_resume_with_dt_past_rk4_bound_exit_2(tmp_path, capsys):
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
+                                              "checkpoint_every": 2})
+    assert cli.main(["flow", str(path)]) == 0
+    series = (tmp_path / "out" / "series.jsonl").read_text()
+    resume_from = tmp_path / "out" / "checkpoints" / "step_00000002.json"
+    dt = 1.5 * _stable_dt_bound(path)
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": dt,
+                                              "checkpoint_every": 2})
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
+    assert "2.785" in capsys.readouterr().err
+    assert (tmp_path / "out" / "series.jsonl").read_text() == series  # no sample dropped
+
+
+def test_flow_over_rk4_interval_dt_exit_2(tmp_path, capsys):
+    # a set dt with dt * lambda_max ~ 6.1, outside RK4's [-2.785, 0], which
+    # would lose positivity at step 6: the run takes no step
+    path, _ = write_config(tmp_path, lattice={"active_axes": [1, 2]},
+                           perturbation=MODES_2D,
+                           control={"t_end": 2.0, "dt": 0.0625})
+    assert cli.main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dt 0.0625" in err and "2.785" in err
+    assert not (tmp_path / "out" / "checkpoints").exists()
+    assert not (tmp_path / "out" / "series.jsonl").exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_flow_overflowing_step_exit_3(tmp_path, capsys, monkeypatch, scale):
+    # a right-hand side scaled past any stable dt: the first step overflows
+    # to a non-finite form
+    real_rhs = flow.flow_rhs
+    monkeypatch.setattr(flow, "flow_rhs", lambda state: scale * real_rhs(state))
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01})
     with pytest.warns(RuntimeWarning):
         assert cli.main(["flow", str(path)]) == 3
     assert "integration failed" in capsys.readouterr().err

@@ -11,10 +11,12 @@ from g2flow import diagnostics, flow
 from g2flow import io as ckpt
 from g2flow import g2algebra as g2
 from g2flow import riemann, tables
+from g2flow.config import RunConfig
 from g2flow.lattice import FormField, Lattice, exterior_derivative
 
 import oracles
 from conftest import band_limited_form, closed_perturbed_phi
+from test_golden import MODES_2D
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,6 +131,28 @@ def test_hodge_vs_intrinsic_cross_validation(closed_structure_32):
     rh = flow.laplacian_phi_hodge(st)
     ri = flow.laplacian_phi_intrinsic(st)
     assert (rh - ri).max_norm() <= 1e-5 * rh.max_norm()
+
+
+def _laplacian_gap(n, scheme):
+    """max |d tau2 - i_phi(h)| at 2-D n of MODES_2D, each mode at amplitude 0.03."""
+    cfg = RunConfig.from_dict({
+        "lattice": {"active_axes": [1, 2], "points_per_axis": n, "scheme": scheme},
+        "perturbation": [dict(mode, amplitude=0.03) for mode in MODES_2D]})
+    st = cfg.build_initial()
+    return (flow.laplacian_phi_hodge(st) - flow.laplacian_phi_intrinsic(st)).max_norm()
+
+
+def test_laplacian_gap_falls_under_refinement(monkeypatch):
+    # The two Laplacians agree up to discretization error: spectrally to
+    # roundoff at n=32 (1.2e-12), and at fd4's order, 7.8e-5 -> 2.7e-5 from
+    # n=24 to 32 against (32/24)^4 = 3.2.
+    spectral = _laplacian_gap(32, "spectral")
+    assert spectral < 1e-11
+    assert _laplacian_gap(24, "fd4") >= 2.5 * _laplacian_gap(32, "fd4")
+    # an h 1% off is an O(|Laplacian|) gap (1.8e-3), far above roundoff
+    intrinsic_h = flow.intrinsic_h
+    monkeypatch.setattr(flow, "intrinsic_h", lambda st: 0.99 * intrinsic_h(st))
+    assert _laplacian_gap(32, "spectral") >= 1e3 * spectral
 
 
 def test_laplacian_trace_pairing(closed_structure_32):

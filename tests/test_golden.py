@@ -52,7 +52,9 @@ CONFIGS = {
     f"1d_n16_{kind}_{scheme}": _config([1], 16, scheme, kind, MODES_1D)
     for kind in ("deturck", "laplacian") for scheme in ("spectral", "fd4")
 }
-CONFIGS["2d_n8_deturck_spectral"] = _config([1, 2], 8, "spectral", "deturck", MODES_2D)
+CONFIGS.update({f"2d_n8_{kind}_{scheme}": _config([1, 2], 8, scheme, kind, MODES_2D)
+                for kind, scheme in (("deturck", "spectral"), ("deturck", "fd4"),
+                                     ("laplacian", "spectral"))})
 # 512 sites: the only config past one site block of the metric path
 CONFIGS["3d_n8_deturck_spectral"] = _config([1, 2, 3], 8, "spectral", "deturck", MODES_3D)
 

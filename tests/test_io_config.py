@@ -1,5 +1,6 @@
 """Checkpoint persistence and run-configuration round trips."""
 
+import hashlib
 import json
 import struct
 
@@ -78,6 +79,15 @@ def test_checkpoint_rejects_truncated_blob(tmp_path, rng):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(ValueError, match="bytes"):
         ckpt.read_form_field(tmp_path / "f")
+
+
+def test_checkpoint_digest_is_hashlib_sha256(tmp_path, rng):
+    # the built-in digest io uses is hashlib's, so a sidecar written with
+    # either verifies under the other
+    lat = Lattice((1, 2), 8, TWO_PI)
+    path = ckpt.write_form_field(tmp_path / "f", band_limited_form(lat, 3, rng))
+    blob = (tmp_path / "f.bin").read_bytes()
+    assert json.loads(path.read_text())["blob_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_checkpoint_rejects_flipped_byte(tmp_path, rng):
