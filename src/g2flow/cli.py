@@ -17,7 +17,7 @@ from . import io as ckpt
 from .checks import run_identity_suite
 from .config import ConfigError, RunConfig
 from .g2algebra import NotPositive, flat_reference
-from .lattice import derivative_symbol, is_number
+from .lattice import is_number
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -168,43 +168,6 @@ def _resume_state(path, cfg, reference):
     return initial, t, step
 
 
-def _largest_eigenvalue(matrices) -> float:
-    """Largest eigenvalue over a stack of symmetric positive definite matrices.
-
-    b, squared and trace-normalized 32 times, is m^(2^32) up to scale, so
-    tr(m b) / tr(b) averages the eigenvalues of m with weights lambda^(2^32):
-    the largest, to 1e-9 relative in the worst case of a gap near 2^-32 and
-    to roundoff off it. flow.max_metric_speed's eigvalsh gives the same number
-    but pages in about 0.7 MB of LAPACK, which a run with a set dt never
-    reads otherwise.
-    """
-    b = matrices
-    for _ in range(32):
-        b = b @ b
-        b /= np.trace(b, axis1=-2, axis2=-1)[..., None, None]
-    return float(np.max(np.sum(matrices * b, axis=(-2, -1))))
-
-
-def _require_stable_dt(structure, control):
-    """ConfigError if a set dt is outside RK4's stability interval at structure.
-
-    The bound is flow.CFL_COEFFICIENT's: dt a max sigma^2 s <= RK4_INTERVAL,
-    with a the active axes, sigma the scheme's symbol and s the largest
-    eigenvalue of g^{-1} over sites. The CFL step, taken when dt is unset,
-    keeps inside it.
-    """
-    if control.dt is None:
-        return
-    lat = structure.lattice
-    sigma = derivative_symbol(lat.scheme, lat.points_per_axis, lat.period)
-    rate = lat.ndim_active * float(np.max(sigma * sigma)) * _largest_eigenvalue(structure.g_inv)
-    if control.dt * rate > flow.RK4_INTERVAL:
-        raise ConfigError(
-            f"dt {control.dt!r} is outside RK4's stability interval: dt a max sigma^2 "
-            f"max eig g^-1 = {control.dt * rate:.4g} > {flow.RK4_INTERVAL} at the "
-            f"starting state (dt <= {flow.RK4_INTERVAL / rate:.6g})")
-
-
 def _drop_samples_from(series_path, t0):
     """Remove samples at t0 and later, which a run resumed at t0 writes again.
 
@@ -239,13 +202,15 @@ def cmd_flow(args) -> int:
     t0, step0 = 0.0, 0
     if args.resume:
         initial, t0, step0 = _resume_state(args.resume, cfg, reference)
-        _require_stable_dt(initial, cfg.control)
-        series_mode = "a"
-        _drop_samples_from(series_path, t0)
     else:
         initial = cfg.build_initial(reference)
-        _require_stable_dt(initial, cfg.control)
-        series_mode = "w"
+    try:
+        flow.require_stable_dt(initial, cfg.control)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    series_mode = "a" if args.resume else "w"
+    if args.resume:
+        _drop_samples_from(series_path, t0)
     # run_flow gets the only reference to the initial structure (start.pop()),
     # so the structure is freed once step 1 replaces it
     start = [initial]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import riemann
 from .g2algebra import G2Structure, NotPositive, i_phi
-from .lattice import FormField, exterior_derivative, is_number
+from .lattice import FormField, derivative_symbol, exterior_derivative, is_number
 
 KINDS = ("laplacian", "deturck")
 
@@ -65,9 +65,8 @@ class FlowState:
 # over all sites. The symbol of the Hodge Laplacian is bounded by s |k|^2, and
 # the largest resolved |k|^2 is a (pi (1 - 2/n) / h)^2 (spectral) or
 # a (1.372 / h)^2 (fd4), so a coefficient <= 0.28 keeps the step inside the
-# RK4 stability interval [-RK4_INTERVAL, 0] on every lattice. A set dt gets
-# the same bound at the starting state, dt a max sigma^2 s <= RK4_INTERVAL
-# with sigma the scheme's symbol, or the command line exits 2.
+# RK4 stability interval [-RK4_INTERVAL, 0] on every lattice.
+# require_stable_dt holds a set dt to the same bound at a state.
 CFL_COEFFICIENT = 0.2
 RK4_INTERVAL = 2.785
 
@@ -191,6 +190,26 @@ def flow_rhs(state: FlowState) -> FormField:
 def max_metric_speed(structure: G2Structure) -> float:
     """Largest eigenvalue of g^{-1} over sites (flat-reference symbol bound)."""
     return float(np.max(np.linalg.eigvalsh(structure.g_inv)))
+
+
+def require_stable_dt(structure: G2Structure, control: StepControl) -> None:
+    """ValueError if a set dt is outside RK4's stability interval at structure.
+
+    The CFL bound above with the scheme's symbol sigma in place of its
+    estimate: dt a max sigma^2 max_metric_speed <= RK4_INTERVAL. The CFL
+    step, taken when dt is unset, keeps inside it. A caller that sets dt
+    checks the starting state before run_flow.
+    """
+    if control.dt is None:
+        return
+    lat = structure.lattice
+    sigma = derivative_symbol(lat.scheme, lat.points_per_axis, lat.period)
+    rate = lat.ndim_active * float(np.max(sigma * sigma)) * max_metric_speed(structure)
+    if control.dt * rate > RK4_INTERVAL:
+        raise ValueError(
+            f"dt {control.dt!r} is outside RK4's stability interval: dt a max sigma^2 "
+            f"max eig g^-1 = {control.dt * rate:.4g} > {RK4_INTERVAL} at the "
+            f"starting state (dt <= {RK4_INTERVAL / rate:.6g})")
 
 
 def reached_end(t: float, control: StepControl) -> bool:

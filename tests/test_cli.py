@@ -547,18 +547,6 @@ def test_flow_step_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def test_largest_eigenvalue_matches_eigvalsh(rng):
-    q = rng.standard_normal((3, 7, 7))
-    stack = np.stack([np.eye(7),  # one eigenvalue 7 times
-                      np.diag([1.0, 2.0, 2.0 - 1e-12, 0.5, 1.0, 1.0, 0.1]),  # a 1e-12 gap
-                      *(np.eye(7) * 1e-3 + q @ np.swapaxes(q, -1, -2))])
-    for m in stack:
-        want = np.max(np.linalg.eigvalsh(m))
-        assert cli._largest_eigenvalue(m[None]) == pytest.approx(want, rel=1e-12)
-    assert cli._largest_eigenvalue(stack) == pytest.approx(
-        np.max(np.linalg.eigvalsh(stack)), rel=1e-12)
-
-
 def _stable_dt_bound(path):
     """The largest dt RK4 takes at the initial state of a 1-D n=16 spectral config.
 
