@@ -173,6 +173,7 @@ def _drop_samples_from(series_path, t0):
 
     A line that is not JSON was torn by the interrupted run and is dropped.
     A JSON line that is not a sample raises ConfigError, before any step.
+    The kept samples replace it atomically; a failed write raises ConfigError.
     """
     if not series_path.exists():
         return
@@ -188,7 +189,10 @@ def _drop_samples_from(series_path, t0):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{series_path} line {number} is not a sample: "
                               f"{type(exc).__name__}: {exc}") from exc
-    series_path.write_text("".join(kept))
+    try:
+        ckpt.replace_atomically(series_path, "".join(kept).encode())
+    except OSError as exc:
+        raise ConfigError(f"cannot rewrite {series_path}: {exc}") from exc
 
 
 def cmd_flow(args) -> int:

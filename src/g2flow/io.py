@@ -32,7 +32,7 @@ except ImportError:
 FORMAT_VERSION = 1
 
 
-def _replace_atomically(path: Path, payload: bytes) -> None:
+def replace_atomically(path: Path, payload: bytes) -> None:
     """Write payload to a temporary file beside path, then rename it over path."""
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -53,7 +53,7 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
     raw = np.ascontiguousarray(field.data, dtype="<f8").tobytes()
-    _replace_atomically(base.with_suffix(".bin"), raw)
+    replace_atomically(base.with_suffix(".bin"), raw)
     sidecar = {
         "version": FORMAT_VERSION,
         "endianness": "little",
@@ -69,7 +69,7 @@ def write_form_field(base, field: FormField, extra: dict = None) -> Path:
     if extra:
         sidecar["extra"] = extra
     path = base.with_suffix(".json")
-    _replace_atomically(path, (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
+    replace_atomically(path, (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 

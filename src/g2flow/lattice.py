@@ -7,9 +7,11 @@ component axes trailing, in lexicographic multi-index order.
 
 Both derivative schemes are one cached (n, n) circulant matrix per
 (scheme, n, period), applied along a grid axis by batched matmul
-(`derivative_matrix`, `Lattice.partial_array`).
+(`derivative_matrix`, `Lattice.partial_array`), or, to roundoff, on a slab
+of whole leading-axis rows (`Lattice.partial_rows`).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,12 +27,13 @@ SCHEMES = ("spectral", "fd4")
 _GEMM_LIMIT = 65536 * 4
 
 # Sites per block of the per-site kernels: G2Structure.from_phi's metric
-# and psi; riemann's christoffels (the (7, 7, 7) stack of partials of g),
-# curvature_blocks (dGamma through Lattice.partial_block, and Rm) with the
-# |Rm|^2 that curvature takes from them, and torsion_derivative (nabla T);
-# and the check suite's blocked identities. No per-call temporary then
-# spans the grid: from_phi's largest, the (21, 21) cubic table per site, is
-# 64 * 441 doubles (0.2 MB), and curvature's (7, 7, 7, 7) is 1.2 MB. Each
+# and psi; riemann's christoffels (the (7, 7, 7) stack of partials of g)
+# and torsion_derivative (nabla T); and the check suite's blocked
+# identities. riemann.curvature_blocks (dGamma and Rm) walks slabs of as
+# many whole leading-axis rows as fit in SITE_BLOCK sites, at least one
+# (Lattice.row_slabs). No per-call temporary then spans the grid: from_phi's
+# largest, the (21, 21) cubic table per site, is 64 * 441 doubles (0.2 MB),
+# and curvature's (7, 7, 7, 7) is 1.2 MB per 64 sites. Each
 # site's arithmetic is the same for any block size. On a 2-CPU Xeon (3-D
 # n=8 flow, a snapshot after every step, 10 interleaved runs each), the
 # median RK4 step took 0.86 of its whole-grid time with blocks of 64 sites
@@ -111,20 +114,6 @@ def _gemm_width(n: int, trailing: tuple) -> int:
     return width
 
 
-def _line_products(d: np.ndarray, shifted: np.ndarray, width: int) -> np.ndarray:
-    """out[o] = d @ shifted[o] per line group o, one (m, n) @ (n, width) gemm per column block.
-
-    shifted is (outer, n, rest) with rest a multiple of width; d is
-    derivative_matrix or m of its rows.
-    """
-    outer, n, rest = shifted.shape
-    blocks = (outer, d.shape[0], rest // width, width)
-    out = np.empty((outer, d.shape[0], rest))
-    np.matmul(d, shifted.reshape(outer, n, rest // width, width).transpose(0, 2, 1, 3),
-              out=out.reshape(blocks).transpose(0, 2, 1, 3))
-    return out
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Discretization of the 7-torus: `n` points per active axis, period `L`.
@@ -194,6 +183,8 @@ class Lattice:
     def partial_array(self, data: np.ndarray, axis: int) -> np.ndarray:
         """d/dx_axis of gridded data (trailing component axes untouched).
 
+        Off the leading axis, a slab of whole leading-axis rows is data too.
+
         One code path for both schemes: the circulant derivative_matrix D
         multiplies the grid axis. The first slice along the axis is
         subtracted beforehand (D kills constants), so data that is constant
@@ -222,98 +213,39 @@ class Lattice:
         i = self.active_axes.index(axis)
         n = self.points_per_axis
         shape = data.shape
+        width = _gemm_width(n, shape[i + 1:])
+        blocks = (-1, n, math.prod(shape[i + 1:]) // width, width)  # (lines, n, W-blocks, W)
         shifted = np.empty(shape)
         np.subtract(data, data[(slice(None),) * i + (slice(0, 1),)], out=shifted)
-        out = _line_products(derivative_matrix(self.scheme, n, self.period),
-                             shifted.reshape(n ** i, n, -1), _gemm_width(n, shape[i + 1:]))
-        return out.reshape(shape)
+        out = np.empty(shape)
+        np.matmul(derivative_matrix(self.scheme, n, self.period),
+                  shifted.reshape(blocks).transpose(0, 2, 1, 3),
+                  out=out.reshape(blocks).transpose(0, 2, 1, 3))
+        return out
 
-    def partial_block(self, data: np.ndarray, axis: int, block: slice) -> np.ndarray:
-        """partial_array(data, axis) at a slice of flattened sites, bit for bit: (sites, *comp).
-
-        Along the axis the grid is line groups (outer, n, inner sites), and
-        the block takes partial_array's (n, n) @ (n, W) products, with its
-        W, on the groups it covers whole. A group it covers in part takes
-        only the rows of D that its sites need, and within one row only the
-        W-column blocks that hold them, SITE_BLOCK sites' worth at a time.
-        Those rows run from and to a multiple of four (or n), as
-        partial_array's product tiles them: OpenBLAS 0.3.31's dgemm on an
-        AVX-512 Xeon then rounds each row as the full product does, which
-        other row ranges, and one row, taken as a dot product, do not.
-        """
-        a = self.ndim_active
-        comp = data.shape[a:]
-        start, stop, _ = block.indices(self.points_per_axis ** a)
-        if axis not in self.active_axes:
-            return np.zeros((stop - start,) + comp)
-        i = self.active_axes.index(axis)
+    def row_slabs(self) -> list:
+        """Leading-axis slices: as many whole rows as fit in SITE_BLOCK sites, at least one."""
         n = self.points_per_axis
-        inner = n ** (a - 1 - i)  # sites per row of a line group
-        group = n * inner
-        size = int(np.prod(comp, dtype=np.int64))
-        width = _gemm_width(n, data.shape[i + 1:])
-        lines = data.reshape(n ** i, n, inner * size)
-        d = derivative_matrix(self.scheme, n, self.period)
-        chunk = max(1, SITE_BLOCK * size // (n * width))  # W-blocks per product
-        parts = []
-        site = start
-        while site < stop:
-            outer, lo = divmod(site, group)
-            hi = min(stop - outer * group, group)
-            if lo == 0 and hi == group:  # whole groups, as in partial_array
-                seg = lines[outer:outer + (stop - site) // group]
-                parts.append(_line_products(d, seg - seg[:, :1], width).reshape(-1))
-            else:
-                j0, j1 = lo // inner, -(-hi // inner)
-                r, e = j0 // 4 * 4, min(n, -(-j1 // 4) * 4)
-                if e - r == 1:
-                    r = 0
-                first = (lo - j0 * inner) * size
-                c0, c1 = 0, inner * size // width
-                if j1 - j0 == 1:
-                    c0, c1 = first // width, -(-(first + (hi - lo) * size) // width)
-                rows = np.empty((j1 - j0, (c1 - c0) * width))
-                for c in range(c0, c1, chunk):
-                    cols = slice(c * width, min(c + chunk, c1) * width)
-                    seg = lines[outer:outer + 1, :, cols]
-                    prod = _line_products(d[r:e], seg - seg[:, :1], width)[0]
-                    rows[:, cols.start - c0 * width:cols.stop - c0 * width] = prod[j0 - r:j1 - r]
-                first -= c0 * width
-                parts.append(rows.reshape(-1)[first:first + (hi - lo) * size])
-            site += parts[-1].size // size
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out.reshape((stop - start,) + comp)
+        step = max(1, SITE_BLOCK // n ** (self.ndim_active - 1))
+        return [slice(top, min(top + step, n)) for top in range(0, n, step)]
 
-    def partial_blocks(self, data: np.ndarray, axis: int):
-        """Yields partial_block(data, axis, block) for each block of site_blocks, in order.
+    def partial_rows(self, data: np.ndarray, axis: int, rows: slice) -> np.ndarray:
+        """partial_array(data, axis)[rows], rows a slice of the leading grid axis, to roundoff.
 
-        A line group's rows fall in slabs of four from its first (partial_block
-        takes rows of D four at a time). A block that lies within one slab
-        reads its partial from the slab's, taken once for all the blocks in
-        it; along the leading axis of a 3-D n=8 grid one slab serves four
-        blocks. Any other block takes its own.
+        Along any other axis this is partial_array of the slab. Along the
+        leading axis each row takes its row of derivative_matrix against the
+        unshifted lines, one (1, n) @ (n, W) product per W-block, so its
+        values do not depend on the slab's other rows (a gemm's rounding
+        depends on its row count). There is no shift: it needs every row of
+        the grid for each slab, so data constant along the leading axis
+        gives roundoff, not exactly 0.0.
         """
-        sites = self.points_per_axis ** self.ndim_active
-        if axis not in self.active_axes:
-            yield from (self.partial_block(data, axis, block) for block in site_blocks(sites))
-            return
+        if axis != self.active_axes[0]:
+            return self.partial_array(data[rows], axis)
         n = self.points_per_axis
-        inner = n ** (self.ndim_active - 1 - self.active_axes.index(axis))
-        slab, values = slice(0, 0), None
-        for block in site_blocks(sites):
-            start, stop, _ = block.indices(sites)
-            row = start // inner  # counted over the grid, n to a line group
-            top = row - row % n + row % n // 4 * 4
-            end = min(row - row % n + n, top + 4)
-            if stop > end * inner:
-                slab, values = slice(0, 0), None
-                yield self.partial_block(data, axis, block)
-                continue
-            if slab.start != top * inner or slab.stop != end * inner:
-                values = None  # the last slab goes before the next is taken
-                slab = slice(top * inner, end * inner)
-                values = self.partial_block(data, axis, slab)
-            yield values[start - slab.start:stop - slab.start]
+        d = derivative_matrix(self.scheme, n, self.period)[rows, None, None, :]
+        lines = data.reshape(n, -1, _gemm_width(n, data.shape[1:])).swapaxes(0, 1)
+        return np.matmul(d, lines).reshape(d.shape[:1] + data.shape[1:])
 
     def gradient(self, data: np.ndarray) -> np.ndarray:
         """Partials out[..., m, *comp] = partial_array(data, m + 1); 0.0 off the active axes."""

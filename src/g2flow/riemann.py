@@ -13,11 +13,12 @@ in torsion_derivative, which the flow reads. The flow needs no nabla phi,
 which only the check suite takes (checks.covariant_derivative_form).
 
 No array of 7^3 or more entries per site is stored for the whole grid but
-the connection Gamma itself. Rm, dGamma, the Christoffel build's
-d_m g_lk stack and nabla T exist one block of lattice.SITE_BLOCK sites at a
-time: curvature_blocks yields Rm per block, and curvature keeps of it the
-pointwise |Rm|^2, Ric and the scalar curvature; torsion_derivative keeps
-of nabla T |nabla T|^2 and the nabla T . phi term of flow.intrinsic_h.
+the connection Gamma itself. The Christoffel build's d_m g_lk stack and
+nabla T exist per block of lattice.SITE_BLOCK sites, and Rm and dGamma
+per slab of whole leading-axis rows: curvature_blocks yields Rm per slab,
+and curvature keeps of it the pointwise |Rm|^2, Ric and the scalar
+curvature; torsion_derivative keeps of nabla T |nabla T|^2 and the
+nabla T . phi term of flow.intrinsic_h.
 """
 
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
 
 
 def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice):
-    """Rm and Ric of the connection, one block of lattice.SITE_BLOCK sites at a time.
+    """Rm and Ric of the connection, one slab of whole leading-axis rows at a time.
 
     Yields (sites, rm, ric) for consecutive slices sites of the flattened
     grid: rm[s, i, j, K] = Rm_ijkl, all indices lowered, for the 21
@@ -120,30 +121,31 @@ def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Latti
     and Ric_jl = R^k_jkl reads the pair through interior_table(2):
     R^k_jkl = sum_K T[k, l, K] R^k_jK.
 
-    The dGamma partials are taken at the block's sites
-    (Lattice.partial_blocks), bit for bit as partial_array takes them over
-    the grid, one active axis at a time, so dGamma and the 7^4 array exist
-    for one block at a time, beside a slab of at most four rows of a line
-    group; each site's arithmetic is the same for any block size. Warm at
-    3-D n=8 on a 2-CPU Xeon, blocks of 16 to 64 sites ran fastest and the
-    whole grid slowest (10 against 23 ms per call).
+    A block is a slab of whole leading-axis rows (Lattice.row_slabs), whose
+    dGamma is Lattice.partial_rows of each active axis: partial_array's to
+    roundoff, as the leading axis is taken unshifted. dGamma and the 7^4
+    array exist for one slab at a time; each site's arithmetic is the same
+    for any number of rows per slab. Warm at 3-D n=8 on a 2-CPU Xeon,
+    blocks of 16 to 64 sites ran fastest and the whole grid slowest (10
+    against 23 ms per call).
     """
-    dgamma = [(axis - 1, lattice.partial_blocks(gamma, axis)) for axis in lattice.active_axes]
     flat = gamma.reshape(-1, 7, 7, 7)
     g = metric.g.reshape(-1, 7, 7)
+    row = flat.shape[0] // lattice.points_per_axis  # sites per row of the leading axis
     # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
     # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
     ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
-    for block in site_blocks(flat.shape[0]):
+    for rows in lattice.row_slabs():
+        block = slice(rows.start * row, rows.stop * row)
         gb = flat[block]
         # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
         # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
         #         = a[i, k, l, j] - a[i, l, k, j].
         a = gb.reshape(-1, 49, 7) @ gb.reshape(-1, 7, 49)
         a = a.reshape(-1, 7, 7, 7, 7)
-        for k, partials in dgamma:
-            a[:, :, k, :, :] += next(partials)
+        for axis in lattice.active_axes:
+            a[:, :, axis - 1, :, :] += lattice.partial_rows(gamma, axis, rows).reshape(-1, 7, 7, 7)
         a = a.reshape(-1, 2401)
         r_up = np.take(a, ij + 7 * _PAIRS, axis=-1)
         r_up -= np.take(a, ij + 7 * _SWAPPED, axis=-1)

@@ -1,7 +1,9 @@
 """CLI subcommands: exit codes, outputs, determinism, resume."""
 
+import errno
 import gc
 import json
+import pathlib
 import weakref
 
 import numpy as np
@@ -359,6 +361,43 @@ def test_flow_resume_with_foreign_series_line_exit_2(tmp_path, capsys, line):
     assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
     assert "line 1 is not a sample" in capsys.readouterr().err
     assert series.read_bytes() == before
+
+
+def test_flow_resume_with_failing_series_rewrite_exit_2(tmp_path, capsys, monkeypatch):
+    # the rewrite that drops the samples from t0 on runs out of space halfway:
+    # the series keeps every sample, no temporary is left, and the run exits 2
+    path, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01, "checkpoint_every": 5})
+    assert cli.main(["flow", str(path)]) == 0
+    series = tmp_path / "out" / "series.jsonl"
+    before = series.read_bytes()
+    opened = pathlib.Path.open
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_series(self, mode="r", *args, **kwargs):
+        fh = opened(self, mode, *args, **kwargs)
+        return HalfWritten(fh) if self.name.startswith("series.jsonl") and "w" in mode else fh
+
+    monkeypatch.setattr(pathlib.Path, "open", open_series)
+    resume_from = tmp_path / "out" / "checkpoints" / "step_00000005.json"
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert series.read_bytes() == before
+    assert sorted(p.name for p in series.parent.iterdir() if p.name.startswith("series")) == [
+        "series.jsonl"]
 
 
 def _run_outputs(out):

@@ -139,36 +139,39 @@ def test_gemm_blocks_stay_under_single_thread_limit():
                                      ((2,), 128), ((1, 3), 8), ((1, 3), 10), ((1, 3), 12),
                                      ((1, 3), 16), ((1, 3), 32), ((2, 4, 6), 8), ((2, 4, 6), 10),
                                      ((2, 4, 6), 12), ((2, 4, 6), 16), ((2, 4, 6), 32)])
-def test_partial_block_matches_rows_of_partial_array(axes, n, scheme, rng):
-    # every block of site_blocks, bit for bit, one at a time and through
-    # partial_blocks: n = 10 and 12 do not divide SITE_BLOCK, so blocks
-    # start and end inside rows; above it (1-D n=128) a block is part of the
-    # one line; along the leading axis of 2-D n=32 and 3-D a block holds
-    # fewer than four rows, so partial_blocks reads it from a slab. Scalars
-    # take one-column (gemv) products.
+def test_partial_rows_matches_partial_array(axes, n, scheme, rng):
+    # every slab of row_slabs and every axis: n = 10 and 12 do not divide
+    # SITE_BLOCK, so the last slab is short; 1-D slabs hold SITE_BLOCK rows,
+    # 2-D n >= 16 slabs a few, 3-D slabs one. Along the leading axis the
+    # slab takes unshifted rows of D, so it agrees to roundoff, and each row
+    # bit for bit as in the whole-grid slab. Scalars take one-column products.
     lat = Lattice(axes, n, 1.7, scheme)
-    sites = n ** len(axes)
-    blocks = lattice.site_blocks(sites)
-    comps = [(), (7,), (7, 7, 7)] if sites * 343 <= 2 ** 20 else [(), (7,)]
+    slabs = lat.row_slabs()
+    assert [r for rows in slabs for r in range(rows.start, rows.stop)] == list(range(n))
+    everything = slice(0, n)
+    comps = [(), (7,), (7, 7, 7)] if n ** len(axes) * 343 <= 2 ** 20 else [(), (7,)]
     for comp in comps:
         data = rng.standard_normal(lat.grid_shape + comp)
-        for axis in axes + (7,):
-            whole = lat.partial_array(data, axis).reshape((sites,) + comp)
-            streamed = list(lat.partial_blocks(data, axis))
-            assert len(streamed) == len(blocks)
-            for block, got_streamed in zip(blocks, streamed):
-                got = lat.partial_block(data, axis, block)
-                assert got.shape == got_streamed.shape == whole[block].shape
-                assert np.array_equal(got, whole[block]), (comp, axis, block)
-                assert np.array_equal(got_streamed, whole[block]), (comp, axis, block)
-    # constant along each axis in turn: exactly 0.0 there
+        for axis in axes:
+            whole = lat.partial_array(data, axis)
+            one_slab = lat.partial_rows(data, axis, everything)
+            for rows in slabs:
+                got = lat.partial_rows(data, axis, rows)
+                assert got.shape == whole[rows].shape
+                assert np.max(np.abs(got - whole[rows])) <= 1e-13 * np.max(np.abs(whole))
+                assert np.array_equal(got, one_slab[rows]), (comp, axis, rows)
+            assert np.all(lat.partial_rows(data, 7, slabs[0]) == 0.0)
+    # constant along each axis in turn: exactly 0.0 along a non-leading axis,
+    # roundoff along the leading one, where the rows of D sum to 0 exactly
+    # only in exact arithmetic
+    d_norm = np.max(np.sum(np.abs(derivative_matrix(scheme, n, 1.7)), axis=1))
     for pos, axis in enumerate(axes):
         shape = list(lat.grid_shape + (7,))
         shape[pos] = 1
         data = np.broadcast_to(rng.standard_normal(shape), lat.grid_shape + (7,)).copy()
-        for block, streamed in zip(blocks, lat.partial_blocks(data, axis)):
-            assert np.all(lat.partial_block(data, axis, block) == 0.0)
-            assert np.all(streamed == 0.0)
+        bound = 1e-13 * d_norm * np.max(np.abs(data)) if pos == 0 else 0.0
+        for rows in slabs:
+            assert np.max(np.abs(lat.partial_rows(data, axis, rows))) <= bound, (axis, rows)
 
 
 @pytest.mark.parametrize("scheme, n", [("spectral", 16), ("fd4", 7)])
