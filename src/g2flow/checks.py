@@ -7,7 +7,9 @@ are bit-identical. The base 3-form of the pointwise battery is recovered from
 the stored 4-form via the euclidean star, which cross-anchors the two model
 tables. The G2 algebra that only the checks use lives here too: j_phi, the
 2-form type projection, the torsion forms tau0..tau3 and nabla phi, which the
-three torsion checks compare with the flow's T = -tau2/2.
+three torsion checks compare with the flow's T = -tau2/2. By g2algebra's
+block rule, j_phi, the torsion-form solves and the connection term of
+nabla phi run on blocks of lattice.SITE_BLOCK sites.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from . import g2algebra as g2
 from . import riemann, tables
 from .flow import hodge_laplacian
-from .lattice import FormField, Lattice, exterior_derivative, site_blocks
+from .lattice import FormField, Lattice, exterior_derivative, map_site_blocks, site_blocks
 
 POINTWISE_TOL = 1e-10
 
@@ -41,9 +43,8 @@ class CheckResult:
 # --- G2 algebra that only the checks use ---------------------------------------
 
 def j_phi_raw(gamma: np.ndarray, phi: np.ndarray, metric: g2.Metric) -> np.ndarray:
-    """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma)."""
-    return (g2._cubic_contraction(g2._interior_phi(phi), gamma)
-            / np.asarray(metric.vol)[..., None, None])
+    """Unsymmetrized j: (u,v) -> *((u . phi) ^ (v . phi) ^ gamma), with u . phi per site block."""
+    return g2._cubic_form(phi, gamma) / np.asarray(metric.vol)[..., None, None]
 
 
 def j_phi(gamma: np.ndarray, phi: np.ndarray, metric: g2.Metric) -> np.ndarray:
@@ -119,6 +120,7 @@ def extract_torsion_forms(structure: g2.G2Structure) -> TorsionData:
     dphi = tau0 psi + 3 tau1 ^ phi + *tau3 is resolved through the type
     decomposition of *(dphi); tau2 then solves
     dpsi - 4 tau1 ^ psi = tau2 ^ phi, a pointwise 21 x 21 linear system.
+    Both solves run on site blocks.
     """
     phi, psi = structure.phi, structure.psi
     dphi = exterior_derivative(phi)
@@ -129,15 +131,17 @@ def extract_torsion_forms(structure: g2.G2Structure) -> TorsionData:
     tau0 = g2.form_inner(v3, phi.data, 3, structure) / 7.0
     tau3 = v27
 
-    # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
-    star_v7 = g2.hodge_star(v7, 3, structure)
-    m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi.data), -1, -2)
-    tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
+    def solves(phi, psi, star_v7, dpsi):
+        # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
+        m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi), -1, -2)
+        tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
+        wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi)
+        rho = dpsi - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
+        m2 = tables.apply_table(tables.wedge_table(2, 3), phi)
+        return tau1, np.linalg.solve(m2, rho[..., None])[..., 0]
 
-    wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi.data)
-    rho = dpsi.data - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
-    m2 = tables.apply_table(tables.wedge_table(2, 3), phi.data)
-    tau2 = np.linalg.solve(m2, rho[..., None])[..., 0]
+    tau1, tau2 = map_site_blocks(solves, (phi.data, 1), (psi.data, 1),
+                                 (g2.hodge_star(v7, 3, structure), 1), (dpsi.data, 1))
     return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
 
 
@@ -190,9 +194,7 @@ class SuiteContext:
         if self._pointwise is None:
             rng = np.random.default_rng([self.seed, 1000])
             a = _random_pullbacks(rng, self.n)
-            a_t = np.swapaxes(a, -1, -2)
-            full = g2.contract_slots(g2.expand_form(self.phi0, 3), (a_t,) * 3)
-            phi = g2.compress_form(full, 3)
+            phi = g2._apply_metric(self.phi0, 3, np.swapaxes(a, -1, -2))
             m = g2.metric_from_phi(phi)
             self._pointwise = (phi, a, m, g2.hodge_star(phi, 3, m))
         return self._pointwise
@@ -403,17 +405,19 @@ def _check_scalar_identity(rng, ctx):
 
 
 def _check_metric_compatibility(rng, ctx):
+    """max |nabla g|, taken per site block: no (..., 7, 7, 7) array spans the grid."""
     st, lat = ctx.closed_structure()
-    gamma = riemann.connection_of(st)
-    return float(np.max(np.abs(riemann.covariant_derivative_array(st.g, gamma, lat))))
+    return float(np.max(riemann.map_covariant_derivative(
+        lambda nabla_g: np.max(np.abs(nabla_g), axis=(1, 2, 3)), st.g, riemann.connection_of(st), lat)))
 
 
 def _check_bianchi(rng, ctx):
     st, lat = ctx.closed_structure()
     curv = riemann.curvature_of(st)
     worst = float(np.max(np.abs(curv.ric - np.swapaxes(curv.ric, -1, -2))))
-    nric = riemann.covariant_derivative_array(curv.ric, riemann.connection_of(st), lat)
-    lhs = np.einsum("...mi,...mij->...j", st.g_inv, nric)
+    lhs = riemann.map_covariant_derivative(  # g^mi nabla_m Ric_ij, per site block
+        lambda nric, g_inv: np.einsum("...mi,...mij->...j", g_inv, nric),
+        curv.ric, riemann.connection_of(st), lat, (st.g_inv, 2))
     dr = lat.gradient(curv.scalar)
     scale = max(np.max(np.abs(dr)), 1e-300)
     return max(worst, float(np.max(np.abs(lhs - 0.5 * dr)) / scale))
@@ -473,9 +477,10 @@ def _check_torsion_assembly(rng, ctx):
     pert = _band_limited(lat, 3, rng, n_modes=4, amp=5e-3, kmax=2)
     st = g2.G2Structure.from_phi(FormField(lat, 3, g2.PHI0 + pert.data))
     td = extract_torsion_forms(st)
-    t = g2.full_torsion(st, nabla_phi_of(st))  # phi is not closed
-    tau1_phi = np.einsum("...l,...la,...aij->...ij", td.tau1, st.g_inv,
-                         g2.expand_form(st.phi.data, 3))
+    # phi is not closed; its connection is used once, so it is not cached
+    t = g2.full_torsion(st, covariant_derivative_form(
+        st.phi.data, 3, riemann.christoffels(st, lat), lat))
+    tau1_phi = g2.expand_form(st.interior((td.tau1[..., None, :] @ st.g_inv)[..., 0, :]).data, 2)
     bar_tau3 = j_phi(td.tau3, st.phi.data, st) / 4.0
     assembly = ((td.tau0[..., None, None] / 4.0) * st.g - tau1_phi - bar_tau3
                 - 0.5 * g2.expand_form(td.tau2, 2))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 identity/self-check failure, 2 configuration error,
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,7 +28,7 @@ EXIT_STEP = 3
 
 def cmd_check(args) -> int:
     report_path = Path(args.report) if args.report else None
-    if report_path and (report_path.is_dir() or not report_path.parent.is_dir()):
+    if report_path and (os.path.isdir(report_path) or not os.path.isdir(report_path.parent)):
         raise ConfigError(f"cannot write the report to {report_path}")
     report = run_identity_suite(seed=args.seed, n_random=args.n_random)
     for c in report["checks"]:
@@ -37,7 +38,11 @@ def cmd_check(args) -> int:
             line += f" [{c['error']}]"
         print(line)
     if report_path:
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            ckpt.replace_atomically(report_path, (json.dumps(report, indent=2, sort_keys=True)
+                                                  + "\n").encode())
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {report_path}: {exc}") from exc
     if report["passed"]:
         print(f"all {len(report['checks'])} identity checks passed (seed {args.seed})")
         return EXIT_OK

@@ -8,12 +8,17 @@ the 2-form projection, the torsion forms, nabla phi) lives in checks. Three
 functions that only the checks call stay here while the benchmark wraps them
 by these paths: wedge_components, the one wedge of compressed forms,
 project_3form and full_torsion.
+
+Block rule: raising or lowering a form of degree k >= 3 (hodge_star and
+form_inner on 3- and 4-forms), i_phi, project_3form and full_torsion run on
+blocks of lattice.SITE_BLOCK sites (lattice.map_site_blocks), so no 7^3 or
+(7, 35) temporary per site spans the batch; k <= 2 stays whole-batch.
 """
 
 import numpy as np
 
 from . import tables
-from .lattice import FormField, Lattice, site_blocks
+from .lattice import FormField, Lattice, map_site_blocks
 
 # Calibration of the metric map, frozen by requiring that the model 3-form
 # produce the identity metric and unit volume density (see metric_from_phi).
@@ -48,8 +53,7 @@ PSI0.flags.writeable = False
 
 def expand_form(comp: np.ndarray, k: int) -> np.ndarray:
     """Compressed storage -> full antisymmetric tensor with k trailing 7-axes."""
-    full = comp @ tables.expand_table(k).T
-    return full.reshape(comp.shape[:-1] + (7,) * k)
+    return tables.apply_table(tables.expand_table(k), comp).reshape(comp.shape[:-1] + (7,) * k)
 
 
 def compress_form(full: np.ndarray, k: int) -> np.ndarray:
@@ -81,22 +85,17 @@ def _interior_phi(phi: np.ndarray) -> np.ndarray:
     return tables.apply_table(tables.interior_table(3), phi)
 
 
-def _cubic_contraction(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _cubic(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Coefficient of e^{1..7} in (e_i . phi) ^ (e_j . phi) ^ gamma, with u = _interior_phi(phi).
 
-    b = u t u^T with t the (21, 21) matrix of the (2,2,3) table applied to
-    gamma. t and the products run on blocks of lattice.SITE_BLOCK sites, so
-    only b, (..., 7, 7), spans the batch; each site's arithmetic is the
-    same for any block size.
+    b = u t u^T with t the (21, 21) matrix of the (2,2,3) table applied to gamma.
     """
-    batch = u.shape[:-2]
-    u = u.reshape(-1, 7, 21)
-    gamma = gamma.reshape(-1, 35)
-    b = np.empty((len(u), 7, 7))
-    for block in site_blocks(len(u)):
-        t = tables.apply_table(tables.triple_wedge_223(), gamma[block])
-        b[block] = u[block] @ t @ np.swapaxes(u[block], -1, -2)
-    return b.reshape(batch + (7, 7))
+    return u @ tables.apply_table(tables.triple_wedge_223(), gamma) @ np.swapaxes(u, -1, -2)
+
+
+def _cubic_form(phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """_cubic with u = _interior_phi(phi), per site block: only b, (..., 7, 7), spans the batch."""
+    return map_site_blocks(lambda p, c: _cubic(_interior_phi(p), c), (phi, 1), (gamma, 1))
 
 
 def _eliminate(b: np.ndarray):
@@ -153,9 +152,8 @@ class Metric:
         return Metric(self.g[sel], self.g_inv[sel], self.vol[sel])
 
 
-def _metric_of(u: np.ndarray, phi: np.ndarray) -> Metric:
-    """metric_from_phi with u = _interior_phi(phi) given."""
-    b = _cubic_contraction(u, phi)
+def _metric_of(b: np.ndarray) -> Metric:
+    """metric_from_phi with b = _cubic_form(phi, phi) given."""
     b_inv, pivots = _eliminate(b)
     bad = ~np.all(pivots > 0.0, axis=-1)  # a NaN pivot fails too
     if np.any(bad):
@@ -176,7 +174,7 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     gives the identity (for it, b = 6 * id). Volume density scales
     correspondingly as (det b)^(1/9) / 6^(7/9).
 
-    b is built in site blocks (_cubic_contraction), and one batched
+    b is built in site blocks (_cubic_form), and one batched
     Gauss-Jordan sweep over a component-major copy of it (_eliminate) gives
     b^-1, whence g^-1, and the pivots: (det b)^(1/9) comes from the sum of
     their logs, so no scale of phi overflows. phi is left unchanged, and g,
@@ -184,12 +182,12 @@ def metric_from_phi(phi: np.ndarray) -> Metric:
     > 0 (which a NaN fails), the test is_positive applies, i.e. unless phi is
     in the open GL+ orbit of the model.
     """
-    return _metric_of(_interior_phi(phi), phi)
+    return _metric_of(_cubic_form(phi, phi))
 
 
 def is_positive(phi: np.ndarray):
     """True where the 3-form defines a positive-definite metric; False where b is not finite."""
-    b = _cubic_contraction(_interior_phi(phi), phi)
+    b = _cubic_form(phi, phi)
     finite = np.all(np.isfinite(b), axis=(-2, -1))
     _, pivots = _eliminate(np.where(finite[..., None, None], b, 0.0))
     return finite & np.all(pivots > 0.0, axis=-1)
@@ -202,10 +200,18 @@ def _complement(alpha: np.ndarray, k: int) -> np.ndarray:
 
 
 def _apply_metric(alpha: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
-    """Raise (m = g_inv) or lower (m = g) every slot of a compressed k-form."""
+    """Raise (m = g_inv) or lower (m = g) every slot of a compressed k-form.
+
+    Leading axes broadcast. For k >= 3 this runs on site blocks, so no
+    (..., 7^k) tensor spans the batch; k <= 2, the flow's star of d psi,
+    stays whole-batch, where blocking measured slower.
+    """
     if k == 0:
         return alpha
-    return compress_form(contract_slots(expand_form(alpha, k), (m,) * k), k)
+
+    def apply(a, mb):
+        return compress_form(contract_slots(expand_form(a, k), (mb,) * k), k)
+    return apply(alpha, m) if k <= 2 else map_site_blocks(apply, (alpha, 1), (m, 2))
 
 
 def raise_form(alpha: np.ndarray, k: int, metric: Metric) -> np.ndarray:
@@ -249,8 +255,10 @@ def i_phi(h: np.ndarray, phi: np.ndarray, metric: Metric) -> np.ndarray:
     x_a = h_a^l (e_l . phi): x is one (h g_inv) @ u product, and e^a ^ .
     contracts (a, J) against the interior table read as a (147, 35) matrix.
     """
-    x = (h @ metric.g_inv) @ _interior_phi(phi)
-    return x.reshape(x.shape[:-2] + (147,)) @ tables.interior_table(3).reshape(147, 35)
+    def apply(h, phi, g_inv):
+        x = (h @ g_inv) @ _interior_phi(phi)
+        return x.reshape(-1, 147) @ tables.interior_table(3).reshape(147, 35)
+    return map_site_blocks(apply, (h, 2), (phi, 1), (metric.g_inv, 2))
 
 
 def wedge_components(alpha: np.ndarray, k: int, beta: np.ndarray, l: int) -> np.ndarray:
@@ -268,16 +276,19 @@ def project_3form(gamma: np.ndarray, phi: np.ndarray, psi: np.ndarray, metric: M
 
     The 1-part is <gamma,phi> phi / 7; the 7-part is X . psi for the vector X
     solving the 7-component linear system (X . psi) ^ phi = gamma ^ phi; the
-    27-part is the remainder.
+    27-part is the remainder. The leading axes of the operands broadcast,
+    and the parts are formed on site blocks.
     """
+    def parts(gamma, phi, psi, f):
+        gamma1 = f[..., None] * phi
+        int_psi = tables.apply_table(tables.interior_table(4), psi)
+        wedge_phi = tables.apply_table(tables.wedge_table(3, 3), phi)
+        mat = wedge_phi @ np.swapaxes(int_psi, -1, -2)
+        x = np.linalg.solve(mat, wedge_phi @ gamma[..., None])[..., 0]
+        gamma7 = (x[..., None, :] @ int_psi)[..., 0, :]
+        return gamma1, gamma7, gamma - gamma1 - gamma7
     f = form_inner(gamma, phi, 3, metric) / 7.0
-    gamma1 = f[..., None] * phi
-    int_psi = tables.apply_table(tables.interior_table(4), psi)
-    wedge_phi = tables.apply_table(tables.wedge_table(3, 3), phi)
-    mat = wedge_phi @ np.swapaxes(int_psi, -1, -2)
-    x = np.linalg.solve(mat, wedge_phi @ gamma[..., None])[..., 0]
-    gamma7 = (x[..., None, :] @ int_psi)[..., 0, :]
-    return gamma1, gamma7, gamma - gamma1 - gamma7
+    return map_site_blocks(parts, (gamma, 1), (phi, 1), (psi, 1), (f, 0))
 
 
 def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
@@ -290,12 +301,13 @@ def full_torsion(structure: "G2Structure", nabla_phi: np.ndarray) -> np.ndarray:
     result satisfies nabla_i phi_jkl = T_i^m psi_mjkl. Both factors are
     antisymmetric in lmn, so the sum runs over increasing lmn with weight
     3!/24: psi is raised in compressed storage and psi^jlmn is the interior
-    product e_j . psi^.
+    product e_j . psi^, formed on site blocks.
     """
-    psi_up = raise_form(structure.psi.data, 4, structure)
-    int_up = tables.apply_table(tables.interior_table(4), psi_up)
-    t_mixed = nabla_phi @ np.swapaxes(int_up, -1, -2) / 4.0
-    return t_mixed @ structure.g
+    def torsion(psi_up, nabla, g):
+        int_up = tables.apply_table(tables.interior_table(4), psi_up)
+        return (nabla @ np.swapaxes(int_up, -1, -2) / 4.0) @ g
+    return map_site_blocks(torsion, (raise_form(structure.psi.data, 4, structure), 1),
+                           (nabla_phi, 2), (structure.g, 2))
 
 
 # The 35 increasing ijkl = (ij, kl) read only 10 x 10 pairs: the first
@@ -321,17 +333,11 @@ def _psi_of(u: np.ndarray, metric: Metric) -> np.ndarray:
     read only its (_PSI_ROWS, _PSI_COLS) block, which is formed on blocks
     of lattice.SITE_BLOCK sites, so only psi spans the grid.
     """
-    batch = u.shape[:-2]
-    u = u.reshape(-1, 7, 21)
-    g_inv = metric.g_inv.reshape(-1, 7, 7)
-    g = metric.g.reshape(-1, 49)
-    psi = np.empty((len(u), 35))
-    for block in site_blocks(len(u)):
-        ub = u[block]
-        m = np.swapaxes(ub[..., _PSI_ROWS], -1, -2) @ (g_inv[block] @ ub[..., _PSI_COLS])
-        q = g[block][:, _QUAD_METRIC].reshape(-1, 4, 35)  # g_ik, g_jl, g_il, g_jk
-        psi[block] = m.reshape(-1, 100)[:, _QUAD_PAIRS] - q[:, 0] * q[:, 1] + q[:, 2] * q[:, 3]
-    return psi.reshape(batch + (35,))
+    def psi(u, g_inv, g):
+        m = np.swapaxes(u[..., _PSI_ROWS], -1, -2) @ (g_inv @ u[..., _PSI_COLS])
+        q = g.reshape(-1, 49)[:, _QUAD_METRIC].reshape(-1, 4, 35)  # g_ik, g_jl, g_il, g_jk
+        return m.reshape(-1, 100)[:, _QUAD_PAIRS] - q[:, 0] * q[:, 1] + q[:, 2] * q[:, 3]
+    return map_site_blocks(psi, (u, 2), (metric.g_inv, 2), (metric.g, 2))
 
 
 class G2Structure(Metric):
@@ -363,7 +369,7 @@ class G2Structure(Metric):
         identity (_psi_of) rather than from the general Hodge star.
         """
         u = _interior_phi(phi.data)
-        metric = _metric_of(u, phi.data)
+        metric = _metric_of(map_site_blocks(_cubic, (u, 2), (phi.data, 1)))
         psi = FormField(phi.lattice, 4, _psi_of(u, metric))
         return cls(phi, metric, psi, u)
 

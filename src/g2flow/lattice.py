@@ -28,8 +28,10 @@ _GEMM_LIMIT = 65536 * 4
 
 # Sites per block of the per-site kernels: G2Structure.from_phi's metric
 # and psi; riemann's christoffels (the (7, 7, 7) stack of partials of g)
-# and torsion_derivative (nabla T); and the check suite's blocked
-# identities. riemann.curvature_blocks (dGamma and Rm) walks slabs of as
+# and torsion_derivative (nabla T); g2algebra's raise/lower of 3-forms
+# (hodge_star and form_inner on 3- and 4-forms), i_phi, project_3form and
+# full_torsion; and checks' j_phi, torsion-form solves and nabla phi.
+# riemann.curvature_blocks (dGamma and Rm) walks slabs of as
 # many whole leading-axis rows as fit in SITE_BLOCK sites, at least one
 # (Lattice.row_slabs). No per-call temporary then spans the grid: from_phi's
 # largest, the (21, 21) cubic table per site, is 64 * 441 doubles (0.2 MB),
@@ -45,6 +47,29 @@ SITE_BLOCK = 64
 def site_blocks(sites: int) -> list:
     """Slices of SITE_BLOCK consecutive sites that cover range(sites); the last may be short."""
     return [slice(start, start + SITE_BLOCK) for start in range(0, sites, SITE_BLOCK)]
+
+
+def map_site_blocks(kernel, *operands):
+    """kernel on each site block of (array, site_ndim) operands; its results stitched.
+
+    The axes before each operand's last site_ndim broadcast once to one
+    batch, which is flattened. kernel returns an array or a tuple of arrays
+    with the block's sites first; each comes back with the batch's shape.
+    """
+    batch = np.broadcast_shapes(*(a.shape[:a.ndim - d] for a, d in operands))
+    flat = [np.broadcast_to(a, batch + a.shape[a.ndim - d:]).reshape((-1,) + a.shape[a.ndim - d:])
+            for a, d in operands]
+    sites = len(flat[0])
+    outs = None
+    for block in site_blocks(sites):
+        got = kernel(*(a[block] for a in flat))
+        parts = got if isinstance(got, tuple) else (got,)
+        if outs is None:
+            outs = [np.empty((sites,) + p.shape[1:], p.dtype) for p in parts]
+        for out, part in zip(outs, parts):
+            out[block] = part
+    outs = tuple(out.reshape(batch + out.shape[1:]) for out in outs)
+    return outs if isinstance(got, tuple) else outs[0]
 
 
 def is_number(value, integer: bool = False) -> bool:

@@ -8,9 +8,9 @@ flow are genuine cross-checks rather than consequences of bookkeeping.
 Every tensor here is covariant, all slots lower, and norms raise them with
 the metric's g_inv. The covariant derivative of a full lower 2-tensor
 (T, g, Ric) is its partials less _connection_terms: over the whole grid in
-covariant_derivative_array, which the check suite reads, and per site block
-in torsion_derivative, which the flow reads. The flow needs no nabla phi,
-which only the check suite takes (checks.covariant_derivative_form).
+covariant_derivative_array, the tests' reference, and per site block in
+map_covariant_derivative, which torsion_derivative (the flow's) and the check
+suite read. Only the check suite takes nabla phi (checks.covariant_derivative_form).
 
 No array of 7^3 or more entries per site is stored for the whole grid but
 the connection Gamma itself. The Christoffel build's d_m g_lk stack and
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2algebra, tables
-from .lattice import Lattice, site_blocks
+from .lattice import Lattice, map_site_blocks
 
 # flat position 7k + l of each increasing pair K = (k < l), and 7l + k of its swap
 _PAIRS = tables.compress_positions(2)
@@ -47,16 +47,16 @@ class CurvatureData:
     rm_sq: np.ndarray
 
 
-def _block_partials(partials: list, block: slice) -> np.ndarray:
-    """The (sites, 7, *comp) stack of one block from per-axis partials [(slot, (sites, *comp))].
+def _axis_partials(t: np.ndarray, lattice: Lattice) -> list:
+    """(partial_array(t, axis), 2) per active axis: map_site_blocks operands of a 2-tensor field."""
+    return [(lattice.partial_array(t, axis), 2) for axis in lattice.active_axes]
 
-    Slot m holds partials[m][block]; the slots of inactive axes are 0.0, as
-    in Lattice.gradient.
-    """
-    first = partials[0][1][block]
-    out = np.zeros((len(first), 7) + first.shape[1:])
-    for m, partial in partials:
-        out[:, m] = partial[block]
+
+def _stacked(partials: tuple, lattice: Lattice) -> np.ndarray:
+    """The (sites, 7, 7, 7) stack of a block of _axis_partials, 0.0 on inactive axes."""
+    out = np.zeros((len(partials[0]), 7, 7, 7))
+    for axis, partial in zip(lattice.active_axes, partials):
+        out[:, axis - 1] = partial
     return out
 
 
@@ -68,20 +68,15 @@ def christoffels(metric: g2algebra.Metric, lattice: Lattice) -> np.ndarray:
     axis; the (7, 7, 7) stack of them, s and the product with g_inv are
     formed per site block, so only Gamma spans the grid.
     """
-    batch = metric.g.shape[:-2]
-    dg = [(axis - 1, lattice.partial_array(metric.g, axis).reshape(-1, 7, 7))
-          for axis in lattice.active_axes]
-    g_inv = metric.g_inv.reshape(-1, 7, 7)
-    gamma = np.empty((len(g_inv), 7, 7, 7))
-    for block in site_blocks(len(g_inv)):
-        d = _block_partials(dg, block)
+    def connection(g_inv, *dg):
+        d = _stacked(dg, lattice)
         # s[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
         s = np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1)
         s -= d
-        gb = g_inv[block] @ s.reshape(-1, 7, 49)
+        gb = g_inv @ s.reshape(-1, 7, 49)
         gb *= 0.5
-        gamma[block] = gb.reshape(-1, 7, 7, 7)
-    return gamma.reshape(batch + (7, 7, 7))
+        return gb.reshape(-1, 7, 7, 7)
+    return map_site_blocks(connection, (metric.g_inv, 2), *_axis_partials(metric.g, lattice))
 
 
 def _connection_terms(out: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -103,6 +98,19 @@ def covariant_derivative_array(t: np.ndarray, gamma: np.ndarray,
                                lattice: Lattice) -> np.ndarray:
     """Covariant derivative of a lower 2-tensor field: out[..., m, i, j] = nabla_m t_ij."""
     return _connection_terms(lattice.gradient(t), gamma, t)
+
+
+def map_covariant_derivative(kernel, t: np.ndarray, gamma: np.ndarray, lattice: Lattice,
+                             *operands):
+    """kernel(nabla t, *operand blocks) per site block; nabla t as in covariant_derivative_array.
+
+    The partials d_m t are whole-grid, one (..., 7, 7) array per active
+    axis; their (7, 7, 7) stack and the connection terms exist per block.
+    """
+    def apply(t, gamma, *rest):
+        n = len(lattice.active_axes)
+        return kernel(_connection_terms(_stacked(rest[:n], lattice), gamma, t), *rest[n:])
+    return map_site_blocks(apply, (t, 2), (gamma, 3), *_axis_partials(t, lattice), *operands)
 
 
 def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice):
@@ -228,36 +236,22 @@ class TorsionDerivative:
 def torsion_derivative(structure) -> TorsionDerivative:
     """|nabla T|^2 and nabla_m T_ni phi_j^mn of a closed structure, from nabla T per site block.
 
-    The partials d_m T are taken over the whole grid, one (..., 7, 7) array
-    per active axis. Per block, their (7, 7, 7) stack less the connection
-    terms is nabla T, which is raised and contracted into |nabla T|^2
-    (tensor_norm_sq) and contracted with phi_j^mn = g^am phi_jab g^bn, one
-    (7, 49) @ (49, 7) product per site; each site's arithmetic is the same
-    for any block size.
+    nabla T comes from map_covariant_derivative. Per block it is raised
+    and contracted into |nabla T|^2 (tensor_norm_sq) and contracted with
+    phi_j^mn = g^am phi_jab g^bn, one (7, 49) @ (49, 7) product per site;
+    each site's arithmetic is the same for any block size.
     """
-    t = torsion_of(structure)
-    batch = t.shape[:-2]
-    dt = [(axis - 1, structure.lattice.partial_array(t, axis).reshape(-1, 7, 7))
-          for axis in structure.lattice.active_axes]
-    t = t.reshape(-1, 7, 7)
-    gamma = connection_of(structure).reshape(-1, 7, 7, 7)
-    metric = g2algebra.Metric(structure.g.reshape(-1, 7, 7), structure.g_inv.reshape(-1, 7, 7),
-                              structure.vol.reshape(-1))
-    phi = structure.phi.data.reshape(-1, 35)
-    norm_sq = np.empty(len(t))
-    phi_term = np.empty((len(t), 7, 7))
-    for block in site_blocks(len(t)):
-        nabla_t = _connection_terms(_block_partials(dt, block), gamma[block], t[block])
-        g_inv = metric.g_inv[block]
-        norm_sq[block] = tensor_norm_sq(nabla_t, metric[block])
+    def terms(nabla_t, g, g_inv, vol, phi):
         # phi_j^mn = g^am phi_jab g^bn, one (7, 7) sandwich per j
         phi_mix = (np.swapaxes(g_inv, -1, -2)[..., None, :, :]
-                   @ g2algebra.expand_form(phi[block], 3) @ g_inv[..., None, :, :])
+                   @ g2algebra.expand_form(phi, 3) @ g_inv[..., None, :, :])
         # nabla_m T_ni phi_j^mn: (i, mn) @ (mn, j)
-        phi_term[block] = np.swapaxes(nabla_t.reshape(-1, 49, 7), -1, -2) @ np.swapaxes(
-            phi_mix.reshape(-1, 7, 49), -1, -2)
-    return TorsionDerivative(norm_sq=norm_sq.reshape(batch),
-                             phi_term=phi_term.reshape(batch + (7, 7)))
+        return tensor_norm_sq(nabla_t, g2algebra.Metric(g, g_inv, vol)), np.swapaxes(
+            nabla_t.reshape(-1, 49, 7), -1, -2) @ np.swapaxes(phi_mix.reshape(-1, 7, 49), -1, -2)
+    norm_sq, phi_term = map_covariant_derivative(
+        terms, torsion_of(structure), connection_of(structure), structure.lattice,
+        (structure.g, 2), (structure.g_inv, 2), (structure.vol, 0), (structure.phi.data, 1))
+    return TorsionDerivative(norm_sq=norm_sq, phi_term=phi_term)
 
 
 def torsion_derivative_of(structure) -> TorsionDerivative:

@@ -50,6 +50,9 @@ def sort_sign(indices) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(idx)
 
 
+_TRANSPOSED = {}  # id(table) -> (table, contiguous transpose), for apply_table
+
+
 @lru_cache(maxsize=None)
 def wedge_table(k: int, l: int) -> np.ndarray:
     """Signs W with (a^b)_out = sum W[out, i, j] a_i b_j, shape (C_{k+l}, C_k, C_l)."""
@@ -68,9 +71,16 @@ def wedge_table(k: int, l: int) -> np.ndarray:
 def apply_table(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_p table[..., p] x[..., p]: the table's leading axes replace x's last.
 
-    One 2-D gemm over all leading (site) axes of x.
+    One 2-D gemm over all leading (site) axes of x, against a contiguous
+    copy of the table's (p, outputs) transpose, kept per table by id (the
+    entry holds the table, so the id stays its own): on a 2-CPU Xeon that
+    gemm is 20-40% faster on 64-site blocks than one that reads the strided
+    transpose, and as fast on 512 sites. Each output reads one entry of x
+    with sign +-1, or none, so the product is exact in any order.
     """
-    flat = x @ table.reshape(-1, table.shape[-1]).T
+    if id(table) not in _TRANSPOSED:
+        _TRANSPOSED[id(table)] = (table, np.ascontiguousarray(table.reshape(-1, table.shape[-1]).T))
+    flat = x @ _TRANSPOSED[id(table)][1]
     return flat.reshape(x.shape[:-1] + table.shape[:-1])
 
 

@@ -120,18 +120,26 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
     assert not result.passed and result.error is None, result.to_dict()
 
 
-@pytest.mark.parametrize("name", ["Riemann tensor symmetries", "torsion reconstructs nabla phi"])
-def test_check_peak_below_one_stored_rm(ctx, name):
-    """With the structure and its cached geometry built, the check's traced peak stays
-    below one whole-grid (..., 7, 7, 21) Rm, 3 connections: no 7^4 array spans the grid.
+# Traced peak of a check, in connections (one whole-grid Gamma of the closed
+# structure, 7^3 doubles per site), with the structure, its connection, T
+# and nabla phi built. At n_random 256 the checks read, before blocking the
+# suite's kernels and after: Riemann symmetries 1.70 and 1.70 (Rm comes per
+# slab from riemann.curvature_blocks; 6.2 when the check read a cached Rm),
+# nabla phi reconstruction 1.57 and 1.60, closed torsion 3.46 and 1.28 (a
+# whole-grid raise of psi and (7, 35) tables of phi and psi), full torsion
+# assembly 5.03 and 3.33 (those, a cached connection and phi's 7^3 expansion).
+PEAK_CONNECTIONS = {
+    "Riemann tensor symmetries": 2.0,
+    "torsion reconstructs nabla phi": 2.0,
+    "closed torsion: skew, -tau2/2, types": 2.0,
+    "full torsion = tau-form assembly": 3.75,
+}
 
-    No Rm is stored, so the Riemann check takes it from riemann.curvature_blocks,
-    beside the whole-grid dGamma partials, one connection per active axis.
-    Counted so, its peak was 6.2 connections when the check read a cached Rm.
-    """
+
+@pytest.mark.parametrize("name", PEAK_CONNECTIONS)
+def test_check_peak_stays_below_its_bound_in_connections(ctx, name):
     st, lat = ctx.closed_structure()
-    partials = lat.ndim_active if name == "Riemann tensor symmetries" else 0
-    limit = (3 + partials) * riemann.connection_of(st).nbytes
+    limit = PEAK_CONNECTIONS[name] * riemann.connection_of(st).nbytes
     riemann.torsion_of(st)
     checks.nabla_phi_of(st)
     tracemalloc.start()
@@ -141,4 +149,40 @@ def test_check_peak_below_one_stored_rm(ctx, name):
     finally:
         tracemalloc.stop()
     assert result.passed, result.to_dict()
-    assert peak < limit, f"{name}: traced peak {peak / 2**20:.1f} MiB"
+    assert peak < limit, f"{name}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def _traced_peak(fn):
+    """tracemalloc's peak over fn(), after one untraced call fills the table caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# At 2000 sites, whole-batch evaluation peaked at 10.47 MiB for the star and
+# the inner product of 3-forms and for project_3form (one (..., 7, 7, 7)
+# expansion and its contractions), and the fixture at 18.5 MiB for 3.33 MiB
+# kept (the GL+ pullback's expansion and u = e_i . phi over the batch). On
+# blocks of lattice.SITE_BLOCK sites they read 1.67, 0.89, 2.01 and 4.48 MiB.
+@pytest.mark.parametrize("kernel, limit_mib", [
+    ("hodge_star", 2.0), ("form_inner", 1.5), ("project_3form", 3.0)])
+def test_3form_kernel_peak_at_2000_sites(kernel, limit_mib):
+    phi, _, m, psi = checks.SuiteContext(0, 2000).pointwise()
+    gamma = np.random.default_rng(1).standard_normal(phi.shape)
+    run = {"hodge_star": lambda: g2.hodge_star(gamma, 3, m),
+           "form_inner": lambda: g2.form_inner(gamma, phi, 3, m),
+           "project_3form": lambda: g2.project_3form(gamma, phi, psi, m)}[kernel]
+    peak = _traced_peak(run)
+    assert peak < limit_mib * 2**20, f"{kernel}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_pointwise_fixture_peak_below_twice_what_it_keeps():
+    fixture = checks.SuiteContext(0, 2000).pointwise()
+    phi, a, m, psi = fixture
+    kept = sum(x.nbytes for x in (phi, a, m.g, m.g_inv, m.vol, psi))
+    peak = _traced_peak(lambda: checks.SuiteContext(0, 2000).pointwise())
+    assert peak < 2 * kept, f"traced peak {peak / 2**20:.2f} MiB for {kept / 2**20:.2f} MiB kept"

@@ -49,6 +49,32 @@ def _mode(**changes):
             "amplitude": 1e-3, "phase": 0.0, **changes}
 
 
+def _fail_writes_halfway(monkeypatch, prefix):
+    """A file whose name starts with prefix, opened through Path.open to write, gets
+    half of its first write and then ENOSPC."""
+    opened = pathlib.Path.open
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_failing(self, mode="r", *args, **kwargs):
+        fh = opened(self, mode, *args, **kwargs)
+        return HalfWritten(fh) if self.name.startswith(prefix) and "w" in mode else fh
+
+    monkeypatch.setattr(pathlib.Path, "open", open_failing)
+
+
 # --- check -----------------------------------------------------------------------
 
 def test_check_passes_and_writes_report(tmp_path, capsys):
@@ -87,6 +113,30 @@ def test_check_out_of_range_argument_exit_2(capsys, args):
         cli.main(["check", "--n-random", "5", *args])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_check_with_failing_report_write_exit_2(tmp_path, capsys, monkeypatch):
+    # the report's write runs out of space halfway: the run exits 2 with the
+    # error and no traceback, leaves no temporary and the old report as it was
+    report_path = tmp_path / "report.json"
+    report_path.write_text("old report\n")
+    _fail_writes_halfway(monkeypatch, "report.json")
+    assert cli.main(["check", "--seed", "0", "--n-random", "20",
+                     "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write the report" in err and "No space left on device" in err
+    assert "Traceback" not in err
+    assert report_path.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_check_with_too_long_report_name_exit_2(tmp_path, capsys):
+    report_path = tmp_path / ("r" * 300)
+    assert cli.main(["check", "--seed", "0", "--n-random", "20",
+                     "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write the report" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_deterministic_same_seed(tmp_path):
@@ -370,27 +420,7 @@ def test_flow_resume_with_failing_series_rewrite_exit_2(tmp_path, capsys, monkey
     assert cli.main(["flow", str(path)]) == 0
     series = tmp_path / "out" / "series.jsonl"
     before = series.read_bytes()
-    opened = pathlib.Path.open
-
-    class HalfWritten:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    def open_series(self, mode="r", *args, **kwargs):
-        fh = opened(self, mode, *args, **kwargs)
-        return HalfWritten(fh) if self.name.startswith("series.jsonl") and "w" in mode else fh
-
-    monkeypatch.setattr(pathlib.Path, "open", open_series)
+    _fail_writes_halfway(monkeypatch, "series.jsonl")
     resume_from = tmp_path / "out" / "checkpoints" / "step_00000005.json"
     capsys.readouterr()
     assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2

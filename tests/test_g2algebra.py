@@ -118,7 +118,7 @@ def test_non_finite_phi_is_not_positive(bad):
 def test_elimination_matches_lapack_inverse_and_det(curved_batch):
     # b far from 6 id on GL+ pullbacks; the pivots multiply to det b
     phi = curved_batch[0]
-    b = g2._cubic_contraction(g2._interior_phi(phi), phi)
+    b = g2._cubic_form(phi, phi)
     b_inv, pivots = g2._eliminate(b)
     want_inv = np.linalg.inv(b)
     assert np.max(np.abs(b_inv - want_inv)) < 1e-12 * np.max(np.abs(want_inv))
@@ -143,7 +143,7 @@ def test_metric_path_leaves_input_unchanged_and_matches_per_matrix_loop(batch):
     # sweep on that view overwrote b (and gave metric_from_phi(PHI0) = I/36)
     a = pullback_batch(np.random.default_rng(5), int(np.prod(batch))).reshape(batch + (7, 7))
     phi = oracles.pullback_3form(a, g2.PHI0)
-    b = g2._cubic_contraction(g2._interior_phi(phi), phi)
+    b = g2._cubic_form(phi, phi)
     phi_in, b_in = phi.copy(), b.copy()
     b_inv, pivots = g2._eliminate(b)
     m = g2.metric_from_phi(phi)
@@ -162,7 +162,7 @@ def test_split_form_is_not_positive_definite():
     # flipping e123 and e145 gives the split form: b has signature (3, 4), det b > 0
     split = g2.PHI0.copy()
     split[np.nonzero(g2.PHI0)[0][:2]] *= -1.0
-    b = g2._cubic_contraction(g2._interior_phi(split), split)
+    b = g2._cubic_form(split, split)
     assert np.linalg.det(b) > 0.0
     with pytest.raises(g2.NotPositive, match="not positive-definite"):
         g2.metric_from_phi(split)
@@ -412,6 +412,60 @@ def test_from_phi_site_blocks_match_one_block_bit_for_bit(rng, monkeypatch):
     for name, got in blocked.items():
         assert got.dtype == np.float64 and got.flags.c_contiguous, name
         assert np.array_equal(got, whole[name]), name
+
+
+def _battery_kernels():
+    """name -> kernel of the identity suite over a 100-site battery or 2-D n=10 lattice."""
+    phi, _, m, psi = checks.SuiteContext(0, 100).pointwise()
+    rng = np.random.default_rng(5)
+    gamma, h = rng.standard_normal((100, 35)), checks._random_symmetric(rng, 100)
+    n = 3  # the trace checks' broadcast (n, 1) operands: 105 sites
+    basis = np.broadcast_to(np.eye(35), (n, 35, 35))
+    lat = Lattice((1, 2), 10, TWO_PI)
+    pert = band_limited_form(lat, 3, np.random.default_rng(6), n_modes=4, amp=5e-2)
+    phi_lat = FormField(lat, 3, g2.PHI0 + pert.data)
+
+    def structure():
+        st = g2.G2Structure.from_phi(phi_lat)  # a new one: its cache holds blocked values
+        return st, checks.covariant_derivative_form(phi_lat.data, 3, riemann.christoffels(st, lat),
+                                                    lat)
+
+    return {
+        "hodge_star 3": lambda: g2.hodge_star(gamma, 3, m),
+        "hodge_star 4": lambda: g2.hodge_star(psi + gamma, 4, m),
+        "raise_form 3": lambda: g2.raise_form(gamma, 3, m),
+        "raise_form 4": lambda: g2.raise_form(gamma, 4, m),
+        "i_phi": lambda: g2.i_phi(h, phi, m),
+        "j_phi": lambda: checks.j_phi(gamma, phi, m),
+        "metric_from_phi": lambda: g2.metric_from_phi(phi),
+        "project_3form": lambda: g2.project_3form(gamma, phi, psi, m),
+        "project_3form (n, 1)": lambda: g2.project_3form(basis, phi[:n, None], psi[:n, None],
+                                                         m[:n, None]),
+        "fixture": lambda: checks.SuiteContext(0, 100).pointwise(),
+        "full_torsion": lambda: g2.full_torsion(*structure()),
+        "extract_torsion_forms": lambda: checks.extract_torsion_forms(structure()[0]),
+    }
+
+
+def _arrays(value):
+    """The arrays of a kernel's result: an array, a Metric, TorsionData or a tuple of them."""
+    if isinstance(value, (g2.Metric, checks.TorsionData)):
+        value = tuple(vars(value).values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    return [np.asarray(value)]
+
+
+@pytest.mark.parametrize("name", list(_battery_kernels()))
+def test_blocked_kernels_match_one_block_bit_for_bit(monkeypatch, name):
+    # 100 and 105 sites: the last of the lattice.SITE_BLOCK blocks is short
+    kernel = _battery_kernels()[name]
+    blocked = _arrays(kernel())
+    monkeypatch.setattr(lattice, "SITE_BLOCK", 106)
+    whole = _arrays(kernel())
+    assert len(blocked) == len(whole)
+    for got, want in zip(blocked, whole):
+        assert got.dtype == np.float64 and np.array_equal(got, want), name
 
 
 def test_from_phi_peak_stays_below_a_grid_of_441_per_site(rng):

@@ -28,6 +28,10 @@ ALLOWED = {
     "flow.StepFailed.__init__": "an error path: a step was rejected",
     "g2algebra.metric_from_phi": "public API (g2flow.__all__)",
     "g2algebra.is_positive": "public API (g2flow.__all__)",
+    "g2algebra.Metric.__getitem__": "the check suite slices its battery's metric (m[:n, None]); "
+                                    "the flow's site blocks pass g, g_inv and vol apart",
+    "g2algebra._cubic_form": "b of metric_from_phi, is_positive and checks.j_phi_raw; "
+                             "from_phi reads its cached u instead",
     "g2algebra.form_inner": "project_3form and the check suite use it",
     "lattice.Lattice.gradient": "the whole-grid stack of partials that "
                                 "covariant_derivative_array and the check suite read",
@@ -35,9 +39,11 @@ ALLOWED = {
     "g2algebra.wedge_components": "benchmark layer; the check suite's one wedge",
     "g2algebra.project_3form": "benchmark layer; the check suite's 3-form types",
     "g2algebra.full_torsion": "benchmark layer; the check suite's torsion from nabla phi",
+    "g2algebra.project_3form.parts": "project_3form's kernel per site block",
+    "g2algebra.full_torsion.torsion": "full_torsion's kernel per site block",
     "tables.compound_matrix": "benchmark layer; a reference its own test compares against",
-    "riemann.covariant_derivative_array": "benchmark layer; the check suite's whole-grid nabla "
-                                          "of g and Ric (the flow takes nabla T per site block)",
+    "riemann.covariant_derivative_array": "benchmark layer; the tests' whole-grid reference for "
+                                          "map_covariant_derivative, which the flow and checks use",
 }
 
 
