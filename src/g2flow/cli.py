@@ -200,6 +200,14 @@ def _drop_samples_from(series_path, t0):
         raise ConfigError(f"cannot rewrite {series_path}: {exc}") from exc
 
 
+def _require_stable_dt(initial, cfg) -> None:
+    """flow.require_stable_dt at the starting state; ConfigError if the set dt is outside it."""
+    try:
+        flow.require_stable_dt(initial, cfg.control)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_flow(args) -> int:
     cfg = RunConfig.from_file(args.config)
     reference = flat_reference(cfg.lattice).phi  # all a flow reads of the reference
@@ -213,10 +221,7 @@ def cmd_flow(args) -> int:
         initial, t0, step0 = _resume_state(args.resume, cfg, reference)
     else:
         initial = cfg.build_initial(reference)
-    try:
-        flow.require_stable_dt(initial, cfg.control)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _require_stable_dt(initial, cfg)
     series_mode = "a" if args.resume else "w"
     if args.resume:
         _drop_samples_from(series_path, t0)
@@ -285,6 +290,7 @@ def cmd_perturb(args) -> int:
     cfg = RunConfig.from_file(args.config)
     reference = flat_reference(cfg.lattice).phi
     initial = cfg.build_initial(reference)
+    _require_stable_dt(initial, cfg)
     out = _output_directory(cfg)
     ckpt.write_form_field(out / "checkpoints" / "reference", reference)
     path = ckpt.write_form_field(

@@ -31,17 +31,25 @@ _GEMM_LIMIT = 65536 * 4
 # and torsion_derivative (nabla T); g2algebra's raise/lower of 3-forms
 # (hodge_star and form_inner on 3- and 4-forms), i_phi, project_3form and
 # full_torsion; and checks' j_phi, torsion-form solves and nabla phi.
-# riemann.curvature_blocks (dGamma and Rm) walks slabs of as
-# many whole leading-axis rows as fit in SITE_BLOCK sites, at least one
-# (Lattice.row_slabs). No per-call temporary then spans the grid: from_phi's
-# largest, the (21, 21) cubic table per site, is 64 * 441 doubles (0.2 MB),
-# and curvature's (7, 7, 7, 7) is 1.2 MB per 64 sites. Each
+# riemann.curvature_blocks takes dGamma on slabs of as many whole
+# leading-axis rows as fit in piece_sites() = SITE_BLOCK // 4 sites, at
+# least one (Lattice.row_slabs), and its 7^4-per-site work (Rm) on pieces of
+# at most piece_sites() sites of a slab. No per-call temporary then spans
+# the grid: from_phi's largest, the (21, 21) cubic table per site, is
+# 64 * 441 doubles (0.2 MB), and curvature's (7, 7, 7, 7) is 16 * 2401
+# doubles (0.3 MB). Each
 # site's arithmetic is the same for any block size. On a 2-CPU Xeon (3-D
 # n=8 flow, a snapshot after every step, 10 interleaved runs each), the
 # median RK4 step took 0.86 of its whole-grid time with blocks of 64 sites
 # and 0.91 with blocks of 32; the peak RSS was 4% above the whole-grid
 # code's with 64, and equal to it with 32.
 SITE_BLOCK = 64
+
+
+def piece_sites() -> int:
+    """SITE_BLOCK // 4: the most sites of a piece of riemann.curvature_blocks, and of a slab
+    of Lattice.row_slabs unless one row holds more."""
+    return SITE_BLOCK // 4
 
 
 def site_blocks(sites: int) -> list:
@@ -249,9 +257,14 @@ class Lattice:
         return out
 
     def row_slabs(self) -> list:
-        """Leading-axis slices: as many whole rows as fit in SITE_BLOCK sites, at least one."""
+        """Leading-axis slices: as many whole rows as fit in piece_sites() sites, at least one.
+
+        A 1-D grid of n <= 16 points is one slab; a 2-D grid of n >= 10 and
+        any 3-D grid take one row per slab, which riemann.curvature_blocks
+        cuts into pieces of piece_sites() sites where it holds more.
+        """
         n = self.points_per_axis
-        step = max(1, SITE_BLOCK // n ** (self.ndim_active - 1))
+        step = max(1, piece_sites() // n ** (self.ndim_active - 1))
         return [slice(top, min(top + step, n)) for top in range(0, n, step)]
 
     def partial_rows(self, data: np.ndarray, axis: int, rows: slice) -> np.ndarray:

@@ -14,11 +14,12 @@ suite read. Only the check suite takes nabla phi (checks.covariant_derivative_fo
 
 No array of 7^3 or more entries per site is stored for the whole grid but
 the connection Gamma itself. The Christoffel build's d_m g_lk stack and
-nabla T exist per block of lattice.SITE_BLOCK sites, and Rm and dGamma
-per slab of whole leading-axis rows: curvature_blocks yields Rm per slab,
-and curvature keeps of it the pointwise |Rm|^2, Ric and the scalar
-curvature; torsion_derivative keeps of nabla T |nabla T|^2 and the
-nabla T . phi term of flow.intrinsic_h.
+nabla T exist per block of lattice.SITE_BLOCK sites, dGamma per slab of
+whole leading-axis rows, and Rm per piece of at most lattice.piece_sites()
+= 16 sites of a slab: curvature_blocks yields Rm per piece, and curvature
+keeps of it the pointwise |Rm|^2, Ric and the scalar curvature;
+torsion_derivative keeps of nabla T |nabla T|^2 and the nabla T . phi term
+of flow.intrinsic_h.
 """
 
 from dataclasses import dataclass
@@ -26,11 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2algebra, tables
-from .lattice import Lattice, map_site_blocks
+from .lattice import Lattice, map_site_blocks, piece_sites
 
 # flat position 7k + l of each increasing pair K = (k < l), and 7l + k of its swap
 _PAIRS = tables.compress_positions(2)
-_SWAPPED = _PAIRS % 7 * 7 + _PAIRS // 7
+_K, _L = _PAIRS // 7, _PAIRS % 7
+_SWAPPED = 7 * _L + _K
+# r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j] in curvature_blocks, read at
+# the flat positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
+_IJ = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
+_R_PLUS, _R_MINUS = _IJ + 7 * _PAIRS, _IJ + 7 * _SWAPPED
+# flat positions 7a + b in g_inv of the factors g^kp, g^lq, g^kq and g^lp of
+# _pair_metric's minor at the pairs (k < l), (p < q)
+_MINOR_FACTORS = np.stack([7 * a[:, None] + b for a, b in ((_K, _K), (_L, _L), (_K, _L), (_L, _K))])
 
 
 @dataclass
@@ -39,7 +48,7 @@ class CurvatureData:
 
     ric[..., j, l] = Ric_jl, scalar = g^jl Ric_jl and rm_sq = |Rm|^2, each
     per site in the metric that curvature was given. Rm itself is not kept:
-    curvature_blocks yields it per site block to whatever reads it.
+    curvature_blocks yields it per piece to whatever reads it.
     """
 
     ric: np.ndarray
@@ -114,7 +123,7 @@ def map_covariant_derivative(kernel, t: np.ndarray, gamma: np.ndarray, lattice: 
 
 
 def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice):
-    """Rm and Ric of the connection, one slab of whole leading-axis rows at a time.
+    """Rm and Ric of the connection, one piece of a slab of leading-axis rows at a time.
 
     Yields (sites, rm, ric) for consecutive slices sites of the flattened
     grid: rm[s, i, j, K] = Rm_ijkl, all indices lowered, for the 21
@@ -129,38 +138,48 @@ def curvature_blocks(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Latti
     and Ric_jl = R^k_jkl reads the pair through interior_table(2):
     R^k_jkl = sum_K T[k, l, K] R^k_jK.
 
-    A block is a slab of whole leading-axis rows (Lattice.row_slabs), whose
-    dGamma is Lattice.partial_rows of each active axis: partial_array's to
-    roundoff, as the leading axis is taken unshifted. dGamma and the 7^4
-    array exist for one slab at a time; each site's arithmetic is the same
-    for any number of rows per slab. Warm at 3-D n=8 on a 2-CPU Xeon,
-    blocks of 16 to 64 sites ran fastest and the whole grid slowest (10
-    against 23 ms per call).
+    dGamma is taken per slab of whole leading-axis rows (Lattice.row_slabs),
+    as Lattice.partial_rows of each active axis: partial_array's to
+    roundoff, as the leading axis is taken unshifted. A block is a piece of
+    at most lattice.piece_sites() = 16 consecutive sites of a slab, which
+    reads the slab's dGamma: so the 7^4 array and the two pair gathers
+    exist for 16 sites, and dGamma for one slab, at a time. Each site's
+    arithmetic is the same for any slab and piece size. Traced peak of
+    curvature past its outputs, in whole-grid connections, with slabs of up
+    to SITE_BLOCK sites and with these pieces: 4.07 and 1.16 at 2-D n=16,
+    2.03 and 0.89 at 3-D n=8. Warm curvature, interleaved with the slabs'
+    on a 2-CPU Xeon, took 0.83-0.99 of their time at 3-D n=8 (0.94-0.99
+    where neither faulted in fresh pages), 0.89-0.91 at 2-D n=32 and
+    0.82-0.89 at 2-D n=16 and 3-D n=16.
     """
-    flat = gamma.reshape(-1, 7, 7, 7)
+    # per site, the (49, 7) and (7, 49) factors of the Gamma Gamma product
+    left, right = gamma.reshape(-1, 49, 7), gamma.reshape(-1, 7, 49)
     g = metric.g.reshape(-1, 7, 7)
-    row = flat.shape[0] // lattice.points_per_axis  # sites per row of the leading axis
-    # r_up[i, j, K] = a[i, k, l, j] - a[i, l, k, j], read at the flat
-    # positions 343 i + 7 (7k + l) + j and 343 i + 7 (7l + k) + j
-    ij = 343 * np.arange(7)[:, None, None] + np.arange(7)[:, None]
+    row = left.shape[0] // lattice.points_per_axis  # sites per row of the leading axis
+    piece = piece_sites()
     ric_table = tables.interior_table(2).transpose(0, 2, 1).reshape(147, 7)
     for rows in lattice.row_slabs():
-        block = slice(rows.start * row, rows.stop * row)
-        gb = flat[block]
-        # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
-        # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
-        #         = a[i, k, l, j] - a[i, l, k, j].
-        a = gb.reshape(-1, 49, 7) @ gb.reshape(-1, 7, 49)
-        a = a.reshape(-1, 7, 7, 7, 7)
-        for axis in lattice.active_axes:
-            a[:, :, axis - 1, :, :] += lattice.partial_rows(gamma, axis, rows).reshape(-1, 7, 7, 7)
-        a = a.reshape(-1, 2401)
-        r_up = np.take(a, ij + 7 * _PAIRS, axis=-1)
-        r_up -= np.take(a, ij + 7 * _SWAPPED, axis=-1)
-        del a  # so that the consumer's temporaries do not sit beside it
-        # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
-        ric = np.swapaxes(r_up, -3, -2).reshape(-1, 7, 147) @ ric_table
-        yield block, (g[block] @ r_up.reshape(-1, 7, 147)).reshape(r_up.shape), ric
+        top, bottom = rows.start * row, rows.stop * row
+        partials = [lattice.partial_rows(gamma, axis, rows).reshape(-1, 7, 7, 7)
+                    for axis in lattice.active_axes]
+        for start in range(top, bottom, piece):
+            block = slice(start, min(start + piece, bottom))
+            # a[i, k, l, j] = d_k Gamma^i_lj + Gamma^i_km Gamma^m_lj, so that
+            # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
+            #         = a[i, k, l, j] - a[i, l, k, j].
+            a = (left[block] @ right[block]).reshape(-1, 7, 7, 7, 7)
+            for axis, partial in zip(lattice.active_axes, partials):
+                a[:, :, axis - 1, :, :] += partial[block.start - top:block.stop - top]
+            a = a.reshape(-1, 2401)
+            r_up = np.take(a, _R_PLUS, axis=-1)
+            r_up -= np.take(a, _R_MINUS, axis=-1)
+            del a
+            # Ric_jl = sum_(k, K) R^k_jK T[k, l, K], one (7, 147) @ (147, 7) product per site
+            ric = r_up.swapaxes(-3, -2).reshape(-1, 7, 147) @ ric_table
+            rm = (g[block] @ r_up.reshape(-1, 7, 147)).reshape(r_up.shape)
+            del r_up  # so that the consumer's temporaries do not sit beside it
+            yield block, rm, ric
+        del partials  # before the next slab's are taken
 
 
 def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> CurvatureData:
@@ -170,7 +189,8 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
     2-form-valued Rm: i and j are raised with g_inv, the pair with
     _pair_metric(g_inv). The raise, the contraction and the scalar
     curvature g^jl Ric_jl run on each block as curvature_blocks yields it,
-    so Rm and its raised copies exist for one block at a time.
+    so Rm and its raised copies exist for one piece of at most
+    lattice.piece_sites() sites at a time.
     """
     batch = gamma.shape[:-3]
     g_inv = metric.g_inv.reshape(-1, 7, 7)
@@ -180,10 +200,11 @@ def curvature(gamma: np.ndarray, metric: g2algebra.Metric, lattice: Lattice) -> 
     rm_sq = np.empty(sites)
     for block, rm, ric_block in curvature_blocks(gamma, metric, lattice):
         gb = g_inv[block]
-        rm_sq[block] = 2.0 * np.einsum(
-            "...ijK,...ijK->...", g2algebra.contract_slots(rm, (gb, gb, _pair_metric(gb))), rm)
+        np.einsum("...ijK,...ijK->...", g2algebra.contract_slots(rm, (gb, gb, _pair_metric(gb))),
+                  rm, out=rm_sq[block])
         ric[block] = ric_block
-        scalar[block] = np.einsum("...jl,...jl->...", gb, ric_block)
+        np.einsum("...jl,...jl->...", gb, ric_block, out=scalar[block])
+    rm_sq *= 2.0
     return CurvatureData(ric=ric.reshape(batch + (7, 7)), scalar=scalar.reshape(batch),
                          rm_sq=rm_sq.reshape(batch))
 
@@ -294,10 +315,16 @@ def _pair_metric(g_inv: np.ndarray) -> np.ndarray:
     """Inverse metric on compressed 2-forms: the 21 x 21 matrix of 2 x 2 minors of g_inv.
 
     beta^K = sum_K' m[K, K'] beta_K' with m[(k, l), (p, q)] = g^kp g^lq - g^kq g^lp.
+    The four factors are gathered from g_inv with the sites last, so each
+    entry copies one run of sites: on 16-site blocks that took about half
+    the time of a per-site fancy index.
     """
-    k, l = _PAIRS // 7, _PAIRS % 7
-    return (g_inv[..., k[:, None], k] * g_inv[..., l[:, None], l]
-            - g_inv[..., k[:, None], l] * g_inv[..., l[:, None], k])
+    f = np.take(g_inv.reshape(-1, 49).T, _MINOR_FACTORS, axis=0)  # (4, 21, 21, sites)
+    f[0] *= f[1]
+    f[2] *= f[3]
+    m = np.empty(g_inv.shape[:-2] + (21, 21))
+    np.subtract(f[0], f[2], out=m.reshape(-1, 21, 21).transpose(1, 2, 0))
+    return m
 
 
 def lambda_monitor(structure) -> np.ndarray:

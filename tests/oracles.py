@@ -5,6 +5,7 @@ Everything here recomputes exterior-algebra quantities from first principles
 index tables with the library.
 """
 
+import copy
 from itertools import combinations, permutations
 from math import factorial
 
@@ -245,3 +246,22 @@ def diagonal_metric_curvature_1d(funcs, x_symbol):
             ric[j, l] = expr
     scalar = sum(g_inv[j, l] * ric[j, l] for j in range(7) for l in range(7))
     return gamma, ric, scalar
+
+
+def embed(config, axes):
+    """The multi-axis twin of a 1-D run config: the same document on active axes `axes`.
+
+    Every perturbation mode of the 1-D config excites its one active axis j
+    alone, so beta and phi depend on x_j alone on any lattice whose active
+    axes include j, and the flow keeps them so: at every site of the twin,
+    phi is the 1-D run's phi at that site's x_j.
+    """
+    (j,) = config["lattice"]["active_axes"]
+    if j not in axes:
+        raise ValueError(f"axes {axes} do not hold the config's axis {j}")
+    for m in config["perturbation"]:
+        if any(k for axis, k in enumerate(m["mode"], 1) if axis != j):
+            raise ValueError(f"mode {m['mode']} excites an axis other than {j}")
+    twin = copy.deepcopy(config)
+    twin["lattice"]["active_axes"] = list(axes)
+    return twin

@@ -124,12 +124,13 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
 # structure, 7^3 doubles per site), with the structure, its connection, T
 # and nabla phi built. At n_random 256 the checks read, before blocking the
 # suite's kernels and after: Riemann symmetries 1.70 and 1.70 (Rm comes per
-# slab from riemann.curvature_blocks; 6.2 when the check read a cached Rm),
+# slab from riemann.curvature_blocks; 6.2 when the check read a cached Rm;
+# 0.45 since it comes in 16-site pieces of one-row slabs),
 # nabla phi reconstruction 1.57 and 1.60, closed torsion 3.46 and 1.28 (a
 # whole-grid raise of psi and (7, 35) tables of phi and psi), full torsion
 # assembly 5.03 and 3.33 (those, a cached connection and phi's 7^3 expansion).
 PEAK_CONNECTIONS = {
-    "Riemann tensor symmetries": 2.0,
+    "Riemann tensor symmetries": 0.6,
     "torsion reconstructs nabla phi": 2.0,
     "closed torsion: skew, -tau2/2, types": 2.0,
     "full torsion = tau-form assembly": 3.75,

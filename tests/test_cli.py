@@ -295,6 +295,18 @@ def test_perturb_writes_validated_checkpoint(tmp_path, capsys):
     assert "theta0 max-norm: 1.0" in capsys.readouterr().out
 
 
+def test_perturb_over_rk4_interval_dt_exit_2(tmp_path, capsys):
+    # the dt that flow rejects (test_flow_over_rk4_interval_dt_exit_2):
+    # perturb validates it too, and writes nothing
+    path, _ = write_config(tmp_path, lattice={"active_axes": [1, 2]},
+                           perturbation=MODES_2D,
+                           control={"t_end": 2.0, "dt": 0.0625})
+    assert cli.main(["perturb", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dt 0.0625" in err and "2.785" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_perturb_rejects_positivity_loss(tmp_path):
     path, _ = write_config(tmp_path, perturbation=[
         {"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],

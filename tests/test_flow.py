@@ -16,7 +16,7 @@ from g2flow.lattice import FormField, Lattice, exterior_derivative
 
 import oracles
 from conftest import band_limited_form, closed_perturbed_phi
-from test_golden import MODES_2D
+from test_golden import ABSOLUTE, GOLDEN_ATOL, MODES_2D
 
 TWO_PI = 2.0 * np.pi
 
@@ -610,3 +610,59 @@ def test_run_flow_cross_residual_recorded():
     control = flow.StepControl(t_end=0.3)
     _, records = flow.run_flow(st, ref.phi, "laplacian", control, sample_interval=10)
     assert all(rec.rhs_cross_residual <= 1e-5 for rec in records)
+
+
+# --- embedded states ----------------------------------------------------------------
+
+# (axis j the data vary along, the twin's active axes): data along x2 and x1
+# in three axes, whose leading axis is then constant or the varying one; x3
+# in two; x2 in two axes of which it is the leading one
+EMBEDDINGS = {"x2_in_123": (2, (1, 2, 3)), "x1_in_123": (1, (1, 2, 3)),
+              "x3_in_13": (3, (1, 3)), "x2_in_25": (2, (2, 5))}
+EMBED_DT = 1.0 / 512  # dyadic, so 20 steps land on t_end
+
+
+def _one_axis_config(axis, scheme, kind):
+    """Three beta modes along x_axis, k = 1, 2, 1, on component pairs off the axis."""
+    pairs = [pair for pair in ((1, 4), (5, 6), (3, 7), (2, 4)) if axis not in pair][:3]
+    modes = [{"mode": [k * (a == axis) for a in range(1, 8)], "component": list(pair),
+              "amplitude": amplitude}
+             for k, pair, amplitude in zip((1, 2, 1), pairs, (0.3, 0.18, -0.15))]
+    return {"lattice": {"active_axes": [axis], "points_per_axis": 8, "scheme": scheme},
+            "flow": {"kind": kind}, "perturbation": modes,
+            "control": {"t_end": 20 * EMBED_DT, "dt": EMBED_DT}}
+
+
+def _run_20_steps(config):
+    """run_flow on the config's initial structure, sampled at steps 0 and 20."""
+    cfg = RunConfig.from_dict(config)
+    reference = g2.flat_reference(cfg.lattice).phi
+    final, records = flow.run_flow(cfg.build_initial(reference), reference, cfg.flow.kind,
+                                   cfg.control, sample_interval=20)
+    assert len(records) == 2 and final.t == cfg.control.t_end
+    return final.structure.phi.data, records
+
+
+@pytest.mark.parametrize("layout", sorted(EMBEDDINGS))
+@pytest.mark.parametrize("kind", ["deturck", "laplacian"])
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_embedded_flow_matches_its_axis(scheme, kind, layout):
+    # The twin walks multi-axis site blocks, leading-axis slabs and their
+    # curvature pieces, which no 1-D run uses. Its steps take partial_array
+    # of constant lines, exactly 0.0, so phi is the 1-D phi bit for bit. Its
+    # snapshots take dGamma along a constant leading axis unshifted
+    # (Lattice.partial_rows), roundoff rather than 0.0, and sum over more
+    # sites: the channels agree to 1e-14 relative, and the ones that can
+    # read roundoff to test_golden's absolute bound.
+    axis, axes = EMBEDDINGS[layout]
+    line, line_records = _run_20_steps(_one_axis_config(axis, scheme, kind))
+    twin, twin_records = _run_20_steps(oracles.embed(_one_axis_config(axis, scheme, kind), axes))
+    shape = [1] * len(axes) + [35]
+    shape[axes.index(axis)] = 8
+    assert np.array_equal(twin, np.broadcast_to(line.reshape(shape), twin.shape))
+    assert np.max(np.abs(line - g2.PHI0)) > 0.2  # far from flat, where Rm is not small
+    for got, want in zip(twin_records, line_records):
+        for key, value in want.to_dict().items():
+            for g, w in zip(np.atleast_1d(getattr(got, key)), np.atleast_1d(value)):
+                bound = GOLDEN_ATOL if key in ABSOLUTE else 1e-14 * abs(w)
+                assert abs(g - w) <= bound, (key, g, w)

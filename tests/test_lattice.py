@@ -138,13 +138,14 @@ def test_gemm_blocks_stay_under_single_thread_limit():
 @pytest.mark.parametrize("axes, n", [((2,), 8), ((2,), 10), ((2,), 12), ((2,), 16), ((2,), 32),
                                      ((2,), 128), ((1, 3), 8), ((1, 3), 10), ((1, 3), 12),
                                      ((1, 3), 16), ((1, 3), 32), ((2, 4, 6), 8), ((2, 4, 6), 10),
-                                     ((2, 4, 6), 12), ((2, 4, 6), 16), ((2, 4, 6), 32)])
+                                     ((2, 4, 6), 12), ((2, 4, 6), 16), ((2, 4, 6), 32), ((2,), 20)])
 def test_partial_rows_matches_partial_array(axes, n, scheme, rng):
-    # every slab of row_slabs and every axis: n = 10 and 12 do not divide
-    # SITE_BLOCK, so the last slab is short; 1-D slabs hold SITE_BLOCK rows,
-    # 2-D n >= 16 slabs a few, 3-D slabs one. Along the leading axis the
-    # slab takes unshifted rows of D, so it agrees to roundoff, and each row
-    # bit for bit as in the whole-grid slab. Scalars take one-column products.
+    # every slab of row_slabs and every axis: 1-D slabs hold
+    # lattice.piece_sites() = 16 rows, so n = 20 ends in a short slab of 4;
+    # 2-D n=8 slabs hold two rows, larger 2-D and all 3-D slabs one. Along
+    # the leading axis the slab takes unshifted rows of D, so it agrees to
+    # roundoff, and each row bit for bit as in the whole-grid slab. Scalars
+    # take one-column products.
     lat = Lattice(axes, n, 1.7, scheme)
     slabs = lat.row_slabs()
     assert [r for rows in slabs for r in range(rows.start, rows.stop)] == list(range(n))
