@@ -8,8 +8,13 @@ the stored 4-form via the euclidean star, which cross-anchors the two model
 tables. The G2 algebra that only the checks use lives here too: j_phi, the
 2-form type projection, the torsion forms tau0..tau3 and nabla phi, which the
 three torsion checks compare with the flow's T = -tau2/2. By g2algebra's
-block rule, j_phi, the torsion-form solves and the connection term of
-nabla phi run on blocks of lattice.SITE_BLOCK sites.
+block rule, j_phi, the torsion-form solves, the connection term of nabla phi
+and its reconstruction from T run on blocks of lattice.SITE_BLOCK sites.
+
+Each shared fixture of SuiteContext, the pointwise batch and the closed
+lattice structure with the geometry cached on it, lives from its first
+reader to its last: LAST_READER names that check, and run_identity_suite
+releases the fixture once it has run, so no later check runs beside it.
 """
 
 from dataclasses import dataclass
@@ -179,33 +184,57 @@ def _closed_perturbed_phi(lat, rng, n_modes=4, amp=5e-3, kmax=2):
     return FormField(lat, 3, g2.PHI0 + exterior_derivative(beta).data)
 
 
+def _pointwise_batch(seed, n, phi0):
+    """(phi, a, metric, psi) of n random positive forms, the GL+ pullbacks a of phi0."""
+    rng = np.random.default_rng([seed, 1000])
+    a = _random_pullbacks(rng, n)
+    phi = g2._apply_metric(phi0, 3, np.swapaxes(a, -1, -2))
+    m = g2.metric_from_phi(phi)
+    return phi, a, m, g2.hodge_star(phi, 3, m)
+
+
+def _closed_lattice_structure(seed):
+    """(structure, lattice) of a closed perturbed 2-D n=32 structure, spectrally resolvable."""
+    rng = np.random.default_rng([seed, 2000])
+    lat = Lattice((1, 2), 32, 2.0 * np.pi)
+    return g2.G2Structure.from_phi(_closed_perturbed_phi(lat, rng)), lat
+
+
 class SuiteContext:
-    """Shared randomized fixtures, built once per suite run."""
+    """Shared randomized fixtures, each built on its first request and held until released.
+
+    run_identity_suite releases a fixture right after its last reader, the
+    check LAST_READER names for it, so it is freed with the geometry cached
+    on it while the later checks run. A released fixture is not rebuilt: a
+    request for it raises RuntimeError, which fails the requesting check.
+    """
 
     def __init__(self, seed, n_random):
         self.seed = seed
         self.n = n_random
         self.phi0 = g2.hodge_star(g2.PSI0, 4)  # the model 3-form
-        self._pointwise = None
-        self._closed = None
+        self._held = {}
+        self._released = set()
+
+    def _fixture(self, name, build):
+        if name in self._released:
+            raise RuntimeError(f"suite fixture {name} was released after its last reader")
+        if name not in self._held:
+            self._held[name] = build()
+        return self._held[name]
+
+    def release(self, name):
+        """Drop fixture name ("pointwise" or "closed_structure"); it cannot be requested again."""
+        self._held.pop(name, None)
+        self._released.add(name)
 
     def pointwise(self):
         """Batch of random positive forms with derived geometry."""
-        if self._pointwise is None:
-            rng = np.random.default_rng([self.seed, 1000])
-            a = _random_pullbacks(rng, self.n)
-            phi = g2._apply_metric(self.phi0, 3, np.swapaxes(a, -1, -2))
-            m = g2.metric_from_phi(phi)
-            self._pointwise = (phi, a, m, g2.hodge_star(phi, 3, m))
-        return self._pointwise
+        return self._fixture("pointwise", lambda: _pointwise_batch(self.seed, self.n, self.phi0))
 
     def closed_structure(self):
         """One closed perturbed structure with spectrally resolvable content."""
-        if self._closed is None:
-            rng = np.random.default_rng([self.seed, 2000])
-            lat = Lattice((1, 2), 32, 2.0 * np.pi)
-            self._closed = (g2.G2Structure.from_phi(_closed_perturbed_phi(lat, rng)), lat)
-        return self._closed
+        return self._fixture("closed_structure", lambda: _closed_lattice_structure(self.seed))
 
 
 # --- pointwise battery -------------------------------------------------------
@@ -458,18 +487,22 @@ def _check_torsion_closed(rng, ctx):
 
 
 def _check_torsion_reconstruction(rng, ctx):
-    """nabla_i phi_jkl = T_i^m psi_mjkl at the 35 increasing jkl.
+    """nabla_i phi_jkl = T_i^m psi_mjkl at the 35 increasing jkl, per site block.
 
     psi_mjkl at increasing jkl is e_m . psi, (7, 35) per site, the size of
-    the stored nabla phi, so no 7^4 array of psi is built.
+    the stored nabla phi, so no 7^4 array of psi is built, and the (7, 35)
+    tables exist for one block of lattice.SITE_BLOCK sites at a time.
     """
     st, lat = ctx.closed_structure()
-    t = riemann.torsion_of(st)
-    t_up = np.einsum("...ia,...am->...im", t, st.g_inv)
-    int_psi = tables.apply_table(tables.interior_table(4), st.psi.data)
-    recon = np.einsum("...im,...mJ->...iJ", t_up, int_psi)
-    recon -= nabla_phi_of(st)
-    return float(np.max(np.abs(recon, out=recon)))
+
+    def gap(t, g_inv, psi, nabla_phi):
+        t_up = np.einsum("...ia,...am->...im", t, g_inv)
+        int_psi = tables.apply_table(tables.interior_table(4), psi)
+        recon = np.einsum("...im,...mJ->...iJ", t_up, int_psi)
+        recon -= nabla_phi
+        return np.max(np.abs(recon, out=recon), axis=(1, 2))
+    return float(np.max(map_site_blocks(gap, (riemann.torsion_of(st), 2), (st.g_inv, 2),
+                                        (st.psi.data, 1), (nabla_phi_of(st), 2))))
 
 
 def _check_torsion_assembly(rng, ctx):
@@ -527,6 +560,14 @@ CHECKS = [
 ]
 
 
+# The last check that reads each SuiteContext fixture, by fixture: run_identity_suite
+# releases the fixture once that check has run.
+LAST_READER = {
+    "pointwise": "hodge star involution",
+    "closed_structure": "torsion reconstructs nabla phi",
+}
+
+
 def run_check(ctx: SuiteContext, index: int) -> CheckResult:
     """Run CHECKS[index] on ctx's fixtures with the generator default_rng([ctx.seed, index]).
 
@@ -544,9 +585,14 @@ def run_check(ctx: SuiteContext, index: int) -> CheckResult:
 
 
 def run_identity_suite(seed: int = 0, n_random: int = 1000) -> dict:
-    """Run every check; returns a machine-readable report."""
+    """Run every check in order, each fixture released after its LAST_READER; returns a report."""
     ctx = SuiteContext(seed, n_random)
-    results = [run_check(ctx, index) for index in range(len(CHECKS))]
+    results = []
+    for index in range(len(CHECKS)):
+        results.append(run_check(ctx, index))
+        for fixture, last in LAST_READER.items():
+            if results[-1].name == last:
+                ctx.release(fixture)
     return {
         "seed": seed,
         "n_random": n_random,

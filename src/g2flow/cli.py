@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -89,7 +90,8 @@ def _decay_svg(path, times, values, title="log10 |theta|^2_L2 vs t"):
 <text x="{w/2}" y="{h-12}" font-size="12" text-anchor="middle">t</text>
 </svg>
 """
-    Path(path).write_text(svg)
+    with _writing(path):
+        Path(path).write_text(svg)
 
 
 def _write_summary(path, state, records, steps, stop_reason):
@@ -119,7 +121,9 @@ def _write_summary(path, state, records, steps, stop_reason):
         }
     except (diagnostics.InsufficientData, diagnostics.NonPositiveSeries) as exc:
         summary["decay"] = {"fitted_rate": None, "reason": str(exc)}
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        ckpt.replace_atomically(path, (json.dumps(summary, indent=2, sort_keys=True)
+                                       + "\n").encode())
     return summary
 
 
@@ -131,6 +135,34 @@ def _output_directory(cfg) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
+
+
+def _require_output_paths(out, files=()) -> None:
+    """ConfigError if out/checkpoints is not a directory or one of the files is one.
+
+    cmd_flow and cmd_perturb call it before any step or write.
+    """
+    ckpt_dir = out / "checkpoints"
+    if ckpt_dir.exists() and not ckpt_dir.is_dir():
+        raise ConfigError(f"cannot write checkpoints to {ckpt_dir}: it is not a directory")
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing path into ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_checkpoint(base, field, extra=None) -> Path:
+    """io.write_form_field; ConfigError naming base if the write fails."""
+    with _writing(base):
+        return ckpt.write_form_field(base, field, extra=extra)
 
 
 def _flow_extra(cfg, t, step) -> dict:
@@ -215,6 +247,10 @@ def cmd_flow(args) -> int:
     out = _output_directory(cfg)
     ckpt_dir = out / "checkpoints"
     series_path = out / "series.jsonl"
+    outputs = [series_path, out / "summary.json"]
+    if cfg.output.plot:
+        outputs.append(out / "decay.svg")
+    _require_output_paths(out, outputs)
 
     t0, step0 = 0.0, 0
     if args.resume:
@@ -230,17 +266,17 @@ def cmd_flow(args) -> int:
     start = [initial]
     del initial
 
-    ckpt.write_form_field(ckpt_dir / "reference", reference)
+    _write_checkpoint(ckpt_dir / "reference", reference)
     last_ckpt = {"path": None, "step": step0}
 
     def checkpoint_cb(state, step):
         base = ckpt_dir / f"step_{step:08d}"
-        ckpt.write_form_field(base, state.structure.phi,
-                              extra=_flow_extra(cfg, state.t, step))
+        _write_checkpoint(base, state.structure.phi, extra=_flow_extra(cfg, state.t, step))
         last_ckpt["path"] = str(base.with_suffix(".json"))
         last_ckpt["step"] = step
 
-    with open(series_path, series_mode) as series_file:
+    # an OSError that no inner write names is the series file's
+    with _writing(series_path), open(series_path, series_mode) as series_file:
         def record_cb(rec):
             series_file.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
@@ -253,8 +289,8 @@ def cmd_flow(args) -> int:
             print(f"integration failed: {exc}", file=sys.stderr)
             if exc.state is not None:
                 base = ckpt_dir / f"failed_step_{exc.step:08d}"
-                ckpt.write_form_field(base, exc.state.structure.phi,
-                                      extra=_flow_extra(cfg, exc.state.t, exc.step))
+                _write_checkpoint(base, exc.state.structure.phi,
+                                  extra=_flow_extra(cfg, exc.state.t, exc.step))
                 last_ckpt["path"] = str(base.with_suffix(".json"))
             print(f"last checkpoint: {last_ckpt['path']}", file=sys.stderr)
             return EXIT_STEP
@@ -292,9 +328,10 @@ def cmd_perturb(args) -> int:
     initial = cfg.build_initial(reference)
     _require_stable_dt(initial, cfg)
     out = _output_directory(cfg)
-    ckpt.write_form_field(out / "checkpoints" / "reference", reference)
-    path = ckpt.write_form_field(
-        out / "checkpoints" / "initial", initial.phi, extra=_flow_extra(cfg, 0.0, 0))
+    _require_output_paths(out)
+    _write_checkpoint(out / "checkpoints" / "reference", reference)
+    path = _write_checkpoint(out / "checkpoints" / "initial", initial.phi,
+                             extra=_flow_extra(cfg, 0.0, 0))
     theta0 = initial.phi.data - reference.data
     print(f"initial checkpoint: {path}")
     print(f"theta0 max-norm: {float(np.max(np.abs(theta0))):.6e}")

@@ -9,7 +9,9 @@ which breaks antisymmetry in ij, pair symmetry, or the first Bianchi identity
 alone.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -126,12 +128,13 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
 # suite's kernels and after: Riemann symmetries 1.70 and 1.70 (Rm comes per
 # slab from riemann.curvature_blocks; 6.2 when the check read a cached Rm;
 # 0.45 since it comes in 16-site pieces of one-row slabs),
-# nabla phi reconstruction 1.57 and 1.60, closed torsion 3.46 and 1.28 (a
-# whole-grid raise of psi and (7, 35) tables of phi and psi), full torsion
-# assembly 5.03 and 3.33 (those, a cached connection and phi's 7^3 expansion).
+# nabla phi reconstruction 1.57 and 1.60 (0.10 since it runs on site
+# blocks), closed torsion 3.46 and 1.28 (a whole-grid raise of psi and
+# (7, 35) tables of phi and psi), full torsion assembly 5.03 and 3.33
+# (those, a cached connection and phi's 7^3 expansion).
 PEAK_CONNECTIONS = {
     "Riemann tensor symmetries": 0.6,
-    "torsion reconstructs nabla phi": 2.0,
+    "torsion reconstructs nabla phi": 0.2,
     "closed torsion: skew, -tau2/2, types": 2.0,
     "full torsion = tau-form assembly": 3.75,
 }
@@ -187,3 +190,63 @@ def test_pointwise_fixture_peak_below_twice_what_it_keeps():
     kept = sum(x.nbytes for x in (phi, a, m.g, m.g_inv, m.vol, psi))
     peak = _traced_peak(lambda: checks.SuiteContext(0, 2000).pointwise())
     assert peak < 2 * kept, f"traced peak {peak / 2**20:.2f} MiB for {kept / 2**20:.2f} MiB kept"
+
+
+# --- fixture lifetimes ----------------------------------------------------------
+
+def test_released_fixture_is_not_rebuilt():
+    ctx = checks.SuiteContext(0, 16)
+    ctx.pointwise()
+    ctx.release("pointwise")
+    with pytest.raises(RuntimeError, match="pointwise was released"):
+        ctx.pointwise()
+    result = checks.run_check(ctx, NAMES.index("i_phi(metric) = 3 phi"))
+    assert not result.passed and "RuntimeError" in result.error
+
+
+def test_suite_holds_each_fixture_only_while_its_readers_run(monkeypatch):
+    # Each builder runs once, and each fixture is alive (weakly referenced,
+    # after a collection) from its first reader through its LAST_READER and
+    # at no check after it, so the two are never alive together.
+    builders = {"pointwise": "_pointwise_batch", "closed_structure": "_closed_lattice_structure"}
+    refs = {name: [] for name in builders}
+    for name, attr in builders.items():
+        build = getattr(checks, attr)
+
+        def counted(*args, build=build, name=name):
+            out = build(*args)
+            refs[name].append(weakref.ref(out[0]))
+            return out
+        monkeypatch.setattr(checks, attr, counted)
+
+    def alive():
+        gc.collect()
+        return {name for name, built in refs.items() if any(r() is not None for r in built)}
+
+    run_check, held = checks.run_check, []  # held[i]: alive before and after check i
+
+    def watched(ctx, index):
+        before = alive()
+        result = run_check(ctx, index)
+        held.append(before | alive())
+        return result
+    monkeypatch.setattr(checks, "run_check", watched)
+    report = checks.run_identity_suite(0, 64)
+
+    assert report["passed"], report["first_failure"]
+    assert {name: len(built) for name, built in refs.items()} == {name: 1 for name in builders}
+    assert all(len(names) <= 1 for names in held), held
+    assert held[NAMES.index("full torsion = tau-form assembly")] == set()
+    for name, last in checks.LAST_READER.items():
+        assert max(i for i, names in enumerate(held) if name in names) == NAMES.index(last)
+
+
+# Traced peak of the whole suite at n_random 256, after one untraced run
+# fills the table caches, in connections of the closed structure. It read
+# 6.60 (17.7 MiB) in the full torsion assembly while the suite held both
+# fixtures to its end, and 4.18 (11.2 MiB), in closed torsion beside the
+# structure, with each fixture released after its last reader.
+def test_suite_peak_in_connections():
+    conn = 7 ** 3 * 32 ** 2 * 8  # one whole-grid Gamma of the 2-D n=32 structure
+    peak = _traced_peak(lambda: checks.run_identity_suite(0, 256))
+    assert peak < 5.0 * conn, f"traced peak {peak / conn:.2f} connections"

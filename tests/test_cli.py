@@ -277,6 +277,53 @@ def test_bad_path_exit_2(tmp_path, capsys, case):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, blocked", [("flow", "series.jsonl"), ("flow", "summary.json"),
+                                              ("flow", "checkpoints"), ("perturb", "checkpoints")])
+def test_unwritable_output_path_exit_2_before_any_write(tmp_path, capsys, command, blocked):
+    # a directory where an output file goes, or a file where the checkpoint
+    # directory goes: rejected before any step or write, with no traceback
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01})
+    out = tmp_path / "out"
+    out.mkdir()
+    if blocked == "checkpoints":
+        (out / blocked).write_text("not a directory\n")
+    else:
+        (out / blocked).mkdir()
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: cannot write" in captured.err and str(out / blocked) in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
+def test_flow_failing_checkpoint_write_exit_2_naming_it(tmp_path, capsys):
+    # step 2's sidecar cannot replace the directory in its place: the run
+    # stops there with exit 2, naming the checkpoint, and writes no summary
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01,
+                                              "checkpoint_every": 2})
+    ckpt_dir = tmp_path / "out" / "checkpoints"
+    (ckpt_dir / "step_00000002.json").mkdir(parents=True)
+    assert cli.main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {ckpt_dir / 'step_00000002'}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+    assert not list(ckpt_dir.glob("*.tmp"))
+
+
+def test_flow_with_failing_summary_write_exit_2(tmp_path, capsys, monkeypatch):
+    # the summary's write runs out of space halfway: exit 2 naming it, and
+    # neither a summary nor its temporary is left
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01})
+    _fail_writes_halfway(monkeypatch, "summary.json")
+    assert cli.main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    summary = tmp_path / "out" / "summary.json"
+    assert f"cannot write {summary}" in err and "No space left on device" in err
+    assert "Traceback" not in err
+    assert not summary.exists() and not summary.with_name("summary.json.tmp").exists()
+
+
 def test_spectrum_bad_config_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")
