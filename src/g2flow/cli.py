@@ -1,5 +1,8 @@
 """Command-line entry point: check, flow, spectrum, perturb.
 
+cli runs, writes and reports; it computes no verdict. The flow summary's
+decay block is diagnostics.decay_verdicts of the series.
+
 Exit codes: 0 success, 1 identity/self-check failure, 2 configuration error,
 3 time-integration failure (with the last checkpoint path reported).
 """
@@ -91,36 +94,20 @@ def _decay_svg(path, times, values, title="log10 |theta|^2_L2 vs t"):
 </svg>
 """
     with _writing(path):
-        Path(path).write_text(svg)
+        ckpt.replace_atomically(Path(path), svg.encode())
 
 
 def _write_summary(path, state, records, steps, stop_reason):
-    lat = state.structure.lattice
-    lam1 = diagnostics.lambda1_exact_forms(lat)
-    last = records[-1]
+    lam1 = diagnostics.lambda1_exact_forms(state.structure.lattice)
     summary = {
         "final_t": state.t,
         "steps": steps,
         "stop_reason": stop_reason,
         "lambda1": lam1,
         "samples": len(records),
-        "final": last.to_dict(),
+        "final": records[-1].to_dict(),
+        "decay": diagnostics.decay_verdicts(records, lam1),
     }
-    series = [(r.t, r.l2_theta) for r in records]
-    positive = [s for s in series if s[1] > 0]
-    try:
-        fit = diagnostics.fit_decay_rate(positive)
-        bound_ok = all(r.l2_theta <= 1.05 * records[0].l2_theta * np.exp(-0.5 * lam1 * r.t)
-                       for r in records)
-        summary["decay"] = {
-            "fitted_rate": fit.fitted_rate,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-            "rate_at_least_half_lambda1": fit.fitted_rate >= 0.5 * lam1,
-            "l2_bound_exp_minus_lambda1_t_over_2": bound_ok,
-        }
-    except (diagnostics.InsufficientData, diagnostics.NonPositiveSeries) as exc:
-        summary["decay"] = {"fitted_rate": None, "reason": str(exc)}
     with _writing(path):
         ckpt.replace_atomically(path, (json.dumps(summary, indent=2, sort_keys=True)
                                        + "\n").encode())
@@ -208,17 +195,22 @@ def _resume_state(path, cfg, reference):
 def _drop_samples_from(series_path, t0):
     """Remove samples at t0 and later, which a run resumed at t0 writes again.
 
-    A line that is not JSON was torn by the interrupted run and is dropped.
-    A JSON line that is not a sample raises ConfigError, before any step.
-    The kept samples replace it atomically; a failed write raises ConfigError.
+    A line that is not UTF-8 JSON was torn by the interrupted run and is
+    dropped. A JSON line that is not a sample raises ConfigError, before any
+    step, as does a failed read. The kept samples replace it atomically; a
+    failed write raises ConfigError.
     """
     if not series_path.exists():
         return
+    try:
+        lines = series_path.read_bytes().splitlines(keepends=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {series_path}: {exc}") from exc
     kept = []
-    for number, line in enumerate(series_path.read_text().splitlines(keepends=True), 1):
+    for number, line in enumerate(lines, 1):
         try:
-            sample = json.loads(line)
-        except ValueError:
+            sample = json.loads(line.decode())
+        except ValueError:  # UnicodeDecodeError among them
             continue
         try:
             if diagnostics.TimeSeriesRecord.from_dict(sample).t < t0:
@@ -227,7 +219,7 @@ def _drop_samples_from(series_path, t0):
             raise ConfigError(f"{series_path} line {number} is not a sample: "
                               f"{type(exc).__name__}: {exc}") from exc
     try:
-        ckpt.replace_atomically(series_path, "".join(kept).encode())
+        ckpt.replace_atomically(series_path, b"".join(kept))
     except OSError as exc:
         raise ConfigError(f"cannot rewrite {series_path}: {exc}") from exc
 
@@ -305,7 +297,7 @@ def cmd_flow(args) -> int:
     if cfg.output.plot:
         _decay_svg(out / "decay.svg", [r.t for r in records],
                    [r.l2_theta for r in records])
-    rate = (summary.get("decay") or {}).get("fitted_rate")
+    rate = summary["decay"]["fitted_rate"]
     print(f"done: t={state.t:.6g} samples={len(records)} fitted_rate={rate}")
     return EXIT_OK
 

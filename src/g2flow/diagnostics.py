@@ -1,7 +1,8 @@
-"""Functionals, norms, spectral quantities and decay-rate estimation.
+"""Functionals, norms, spectral quantities and the summary's decay verdicts.
 
 C^k channels of theta use flat reference derivatives (coordinate partials),
 matching the fixed-metric norms in which the decay statements are made.
+decay_verdicts judges a recorded series, as a pure function of its records.
 """
 
 from dataclasses import asdict, dataclass
@@ -14,14 +15,7 @@ from .g2algebra import G2Structure, flat_reference
 from .lattice import FormField, Lattice, derivative_symbol, exterior_derivative
 
 TWO_PI = 2.0 * np.pi
-
-
-class InsufficientData(Exception):
-    """Not enough samples in the fit window."""
-
-
-class NonPositiveSeries(Exception):
-    """Decay fitting needs strictly positive norms."""
+L2_BOUND_SLACK = 1.05  # the L2 envelope's factor over |theta|^2(0) e^(-lambda1 t / 2)
 
 
 @dataclass
@@ -49,15 +43,6 @@ class TimeSeriesRecord:
         d.pop("hitchin_h", None)  # older series carry this copy of total_volume
         d["ck_theta"] = tuple(d["ck_theta"])
         return cls(**d)
-
-
-@dataclass
-class DecayFit:
-    """Least-squares exponential-decay fit of a time series."""
-
-    window: tuple
-    fitted_rate: float
-    r_squared: float
 
 
 def total_volume(structure: G2Structure) -> float:
@@ -142,32 +127,39 @@ def rayleigh_lowest_mode(lattice: Lattice) -> float:
     return num / den
 
 
-def fit_decay_rate(series, window=None) -> DecayFit:
-    """Least-squares slope of log(l2_theta) vs t; fitted_rate is -slope.
+def decay_verdicts(records, lambda1: float) -> dict:
+    """The summary's decay block: the fitted rate of l2_theta and the paper's two verdicts.
 
-    series is a sequence of (t, l2_theta) pairs; the default window keeps the
-    last 60% of samples to skip the nonlinear transient.
+    fitted_rate is minus the least-squares slope of log(l2_theta) against t
+    over the samples with l2_theta > 0 in the last 60% of their time span,
+    which skips the nonlinear transient. With fewer than 10 such samples the
+    block holds fitted_rate None and the reason. The verdicts: the rate is at
+    least lambda1 / 2, and every sample lies under the L2 envelope
+    L2_BOUND_SLACK |theta|^2(0) e^(-lambda1 t / 2).
     """
-    ts = np.array([s[0] for s in series], dtype=float)
-    ys = np.array([s[1] for s in series], dtype=float)
-    if window is None:
-        if ts.size == 0:
-            raise InsufficientData("empty series")
-        window = (ts[0] + 0.4 * (ts[-1] - ts[0]), ts[-1])
+    positive = [r for r in records if r.l2_theta > 0]
+    if not positive:
+        return {"fitted_rate": None, "reason": "empty series"}
+    ts = np.array([r.t for r in positive], dtype=float)
+    logy = np.log(np.array([r.l2_theta for r in positive], dtype=float))
+    window = (float(ts[0] + 0.4 * (ts[-1] - ts[0])), float(ts[-1]))
     mask = (ts >= window[0]) & (ts <= window[1])
-    ts, ys = ts[mask], ys[mask]
+    ts, logy = ts[mask], logy[mask]
     if ts.size < 10:
-        raise InsufficientData(f"only {ts.size} samples in window (need >= 10)")
-    if np.any(ys <= 0):
-        raise NonPositiveSeries("series must be strictly positive to fit a rate")
-    logy = np.log(ys)
+        return {"fitted_rate": None, "reason": f"only {ts.size} samples in window (need >= 10)"}
     coeffs = np.polyfit(ts, logy, 1)
-    fit = np.polyval(coeffs, ts)
-    ss_res = float(np.sum((logy - fit) ** 2))
+    ss_res = float(np.sum((logy - np.polyval(coeffs, ts)) ** 2))
     ss_tot = float(np.sum((logy - logy.mean()) ** 2))
-    r_sq = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DecayFit(window=(float(window[0]), float(window[1])),
-                    fitted_rate=float(-coeffs[0]), r_squared=r_sq)
+    rate = float(-coeffs[0])
+    return {
+        "fitted_rate": rate,
+        "r_squared": 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot,
+        "window": list(window),
+        "rate_at_least_half_lambda1": rate >= 0.5 * lambda1,
+        "l2_bound_exp_minus_lambda1_t_over_2": all(
+            r.l2_theta <= L2_BOUND_SLACK * records[0].l2_theta * np.exp(-0.5 * lambda1 * r.t)
+            for r in records),
+    }
 
 
 def diagnostic_snapshot(state: flow.FlowState) -> TimeSeriesRecord:

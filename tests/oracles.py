@@ -265,3 +265,44 @@ def embed(config, axes):
     twin = copy.deepcopy(config)
     twin["lattice"]["active_axes"] = list(axes)
     return twin
+
+
+# e123, e145 and e167: phi0's terms through axis 1, compressed (lexicographic) positions
+FANO_DIAGONAL = [increasing(3).index(c) for c in ((0, 1, 2), (0, 3, 4), (0, 5, 6))]
+
+
+def fano_rhs(uvw, partial, kind):
+    """d/dt (u, v, w) of phi = u e123 + v e145 + w e167 + e246 - e257 - e347 - e356.
+
+    The Fano-diagonal reduction of the flow, for data along x1 alone, with
+    partial the scheme's d/dx1. With m = (uvw)^(1/3) the metric is
+    g = diag(m^2, u/m, u/m, v/m, v/m, w/m, w/m), and psi's terms free of
+    index 1 are (vw/m^2) e4567, (uw/m^2) e2367 and (uv/m^2) e2345, so
+    d* phi = -*d psi = tau23 e23 + tau45 e45 + tau67 e67 with
+    tau23 = -(u/(vw)) D(vw/m^2), and cyclically. The DeTurck kind adds
+    V^1 (u, v, w), V^1 = (1/g11) [D(g11)/(2 g11) - sum_{p>=2} D(g_pp)/(2 g_pp)],
+    the one nonzero component of g^pq Gamma^i_pq. Then dphi/dt = d(sigma)
+    gives d/dt (u, v, w) = D(sigma23, sigma45, sigma67).
+    """
+    u, v, w = uvw
+    m = np.cbrt(u * v * w)
+    sigma = [-(u / (v * w)) * partial(v * w / m ** 2),
+             -(v / (u * w)) * partial(u * w / m ** 2),
+             -(w / (u * v)) * partial(u * v / m ** 2)]
+    if kind == "deturck":
+        g11 = m ** 2
+        log_sum = sum(partial(gpp) / gpp for gpp in (u / m, v / m, w / m))  # each g_pp twice
+        v1 = (0.5 * partial(g11) / g11 - log_sum) / g11
+        sigma = [s + v1 * a for s, a in zip(sigma, uvw)]
+    return np.array([partial(s) for s in sigma])
+
+
+def fano_rk4(uvw, partial, kind, dt, steps):
+    """`steps` classical RK4 steps of fano_rhs at a fixed dt."""
+    for _ in range(steps):
+        k1 = fano_rhs(uvw, partial, kind)
+        k2 = fano_rhs(uvw + 0.5 * dt * k1, partial, kind)
+        k3 = fano_rhs(uvw + 0.5 * dt * k2, partial, kind)
+        k4 = fano_rhs(uvw + dt * k3, partial, kind)
+        uvw = uvw + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return uvw

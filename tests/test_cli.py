@@ -324,6 +324,23 @@ def test_flow_with_failing_summary_write_exit_2(tmp_path, capsys, monkeypatch):
     assert not summary.exists() and not summary.with_name("summary.json.tmp").exists()
 
 
+def test_flow_with_failing_plot_write_exit_2_keeps_the_old_plot(tmp_path, capsys, monkeypatch):
+    # decay.svg is replaced atomically, as the summary is: a write that runs
+    # out of space halfway leaves the plot already there as it was
+    path, _ = write_config(tmp_path, control={"t_end": 0.05, "dt": 0.01},
+                           output={"plot": True, "directory": str(tmp_path / "out")})
+    svg = tmp_path / "out" / "decay.svg"
+    svg.parent.mkdir()
+    svg.write_bytes(b"<svg>earlier run</svg>")
+    _fail_writes_halfway(monkeypatch, "decay.svg")
+    assert cli.main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {svg}" in err and "No space left on device" in err
+    assert "Traceback" not in err
+    assert svg.read_bytes() == b"<svg>earlier run</svg>"
+    assert not svg.with_name("decay.svg.tmp").exists()
+
+
 def test_spectrum_bad_config_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")
@@ -439,8 +456,9 @@ def _full_and_interrupted_runs(tmp_path):
 
 def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     full_lines, full_summary, resume_path, resume_from = _full_and_interrupted_runs(tmp_path)
-    with open(tmp_path / "part" / "series.jsonl", "a") as fh:
-        fh.write('{"ck_theta": [0.1, ')  # a sample torn by an interrupted write
+    with open(tmp_path / "part" / "series.jsonl", "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")  # bytes that do not decode cannot be JSON
+        fh.write(b'{"ck_theta": [0.1, ')  # a sample torn by an interrupted write
     assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
     part_lines = (tmp_path / "part" / "series.jsonl").read_text().splitlines()
 
@@ -454,6 +472,27 @@ def test_flow_resume_reproduces_series_bit_identically(tmp_path):
     assert cli.main(["flow", str(resume_path), "--resume", str(resume_from)]) == 0
     assert (tmp_path / "part" / "series.jsonl").read_text().splitlines() == full_lines
     assert json.loads((tmp_path / "part" / "summary.json").read_text()) == full_summary
+
+
+def test_flow_resume_with_unreadable_series_exit_2(tmp_path, capsys, monkeypatch):
+    path, _ = write_config(tmp_path, control={"t_end": 0.1, "dt": 0.01, "checkpoint_every": 5})
+    assert cli.main(["flow", str(path)]) == 0
+    series = tmp_path / "out" / "series.jsonl"
+    before = series.read_bytes()
+    read_bytes = pathlib.Path.read_bytes
+
+    def failing_read(self):
+        if self.name == "series.jsonl":
+            raise OSError(errno.EIO, "Input/output error")
+        return read_bytes(self)
+    monkeypatch.setattr(pathlib.Path, "read_bytes", failing_read)
+    resume_from = tmp_path / "out" / "checkpoints" / "step_00000005.json"
+    capsys.readouterr()
+    assert cli.main(["flow", str(path), "--resume", str(resume_from)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read {series}" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert series.read_bytes() == before
 
 
 @pytest.mark.parametrize("line", ['{"t": -1.0}', '{"l2_theta": 1.0}'], ids=["no_fields", "no_t"])

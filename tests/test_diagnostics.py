@@ -1,4 +1,4 @@
-"""Functionals, spectral quantities, decay fitting, snapshots."""
+"""Functionals, spectral quantities, decay verdicts, snapshots."""
 
 import tracemalloc
 from dataclasses import is_dataclass
@@ -64,37 +64,67 @@ def test_fd4_lambda1_is_least_discrete_symbol(n, k_low, period):
     assert abs(diagnostics.rayleigh_lowest_mode(lat) - analytic) < 1e-12 * analytic
 
 
-def test_fit_decay_rate_exact_exponential():
+def decay_records(ts, l2):
+    """Synthetic records of (t, l2_theta); decay_verdicts reads no other channel."""
+    return [diagnostics.TimeSeriesRecord(t=float(t), l2_theta=float(y), ck_theta=(0.0,) * 4,
+                                         total_volume=0.0, torsion_l2=0.0,
+                                         scalar_identity_residual=0.0, lambda_max=0.0,
+                                         harmonic_residual=0.0, rhs_cross_residual=0.0)
+            for t, y in zip(ts, l2)]
+
+
+def test_decay_verdicts_exact_exponential():
     ts = np.linspace(0.0, 5.0, 60)
-    series = [(t, np.exp(-3.0 * t)) for t in ts]
-    fit = diagnostics.fit_decay_rate(series, window=(0.0, 5.0))
-    assert abs(fit.fitted_rate - 3.0) < 1e-9
-    assert abs(fit.r_squared - 1.0) < 1e-12
+    decay = diagnostics.decay_verdicts(decay_records(ts, np.exp(-3.0 * ts)), 1.0)
+    assert abs(decay["fitted_rate"] - 3.0) < 1e-9
+    assert abs(decay["r_squared"] - 1.0) < 1e-12
+    assert decay["window"] == [pytest.approx(2.0), 5.0]  # the last 60% of the span
 
 
-def test_fit_decay_rate_perturbed_exponential():
+def test_decay_verdicts_perturbed_exponential():
     ts = np.linspace(0.0, 5.0, 200)
-    series = [(t, np.exp(-3.0 * t) * (1 + 0.01 * np.sin(t))) for t in ts]
-    fit = diagnostics.fit_decay_rate(series, window=(0.0, 5.0))
-    assert abs(fit.fitted_rate - 3.0) < 0.03
+    records = decay_records(ts, np.exp(-3.0 * ts) * (1 + 0.01 * np.sin(ts)))
+    assert abs(diagnostics.decay_verdicts(records, 1.0)["fitted_rate"] - 3.0) < 0.03
 
 
-def test_fit_decay_rate_default_window_skips_transient():
-    ts = np.linspace(0.0, 10.0, 100)
-    series = [(t, np.exp(-2.0 * t)) for t in ts]
-    fit = diagnostics.fit_decay_rate(series)
-    assert fit.window[0] == pytest.approx(4.0)
-    assert abs(fit.fitted_rate - 2.0) < 1e-9
+@pytest.mark.parametrize("ts, l2, reason", [
+    (np.linspace(0.0, 1.0, 15), np.exp(-np.linspace(0.0, 1.0, 15)),
+     "only 9 samples in window (need >= 10)"),
+    (np.linspace(0.0, 1.0, 30), np.zeros(30), "empty series")], ids=["short", "all_zero"])
+def test_decay_verdicts_without_a_fit(ts, l2, reason):
+    decay = diagnostics.decay_verdicts(decay_records(ts, l2), 1.0)
+    assert decay == {"fitted_rate": None, "reason": reason}
 
 
-def test_fit_decay_rate_errors():
-    with pytest.raises(diagnostics.InsufficientData):
-        diagnostics.fit_decay_rate([(0.0, 1.0), (1.0, 0.5)], window=(0.0, 1.0))
-    series = [(t, 1.0 - 0.2 * t) for t in np.linspace(0, 6, 30)]
-    with pytest.raises(diagnostics.NonPositiveSeries):
-        diagnostics.fit_decay_rate(series, window=(0.0, 6.0))
-    with pytest.raises(diagnostics.InsufficientData):
-        diagnostics.fit_decay_rate([])
+def test_decay_verdicts_skip_zero_samples():
+    # zeros, as once l2_theta underflows, leave the window's span and the fit
+    ts = np.linspace(0.0, 5.0, 60)
+    l2 = np.exp(-3.0 * ts)
+    l2[[3, 30]] = 0.0
+    records = decay_records(np.append(ts, [5.5, 6.0]), np.append(l2, [0.0, 0.0]))
+    decay = diagnostics.decay_verdicts(records, 1.0)
+    assert decay["window"] == [pytest.approx(2.0), 5.0]
+    assert abs(decay["fitted_rate"] - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("lambda1, expect", [(5.9, True), (6.1, False)])
+def test_decay_verdicts_rate_against_half_lambda1(lambda1, expect):
+    ts = np.linspace(0.0, 5.0, 60)
+    decay = diagnostics.decay_verdicts(decay_records(ts, np.exp(-3.0 * ts)), lambda1)
+    assert decay["rate_at_least_half_lambda1"] is expect
+
+
+@pytest.mark.parametrize("factor, expect", [(0.999, True), (1.001, False)])
+def test_decay_verdicts_l2_envelope(factor, expect):
+    # one sample before the fit window, just under or just over the envelope
+    # L2_BOUND_SLACK l2(0) e^(-lambda1 t / 2): the rate still passes
+    lambda1, ts = 2.0, np.linspace(0.0, 5.0, 60)
+    l2 = np.exp(-3.0 * ts)
+    l2[5] = factor * diagnostics.L2_BOUND_SLACK * np.exp(-0.5 * lambda1 * ts[5])
+    decay = diagnostics.decay_verdicts(decay_records(ts, l2), lambda1)
+    assert decay["rate_at_least_half_lambda1"] is True
+    assert abs(decay["fitted_rate"] - 3.0) < 1e-9
+    assert decay["l2_bound_exp_minus_lambda1_t_over_2"] is expect
 
 
 def test_snapshot_at_reference_state():

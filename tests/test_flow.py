@@ -712,6 +712,67 @@ def test_deturck_volume_leak_falls_with_resolution():
     assert coarse != 0.0 and abs(fine) <= abs(coarse) / 8.0
 
 
+# --- the Fano-diagonal reduction ---------------------------------------------------
+
+def _fano_config(scheme, kind, n, dt, steps, amplitude=0.4):
+    """beta = f e23 + p e45 + q e67 on x1: f = A sin x1, p = 0.6A sin(2 x1 + 0.7),
+    q = -0.5A sin(x1 + 1.9)."""
+    modes = [{"mode": [k, 0, 0, 0, 0, 0, 0], "component": pair, "amplitude": scale * amplitude,
+              "phase": phase}
+             for k, pair, scale, phase in ((1, [2, 3], 1.0, 0.0), (2, [4, 5], 0.6, 0.7),
+                                           (1, [6, 7], -0.5, 1.9))]
+    return {"lattice": {"active_axes": [1], "points_per_axis": n, "scheme": scheme},
+            "flow": {"kind": kind}, "perturbation": modes,
+            "control": {"t_end": steps * dt, "dt": dt}}
+
+
+def _fano_gap(config, steps):
+    """max |phi - phi_reduced| over e123, e145 and e167 after `steps` RK4 steps.
+
+    Asserts the other 32 components stay exactly phi0's, and that the state
+    moved far from flat.
+    """
+    cfg = RunConfig.from_dict(config)
+    reference = g2.flat_reference(cfg.lattice).phi
+    state = flow.FlowState(0.0, cfg.build_initial(reference), reference, cfg.flow.kind)
+    diagonal = np.moveaxis(state.structure.phi.data[..., oracles.FANO_DIAGONAL], -1, 0)
+    period, scheme = cfg.lattice.period, cfg.lattice.scheme
+    # x1 is grid axis 0 of every lattice whose active axes include 1
+    partial = ((lambda f: oracles.fft_partial(f, 0, period)) if scheme == "spectral"
+               else (lambda f: oracles.fd4_partial(f, 0, period)))
+    reduced = oracles.fano_rk4(diagonal, partial, cfg.flow.kind, cfg.control.dt, steps)
+    for _ in range(steps):
+        state = flow.step_rk4(state, cfg.control)
+    phi = state.structure.phi.data
+    others = [c for c in range(35) if c not in oracles.FANO_DIAGONAL]
+    assert np.all(phi[..., others] == g2.PHI0[others])
+    assert np.max(np.abs(diagonal - 1.0)) > 0.3
+    return float(np.max(np.abs(np.moveaxis(phi[..., oracles.FANO_DIAGONAL], -1, 0) - reduced)))
+
+
+@pytest.mark.parametrize("kind", ["deturck", "laplacian"])
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_flow_matches_fano_reduction(scheme, kind):
+    # An exact nonlinear oracle (ROADMAP item 23): data along x1 on e23, e45
+    # and e67 keep phi Fano-diagonal, u e123 + v e145 + w e167 + phi0's other
+    # terms, and the flow reduces to three scalar equations derived from the
+    # diagonal metric alone; 100 steps at A = 0.4 agreed within 2.4e-15.
+    assert _fano_gap(_fano_config(scheme, kind, 16, 0.01, 100), 100) <= 1e-13
+
+
+def test_embedded_flow_matches_fano_reduction():
+    # the 3-axis site blocks and slabs against the same reduction (item 27's embedding)
+    config = oracles.embed(_fano_config("fd4", "deturck", 8, 2e-3, 20), (1, 2, 3))
+    assert _fano_gap(config, 20) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["deturck", "laplacian"])
+def test_fano_reduction_catches_a_scaled_coexact_part(monkeypatch, kind):
+    real_coexact = flow.coexact_part
+    monkeypatch.setattr(flow, "coexact_part", lambda st: 0.99 * real_coexact(st))
+    assert _fano_gap(_fano_config("spectral", kind, 16, 0.01, 100), 100) > 1e-6
+
+
 # --- embedded states ----------------------------------------------------------------
 
 # (axis j the data vary along, the twin's active axes): data along x2 and x1
