@@ -73,7 +73,7 @@ def decay_records(ts, l2):
             for t, y in zip(ts, l2)]
 
 
-def test_decay_verdicts_exact_exponential():
+def test_fit_decay_rate_exact_exponential():
     ts = np.linspace(0.0, 5.0, 60)
     decay = diagnostics.decay_verdicts(decay_records(ts, np.exp(-3.0 * ts)), 1.0)
     assert abs(decay["fitted_rate"] - 3.0) < 1e-9
@@ -81,10 +81,19 @@ def test_decay_verdicts_exact_exponential():
     assert decay["window"] == [pytest.approx(2.0), 5.0]  # the last 60% of the span
 
 
-def test_decay_verdicts_perturbed_exponential():
+def test_fit_decay_rate_perturbed_exponential():
     ts = np.linspace(0.0, 5.0, 200)
     records = decay_records(ts, np.exp(-3.0 * ts) * (1 + 0.01 * np.sin(ts)))
     assert abs(diagnostics.decay_verdicts(records, 1.0)["fitted_rate"] - 3.0) < 0.03
+
+
+def test_fit_decay_rate_default_window_skips_transient():
+    # a fast transient in the first 40% of the span stays out of the fit
+    ts = np.linspace(0.0, 10.0, 100)
+    l2 = np.exp(-2.0 * ts) * (1.0 + 5.0 * np.exp(-20.0 * ts))
+    decay = diagnostics.decay_verdicts(decay_records(ts, l2), 1.0)
+    assert decay["window"][0] == pytest.approx(4.0)
+    assert abs(decay["fitted_rate"] - 2.0) < 1e-9
 
 
 @pytest.mark.parametrize("ts, l2, reason", [
