@@ -19,10 +19,9 @@ import numpy as np
 
 from . import diagnostics, flow
 from . import io as ckpt
-from .checks import run_identity_suite
 from .config import ConfigError, RunConfig
 from .g2algebra import NotPositive, flat_reference
-from .lattice import is_number
+from .lattice import require_number
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -31,6 +30,8 @@ EXIT_STEP = 3
 
 
 def cmd_check(args) -> int:
+    from .checks import run_identity_suite  # only here, so a flow process loads no check suite
+
     report_path = Path(args.report) if args.report else None
     if report_path and (os.path.isdir(report_path) or not os.path.isdir(report_path.parent)):
         raise ConfigError(f"cannot write the report to {report_path}")
@@ -178,12 +179,12 @@ def _resume_state(path, cfg, reference):
     if extra.get("deturck_a", 0.0) != 0:
         raise ConfigError(f"checkpoint deturck_a {extra['deturck_a']!r} is not the "
                           "fixed DeTurck gauge (0)")
-    t, step = extra["t"], extra["step"]
     t_max = cfg.control.t_end * (1.0 + flow.END_RTOL)  # a step may pass t_end by roundoff
-    if not (is_number(t) and 0.0 <= t <= t_max):
-        raise ConfigError(f"checkpoint t {t!r} is not a number in [0, t_end = {t_max:.6g}]")
-    if not (is_number(step, integer=True) and step >= 0):
-        raise ConfigError(f"checkpoint step {step!r} is not an integer >= 0")
+    try:
+        t = require_number("checkpoint t", extra["t"], 0, t_max)
+        step = require_number("checkpoint step", extra["step"], 0, integer=True)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     # The flow's invariants: positive, closed, and in the reference's class.
     try:
         initial = flow._validate(phi, reference)

@@ -18,7 +18,7 @@ import numpy as np
 from . import tables
 from .flow import KINDS, StepControl
 from .g2algebra import G2Structure, NotPositive, flat_reference
-from .lattice import TWO_PI, FormField, Lattice, exterior_derivative, is_number
+from .lattice import TWO_PI, FormField, Lattice, exterior_derivative, require_number
 
 
 class ConfigError(Exception):
@@ -38,12 +38,10 @@ class PerturbationMode:
         """Raise ValueError unless the mode fits the lattice."""
         mode, comp = list(self.mode), tuple(self.component)
         for name, entries in (("mode", mode), ("component", comp)):
-            if not all(is_number(v, integer=True) for v in entries):
-                raise ValueError(f"{name} entries must be integers, got {entries}")
+            for v in entries:
+                require_number(f"{name} entry", v, integer=True)
         for name in ("amplitude", "phase"):
-            v = getattr(self, name)
-            if not (is_number(v) and np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            require_number(name, getattr(self, name))
         if len(mode) != 7:
             raise ValueError(f"mode vector must have 7 entries, got {mode}")
         n = lattice.points_per_axis
@@ -74,15 +72,11 @@ class OutputConfig:
     plot: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.directory, str):
-            raise ValueError(f"directory must be a string, got {self.directory!r}")
+        if not isinstance(self.directory, str) or "\0" in self.directory:
+            raise ValueError(f"directory must be a string without NUL, got {self.directory!r}")
         if not isinstance(self.plot, bool):
             raise ValueError(f"plot must be true or false, got {self.plot!r}")
-        n = self.sample_interval
-        if not is_number(n, integer=True):
-            raise ValueError(f"sample_interval must be an integer, got {n!r}")
-        if not n >= 1:
-            raise ValueError("sample_interval must be at least 1")
+        require_number("sample_interval", self.sample_interval, 1, integer=True)
 
 
 @dataclass
@@ -123,7 +117,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past sys.get_int_max_str_digits()
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
 

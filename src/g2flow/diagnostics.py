@@ -132,10 +132,10 @@ def decay_verdicts(records, lambda1: float) -> dict:
 
     fitted_rate is minus the least-squares slope of log(l2_theta) against t
     over the samples with l2_theta > 0 in the last 60% of their time span,
-    which skips the nonlinear transient. With fewer than 10 such samples the
-    block holds fitted_rate None and the reason. The verdicts: the rate is at
-    least lambda1 / 2, and every sample lies under the L2 envelope
-    L2_BOUND_SLACK |theta|^2(0) e^(-lambda1 t / 2).
+    which skips the nonlinear transient. With fewer than 10 such samples, or
+    times too small to fit, the block holds fitted_rate None and the reason.
+    The verdicts: the rate is at least lambda1 / 2, and every sample lies
+    under the L2 envelope L2_BOUND_SLACK |theta|^2(0) e^(-lambda1 t / 2).
     """
     positive = [r for r in records if r.l2_theta > 0]
     if not positive:
@@ -147,7 +147,11 @@ def decay_verdicts(records, lambda1: float) -> dict:
     ts, logy = ts[mask], logy[mask]
     if ts.size < 10:
         return {"fitted_rate": None, "reason": f"only {ts.size} samples in window (need >= 10)"}
-    coeffs = np.polyfit(ts, logy, 1)
+    try:  # below about 1e-154, t * t underflows and polyfit's column scale is 0
+        with np.errstate(divide="raise", invalid="raise"):
+            coeffs = np.polyfit(ts, logy, 1)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        return {"fitted_rate": None, "reason": f"no least-squares fit: {exc}"}
     ss_res = float(np.sum((logy - np.polyval(coeffs, ts)) ** 2))
     ss_tot = float(np.sum((logy - logy.mean()) ** 2))
     rate = float(-coeffs[0])

@@ -5,13 +5,14 @@ Both flow kinds return the rate of change of phi as an explicitly exact form
 roundoff by any linear time integrator; no post-step projection is applied.
 """
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import riemann
 from .g2algebra import G2Structure, NotPositive, i_phi
-from .lattice import FormField, derivative_symbol, exterior_derivative, is_number
+from .lattice import FormField, derivative_symbol, exterior_derivative, require_number
 
 KINDS = ("laplacian", "deturck")
 
@@ -81,19 +82,12 @@ class StepControl:
     checkpoint_every: int = 200
 
     def __post_init__(self):
-        for name in ("t_end", "dt"):
-            value = getattr(self, name)
-            if value is None and name == "dt":
-                continue
-            if not (is_number(value) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        tol = self.stop_tolerance
-        if not (is_number(tol) and 0 <= tol < np.inf):
-            raise ValueError(f"stop_tolerance must be a finite number >= 0, got {tol!r}")
-        if not is_number(self.checkpoint_every, integer=True):
-            raise ValueError(f"checkpoint_every must be an integer, got {self.checkpoint_every!r}")
-        if not self.checkpoint_every >= 1:
-            raise ValueError("checkpoint_every must be at least 1")
+        # No time is subnormal: sys.float_info.min is the least normal float.
+        require_number("t_end", self.t_end, sys.float_info.min)
+        if self.dt is not None:
+            require_number("dt", self.dt, sys.float_info.min)
+        require_number("stop_tolerance", self.stop_tolerance, 0)
+        require_number("checkpoint_every", self.checkpoint_every, 1, integer=True)
 
 
 def coexact_part(structure: G2Structure) -> FormField:

@@ -12,6 +12,7 @@ of whole leading-axis rows (`Lattice.partial_rows`).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,9 +81,20 @@ def map_site_blocks(kernel, *operands):
     return outs if isinstance(got, tuple) else outs[0]
 
 
-def is_number(value, integer: bool = False) -> bool:
-    """True for an int, and for a float unless integer is set; False for a bool."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+def require_number(name, value, low=-math.inf, high=math.inf, integer=False):
+    """value if it is an int, or a float unless integer is set, in [low, high]; else ValueError.
+
+    A bool is no number. abs(value) <= sys.float_info.max rejects nan, +-inf
+    and an int past the float range without converting it; against
+    np.finfo(float).max such an int raises OverflowError.
+    """
+    if not (isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
+                         f"got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low!r}, {high!r}], got {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -164,26 +176,24 @@ class Lattice:
     def __post_init__(self):
         axes = tuple(self.active_axes)
         object.__setattr__(self, "active_axes", axes)
-        if not all(is_number(ax, integer=True) for ax in axes):
-            raise ValueError(f"active axes must be integers, got {axes}")
+        for ax in axes:
+            require_number("active axis", ax, 1, 7, integer=True)
         if not 1 <= len(axes) <= 3:
             raise ValueError("need 1 to 3 active axes")
-        if len(set(axes)) != len(axes) or any(not 1 <= ax <= 7 for ax in axes):
-            raise ValueError(f"active axes must be distinct labels in 1..7, got {axes}")
-        if tuple(sorted(axes)) != axes:
-            raise ValueError("active axes must be sorted")
+        if any(a >= b for a, b in zip(axes, axes[1:])):
+            raise ValueError(f"active axes must be distinct and sorted, got {axes}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown derivative scheme {self.scheme!r}")
-        n = self.points_per_axis
-        if not is_number(n, integer=True):
-            raise ValueError(f"points_per_axis must be an integer, got {n!r}")
+        # n^a sites of Gamma (343 doubles each, a flow's largest whole-grid array)
+        # span at most np.intp's range of bytes, or numpy cannot shape the grid.
+        n_max = math.floor((np.iinfo(np.intp).max // (343 * 8)) ** (1 / len(axes)))
+        n = require_number("points_per_axis", self.points_per_axis, high=n_max, integer=True)
         if self.scheme == "spectral":
             if n < 8 or n % 2:
                 raise ValueError("spectral scheme needs even n >= 8")
         elif n < 5:
             raise ValueError("fd4 stencil needs n >= 5")
-        if not (is_number(self.period) and 0 < self.period < np.inf):
-            raise ValueError(f"period must be positive and finite, got {self.period!r}")
+        require_number("period", self.period, sys.float_info.min)
 
     @property
     def ndim_active(self) -> int:

@@ -306,3 +306,65 @@ def fano_rk4(uvw, partial, kind, dt, steps):
         k4 = fano_rhs(uvw + dt * k3, partial, kind)
         uvw = uvw + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return uvw
+
+
+# phi0 = e123 + e145 + e167 + e246 - e257 - e347 - e356, 0-based index triples
+PHI0_TERMS = [((0, 1, 2), 1), ((0, 3, 4), 1), ((0, 5, 6), 1), ((1, 3, 5), 1),
+              ((1, 4, 6), -1), ((2, 3, 6), -1), ((2, 4, 5), -1)]
+
+
+def log_diagonal_state(a_exprs, symbols):
+    """Closed forms at phi = A(x)^* phi0 with A = diag(e^{a_1}, ..., e^{a_7}).
+
+    a_exprs are 7 sympy expressions in symbols, the 7 coordinates; phi need
+    not be closed. In the coframe e^{a_i} dx^i, which is orthonormal for
+    g = diag(e^{2 a_i}) with vol = e^{sum a}:
+    - phi = sum_L s_L e^{a_L} dx^L over phi0's terms, a_L the sum of a_i over L;
+    - *dx^I = sign(I, I^c) e^{a_{I^c} - a_I} dx^{I^c};
+    - tau2 = -*d*phi, Gamma^i_pq = g^ii (d_p g_iq + d_q g_ip - d_i g_pq) / 2
+      and V^i = g^pq Gamma^i_pq;
+    - the velocity is d tau2 for kind "laplacian", d(tau2 + V.phi) for
+      "deturck", with (V.phi)_jk = V^i phi_ijk.
+
+    A k-form is a dict from increasing 0-based index k-tuples to expressions;
+    signs come from perm_sign. Returns a dict with "phi", "g" (the diagonal),
+    "vol", "gamma" (nested [i][p][q]), "V" and "rhs" (by kind).
+    """
+    import sympy as sp
+
+    x, a = list(symbols), list(a_exprs)
+
+    def star(form):
+        out = {}
+        for idx, f in form.items():
+            rest = tuple(i for i in range(7) if i not in idx)
+            weight = sp.exp(sum(a[i] for i in rest) - sum(a[i] for i in idx))
+            out[rest] = out.get(rest, 0) + perm_sign(idx + rest) * weight * f
+        return out
+
+    def d(form):
+        k = len(next(iter(form)))
+        out = {}
+        for idx in combinations(range(7), k + 1):
+            expr = sum((-1) ** m * sp.diff(form.get(idx[:m] + idx[m + 1:], 0), x[idx[m]])
+                       for m in range(k + 1))
+            if expr != 0:
+                out[idx] = expr
+        return out
+
+    phi = {idx: s * sp.exp(sum(a[i] for i in idx)) for idx, s in PHI0_TERMS}
+    g = [sp.exp(2 * a_i) for a_i in a]
+    dg = [[sp.diff(g_j, x_m) for g_j in g] for x_m in x]  # dg[m][j] = d_m g_jj
+    gamma = [[[(int(i == q) * dg[p][i] + int(i == p) * dg[q][i] - int(p == q) * dg[i][p])
+               / (2 * g[i]) for q in range(7)] for p in range(7)] for i in range(7)]
+    v = [sum(gamma[i][p][p] / g[p] for p in range(7)) for i in range(7)]
+    tau2 = {idx: -f for idx, f in star(d(star(phi))).items()}
+    v_phi = {}
+    for jk in combinations(range(7), 2):
+        expr = sum(v[i] * perm_sign((i,) + jk) * phi[tuple(sorted((i,) + jk))]
+                   for i in range(7) if tuple(sorted((i,) + jk)) in phi)
+        if expr != 0:
+            v_phi[jk] = expr
+    deturck = {idx: tau2.get(idx, 0) + v_phi.get(idx, 0) for idx in set(tau2) | set(v_phi)}
+    return {"phi": phi, "g": g, "vol": sp.exp(sum(a)), "gamma": gamma, "V": v,
+            "rhs": {"laplacian": d(tau2), "deturck": d(deturck)}}

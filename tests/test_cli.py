@@ -1,9 +1,12 @@
 """CLI subcommands: exit codes, outputs, determinism, resume."""
 
+import copy
 import errno
 import gc
+import itertools
 import json
 import pathlib
+import warnings
 import weakref
 
 import numpy as np
@@ -232,7 +235,20 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                                       {"output": {"plot": "no"}},
                                       {"perturbation": [_mode(mode=[8, 0, 0, 0, 0, 0, 0])]},
                                       {"perturbation": [_mode(mode=[-8, 0, 0, 0, 0, 0, 0])]},
-                                      {"perturbation": [_mode(mode=[17, 0, 0, 0, 0, 0, 0])]}],
+                                      {"perturbation": [_mode(mode=[17, 0, 0, 0, 0, 0, 0])]},
+                                      # 101 samples whose t * t underflows
+                                      {"control": {"t_end": 1e-318, "dt": 1e-320},
+                                       "output": {"sample_interval": 1}},
+                                      # 401-digit JSON integers; 1e400 would parse to inf
+                                      {"control": {"t_end": 10 ** 400}},
+                                      {"control": {"dt": 10 ** 400}},
+                                      {"control": {"stop_tolerance": 10 ** 400}},
+                                      {"lattice": {"period": 10 ** 400}},
+                                      # grids numpy cannot shape
+                                      {"lattice": {"active_axes": [1, 2, 3],
+                                                   "points_per_axis": 10 ** 7}},
+                                      {"lattice": {"points_per_axis": 10 ** 19}},
+                                      {"output": {"directory": "out\0"}}],
                          ids=["t_end0", "t_end_negative", "dt0", "dt_negative",
                               "odd_spectral_n", "kind", "cfl0", "max_dt0",
                               "max_dt_negative", "cfl_coefficient", "max_dt",
@@ -246,12 +262,85 @@ def test_spectrum_fd4(tmp_path, capsys, n, lambda1):
                               "stop_tolerance_str", "stop_tolerance_negative",
                               "stop_tolerance_inf", "period_true", "t_end_true", "dt_true",
                               "cfl_true", "max_dt_true", "t_end_inf", "directory_int", "plot_str",
-                              "mode_nyquist", "mode_negative_nyquist", "mode_aliased"])
+                              "mode_nyquist", "mode_negative_nyquist", "mode_aliased",
+                              "subnormal_times", "t_end_past_float", "dt_past_float",
+                              "stop_tolerance_past_float", "period_past_float",
+                              "grid_3d_unshapeable", "grid_1d_unshapeable", "directory_nul"])
 def test_invalid_setting_exit_2(tmp_path, capsys, command, override):
     path, _ = write_config(tmp_path, **override)
     assert cli.main([command, str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# The exit-code contract as a property: each value replaces one key path
+# (section, key, index) of MUTATED_BASE, alone, and flow, perturb and
+# spectrum each exit 0, 2 or 3, raising nothing.
+MUTATED_BASE = {
+    "lattice": {"active_axes": [1], "points_per_axis": 8, "period": TWO_PI,
+                "scheme": "spectral"},
+    "flow": {"kind": "deturck"},
+    "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
+                      "amplitude": 1e-3, "phase": 0.0}],
+    "control": {"t_end": 0.02, "dt": 0.01, "stop_tolerance": 1e-10, "checkpoint_every": 1},
+    "output": {"directory": "out", "sample_interval": 1, "plot": False},
+}
+MUTATION_PATHS = [(), ("lattice",), ("lattice", "active_axes"), ("lattice", "active_axes", 0),
+                  ("lattice", "points_per_axis"), ("lattice", "period"), ("lattice", "scheme"),
+                  ("flow",), ("flow", "kind"), ("perturbation",), ("perturbation", 0),
+                  ("perturbation", 0, "mode"), ("perturbation", 0, "mode", 0),
+                  ("perturbation", 0, "component"), ("perturbation", 0, "component", 1),
+                  ("perturbation", 0, "amplitude"), ("perturbation", 0, "phase"),
+                  ("control",), ("control", "t_end"), ("control", "dt"),
+                  ("control", "stop_tolerance"), ("control", "checkpoint_every"),
+                  ("output",), ("output", "directory"), ("output", "sample_interval"),
+                  ("output", "plot")]
+MUTATION_VALUES = {"null": None, "list": [1], "dict": {"a": 1}, "string": "x", "bool": True,
+                   "zero": 0, "minus_one": -1, "subnormal": 1e-320, "float_1e308": 1e308,
+                   "int_1e19": 10 ** 19, "int_past_float": 10 ** 400, "nul": "a\0b"}
+# Valid settings left out: each takes millions of steps at dt 0.01.
+MUTATIONS_LEFT_OUT = {(("control", "t_end"), "float_1e308"): "1e310 steps",
+                      (("control", "t_end"), "int_1e19"): "1e21 steps"}
+MUTATION_MAX_STEPS = 100  # a valid mutation takes at most 2; a run past this fails the case
+
+
+def test_config_mutations_exit_0_2_or_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    step_rk4, steps = flow.step_rk4, [0]
+
+    def counted_step(state, control):
+        steps[0] += 1
+        if steps[0] > MUTATION_MAX_STEPS:
+            raise RuntimeError(f"more than {MUTATION_MAX_STEPS} steps")
+        return step_rk4(state, control)
+
+    monkeypatch.setattr(flow, "step_rk4", counted_step)
+    failures = []
+    for path, (label, value) in itertools.product(MUTATION_PATHS, MUTATION_VALUES.items()):
+        if (path, label) in MUTATIONS_LEFT_OUT:
+            continue
+        config = copy.deepcopy(MUTATED_BASE)
+        if path:
+            owner = config
+            for key in path[:-1]:
+                owner = owner[key]
+            owner[path[-1]] = value
+        else:
+            config = value
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        for command in ("flow", "perturb", "spectrum"):
+            steps[0] = 0
+            try:
+                # as in a g2flow process, where a numpy warning is printed, not raised
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main([command, "config.json"])
+            except Exception as exc:  # every escape is a failure
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                failures.append((command, path, label, code))
+    capsys.readouterr()
+    assert failures == []
 
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",

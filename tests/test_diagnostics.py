@@ -99,7 +99,11 @@ def test_fit_decay_rate_default_window_skips_transient():
 @pytest.mark.parametrize("ts, l2, reason", [
     (np.linspace(0.0, 1.0, 15), np.exp(-np.linspace(0.0, 1.0, 15)),
      "only 9 samples in window (need >= 10)"),
-    (np.linspace(0.0, 1.0, 30), np.zeros(30), "empty series")], ids=["short", "all_zero"])
+    (np.linspace(0.0, 1.0, 30), np.zeros(30), "empty series"),
+    # t * t underflows to 0.0 below about 1e-154: polyfit's column scale is 0
+    (np.linspace(0.0, 1e-298, 101), np.exp(-np.linspace(0.0, 1.0, 101)),
+     "no least-squares fit: divide by zero encountered in divide")],
+    ids=["short", "all_zero", "times_too_small"])
 def test_decay_verdicts_without_a_fit(ts, l2, reason):
     decay = diagnostics.decay_verdicts(decay_records(ts, l2), 1.0)
     assert decay == {"fitted_rate": None, "reason": reason}

@@ -1,6 +1,8 @@
 """Flow right-hand sides, RK4 stepping and structural preservation."""
 
+import functools
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -827,3 +829,101 @@ def test_embedded_flow_matches_its_axis(scheme, kind, layout):
             for g, w in zip(np.atleast_1d(getattr(got, key)), np.atleast_1d(value)):
                 bound = GOLDEN_ATOL if key in ABSOLUTE else 1e-14 * abs(w)
                 assert abs(g - w) <= bound, (key, g, w)
+
+
+# A 2-axis log-diagonal state, phi = A(x)^* phi0 with A = diag(e^{a_i}): each
+# a_i is s times two sines whose wave vectors have entries in {-1, 0, 1} on
+# both active axes, with random phases and weights U(-1, 1), so every
+# cross-axis term of d, * and V is present. phi need not be closed.
+CONTINUUM_AXES = (2, 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _continuum_state():
+    """Numpy functions (x2, x5, s) -> components of phi and of each kind's velocity."""
+    import sympy as sp
+
+    x, s = sp.symbols("x1:8"), sp.Symbol("s")
+    rng = np.random.default_rng(0)
+    a = []
+    for _ in range(7):
+        a_i = 0
+        for _ in range(2):
+            k = rng.integers(-1, 2, size=len(CONTINUUM_AXES))
+            phase, weight = rng.uniform(0.0, TWO_PI), rng.uniform(-1.0, 1.0)
+            a_i += weight * sp.sin(sum(int(k_j) * x[axis - 1]
+                                       for k_j, axis in zip(k, CONTINUUM_AXES)) + phase)
+        a.append(s * a_i)
+    state = oracles.log_diagonal_state(a, x)
+    forms = {"phi": state["phi"], **state["rhs"]}
+    args = [x[axis - 1] for axis in CONTINUUM_AXES] + [s]
+    return {name: sp.lambdify(args, [form.get(idx, 0) for idx in oracles.increasing(3)],
+                              "numpy", cse=True)
+            for name, form in forms.items()}
+
+
+def _continuum_gap(scheme, kind, n, s):
+    """max|flow_rhs - exact| / max|exact| on the log-diagonal state at amplitude s."""
+    fns = _continuum_state()
+    lat = Lattice(CONTINUUM_AXES, n, TWO_PI, scheme=scheme)
+    coords = [lat.coordinate(axis) for axis in CONTINUUM_AXES]
+
+    def on_grid(name):
+        return np.stack([np.broadcast_to(c, lat.grid_shape) for c in fns[name](*coords, s)],
+                        axis=-1)
+
+    structure = g2.G2Structure.from_phi(FormField(lat, 3, on_grid("phi")))
+    got = flow.flow_rhs(flow.FlowState(0.0, structure, g2.flat_reference(lat).phi, kind)).data
+    want = on_grid(kind)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["deturck", "laplacian"])
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_flow_rhs_matches_continuum(scheme, kind):
+    # spectral at large amplitude: read 1.9e-11 (Laplacian) and 3.9e-11
+    # (DeTurck). fd4 at fourth order: read 14.9x and 15.0x from n=16 to 32.
+    if scheme == "spectral":
+        assert _continuum_gap(scheme, kind, 24, 0.3) < 1e-10
+    else:
+        coarse, fine = (_continuum_gap(scheme, kind, n, 0.05) for n in (16, 32))
+        assert 12 < coarse / fine < 20
+
+
+def test_flow_rhs_continuum_catches_a_scaled_deturck_vector(monkeypatch):
+    deturck_vector = riemann.deturck_vector
+
+    def scaled(structure):
+        v = deturck_vector(structure)
+        v[..., CONTINUUM_AXES[0] - 1] *= 1.01
+        return v
+
+    monkeypatch.setattr(riemann, "deturck_vector", scaled)
+    assert _continuum_gap("spectral", "deturck", 24, 0.3) > 1e-10
+
+
+# Python and C calls of one warm default-policy RK4 step at 1-D n=16, about 5%
+# above 2,019 (DeTurck) and 1,827 (Laplacian) on Python 3.11.7 with numpy 2.4.6.
+# A call count does not vary from run to run as a timing does. A change that
+# raises a bound says why.
+CALLS_PER_STEP_BOUND = {"deturck": 2120, "laplacian": 1920}
+
+
+@pytest.mark.parametrize("kind", ["deturck", "laplacian"])
+def test_calls_per_step(kind):
+    state = _initial_state([1], 16, "spectral", kind, MODES_1D, 1)
+    control = flow.StepControl()
+    for _ in range(3):  # warm: caches filled, as in a run's later steps
+        state = flow.step_rk4(state, control)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        flow.step_rk4(state, control)
+    finally:
+        sys.setprofile(None)
+    assert calls[0] <= CALLS_PER_STEP_BOUND[kind], calls[0]

@@ -1,6 +1,6 @@
 """What a `g2flow` process loads: no scipy, since derivatives are numpy
 matmuls, and in a flow no OpenSSL, since checkpoints hash with CPython's
-built-in SHA-256."""
+built-in SHA-256, and no check suite, which only `g2flow check` imports."""
 
 import json
 import os
@@ -31,6 +31,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_flow_run_loads_no_openssl(tmp_path):
+    # nor the check suite, which only cmd_check imports
     config = {"lattice": {"active_axes": [1], "points_per_axis": 8},
               "perturbation": [{"mode": [1, 0, 0, 0, 0, 0, 0], "component": [2, 3],
                                 "amplitude": 1e-3}],
@@ -39,6 +40,6 @@ def test_flow_run_loads_no_openssl(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config))
     code = ("import sys, g2flow.cli\n"
             "print(g2flow.cli.main(['flow', 'config.json']))\n"
-            "print('_hashlib' in sys.modules)\n")
-    assert _fresh_interpreter(code, cwd=tmp_path)[-2:] == ["0", "False"]
+            "print('_hashlib' in sys.modules, 'g2flow.checks' in sys.modules)\n")
+    assert _fresh_interpreter(code, cwd=tmp_path)[-2:] == ["0", "False False"]
     assert (tmp_path / "out" / "checkpoints" / "step_00000002.json").exists()

@@ -218,6 +218,9 @@ def test_config_rejects_bad_json(tmp_path):
         RunConfig.from_file(p)
     with pytest.raises(ConfigError):
         RunConfig.from_file(tmp_path / "absent.json")
+    # an int past sys.get_int_max_str_digits(): json raises a bare ValueError
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        RunConfig.from_json('{"lattice": {"points_per_axis": ' + "1" * 5000 + "}}")
 
 
 def test_config_rejects_bad_kind():

@@ -32,6 +32,37 @@ def test_lattice_validation():
     Lattice((1,), 6, TWO_PI, scheme="fd4")     # fd4 allows smaller even/odd n
 
 
+def test_require_number():
+    assert lattice.require_number("x", 3, 1, 7, integer=True) == 3
+    assert lattice.require_number("x", 2.5) == 2.5
+    assert lattice.require_number("x", 10 ** 308) == 10 ** 308  # an int inside the float range
+    for value in (True, "3", None, [3], 3.0):
+        with pytest.raises(ValueError, match="^x must be an integer, got"):
+            lattice.require_number("x", value, integer=True)
+    # nan, +-inf and ints past the float range, compared without conversion
+    for value in (float("nan"), float("inf"), -float("inf"), 2 * 10 ** 308, -10 ** 400, False):
+        with pytest.raises(ValueError, match="^x must be a finite number, got"):
+            lattice.require_number("x", value)
+    for value in (0, 8, 0.5, 7.5):
+        with pytest.raises(ValueError, match=r"^x must be in \[1, 7\], got"):
+            lattice.require_number("x", value, 1, 7)
+
+
+@pytest.mark.parametrize("axes", [(1,), (1, 2), (1, 2, 3)])
+def test_lattice_takes_the_largest_grid_numpy_can_shape(axes):
+    # n^a sites of Gamma, 343 doubles each, fit np.intp's range of bytes at the
+    # largest n a Lattice accepts, and not at n + 1; no grid is allocated
+    limit, a = np.iinfo(np.intp).max, len(axes)
+    n = round((limit // (343 * 8)) ** (1 / a))
+    while n ** a * 343 * 8 > limit:
+        n -= 1
+    while (n + 1) ** a * 343 * 8 <= limit:
+        n += 1
+    assert Lattice(axes, n, TWO_PI, scheme="fd4").points_per_axis == n
+    with pytest.raises(ValueError, match="points_per_axis must be in"):
+        Lattice(axes, n + 1, TWO_PI, scheme="fd4")
+
+
 def test_site_count_and_weights():
     lat = Lattice((1, 3), 16, 1.0)
     assert lat.grid_shape == (16, 16)
