@@ -2,14 +2,16 @@
 
 Each entry of CHECKS states one identity, and run_check is the one rule for
 running it: `g2flow check` and tier-1 (one case per entry) both use it.
-Inputs are drawn from a seeded generator, so repeated runs with the same seed
-are bit-identical. The base 3-form of the pointwise battery is recovered from
-the stored 4-form via the euclidean star, which cross-anchors the two model
-tables. The G2 algebra that only the checks use lives here too: j_phi, the
-2-form type projection, the torsion forms tau0..tau3 and nabla phi, which the
-three torsion checks compare with the flow's T = -tau2/2. By g2algebra's
-block rule, j_phi, the torsion-form solves, the connection term of nabla phi
-and its reconstruction from T run on blocks of lattice.SITE_BLOCK sites.
+Inputs are drawn from Draws, a counter-based generator keyed by the seed, so
+repeated runs with the same seed are bit-identical, and the suite imports no
+numpy.random, whose secrets and hmac imports map OpenSSL. The base 3-form of
+the pointwise battery is recovered from the stored 4-form via the euclidean
+star, which cross-anchors the two model tables. The G2 algebra that only the
+checks use lives here too: j_phi, the 2-form type projection, the torsion
+forms tau0..tau3 and nabla phi, which the three torsion checks compare with
+the flow's T = -tau2/2. By g2algebra's block rule, j_phi, the torsion forms
+past d phi and d psi, the connection term of nabla phi and its
+reconstruction from T run on blocks of lattice.SITE_BLOCK sites.
 
 Each shared fixture of SuiteContext, the pointwise batch and the closed
 lattice structure with the geometry cached on it, lives from its first
@@ -17,6 +19,7 @@ reader to its last: LAST_READER names that check, and run_identity_suite
 releases the fixture once it has run, so no later check runs beside it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ POINTWISE_TOL = 1e-10
 class CheckResult:
     name: str
     tolerance: float
-    max_residual: float
+    max_residual: float  # None when error is set
     passed: bool
     error: str = None
 
@@ -125,39 +128,113 @@ def extract_torsion_forms(structure: g2.G2Structure) -> TorsionData:
     dphi = tau0 psi + 3 tau1 ^ phi + *tau3 is resolved through the type
     decomposition of *(dphi); tau2 then solves
     dpsi - 4 tau1 ^ psi = tau2 ^ phi, a pointwise 21 x 21 linear system.
-    Both solves run on site blocks.
+    Only d phi and d psi span the grid: the star, the type decomposition and
+    both solves run on site blocks, and each block's forms equal the
+    whole-grid ones bit for bit, since every kernel they call runs on blocks
+    of the same size.
     """
-    phi, psi = structure.phi, structure.psi
-    dphi = exterior_derivative(phi)
-    dpsi = exterior_derivative(psi)
-
-    v3 = g2.hodge_star(dphi.data, 4, structure)
-    v1, v7, v27 = g2.project_3form(v3, phi.data, psi.data, structure)
-    tau0 = g2.form_inner(v3, phi.data, 3, structure) / 7.0
-    tau3 = v27
-
-    def solves(phi, psi, star_v7, dpsi):
+    def forms(phi, psi, dphi, dpsi, g, g_inv, vol):
+        metric = g2.Metric(g, g_inv, vol)
+        v3 = g2.hodge_star(dphi, 4, metric)
+        _, v7, tau3 = g2.project_3form(v3, phi, psi, metric)
+        tau0 = g2.form_inner(v3, phi, 3, metric) / 7.0
+        star_v7 = g2.hodge_star(v7, 3, metric)
         # 3 tau1 ^ phi equals the 7-part of dphi; solve the normal equations.
         m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi), -1, -2)
         tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
         wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi)
         rho = dpsi - 4.0 * (wedge_psi @ tau1[..., None])[..., 0]
         m2 = tables.apply_table(tables.wedge_table(2, 3), phi)
-        return tau1, np.linalg.solve(m2, rho[..., None])[..., 0]
+        return tau0, tau1, np.linalg.solve(m2, rho[..., None])[..., 0], tau3
 
-    tau1, tau2 = map_site_blocks(solves, (phi.data, 1), (psi.data, 1),
-                                 (g2.hodge_star(v7, 3, structure), 1), (dpsi.data, 1))
-    return TorsionData(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
+    return TorsionData(*map_site_blocks(
+        forms, (structure.phi.data, 1), (structure.psi.data, 1),
+        (exterior_derivative(structure.phi).data, 1), (exterior_derivative(structure.psi).data, 1),
+        (structure.g, 2), (structure.g_inv, 2), (structure.vol, 0)))
 
 
 # --- randomized inputs ---------------------------------------------------------
 
+_MASK = 2 ** 64 - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2^64 / golden ratio
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _splitmix(z: int) -> int:
+    """SplitMix64's output function of the 64-bit state z, in Python ints."""
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK
+    return z ^ (z >> 31)
+
+
+# Up to this many words an array draw loops over scalar draws: about 0.7 us
+# a word against about 11 us for the dozen passes over a uint64 array.
+_LOOPED_WORDS = 12
+
+
+class Draws:
+    """Seeded uniform draws: SplitMix64 over a counter, keyed by (seed, stream).
+
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word i of a stream is the
+    output function of key + (i + 1) * _GAMMA mod 2^64, and a uniform on
+    [0, 1) is its top 53 bits over 2^53. uniform and integers take numpy
+    Generator's arguments, so the helpers below accept either. A scalar draw
+    (size None) runs in Python ints, which cost about 1 us where a 1-element
+    uint64 array costs 20; an array draw of more than _LOOPED_WORDS words
+    runs on uint64 arrays, which wrap without warning where a numpy uint64
+    scalar warns. All read the same words, so a scalar equals the array
+    draw at its place.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        self._key = _splitmix((_splitmix((seed + _GAMMA) & _MASK) ^ stream) & _MASK)
+        self._drawn = 0
+
+    def _unit(self, size):
+        """The stream's next uniforms on [0, 1): a float, or an array of shape size."""
+        if size is None:
+            self._drawn += 1
+            return (_splitmix((self._key + self._drawn * _GAMMA) & _MASK) >> 11) * 2.0 ** -53
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        n = math.prod(shape)
+        if n <= _LOOPED_WORDS:
+            return np.array([self._unit(None) for _ in range(n)]).reshape(shape)
+        z = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        self._drawn += n
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._key)
+        for shift, mult in zip((30, 27), _MIX):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).reshape(shape)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniforms on [low, high), as numpy Generator.uniform."""
+        return low + (high - low) * self._unit(size)
+
+    def integers(self, low, high=None, size=None):
+        """Integers on [low, high), or [0, low) without high, as numpy Generator.integers."""
+        if high is None:
+            low, high = 0, low
+        scaled = (high - low) * self._unit(size)
+        return low + (int(scaled) if size is None else scaled.astype(np.int64))
+
+
+_SQRT3 = 3.0 ** 0.5
+
+
+def _centred(rng, size=None):
+    """Uniforms on [-sqrt 3, sqrt 3]: mean 0 and variance 1."""
+    return rng.uniform(-_SQRT3, _SQRT3, size)
+
+
 def _random_pullbacks(rng, n):
     """GL+(7) maps near the identity with bounded conditioning."""
-    a = np.eye(7) + 0.15 * rng.standard_normal((n, 7, 7))
+    a = np.eye(7) + 0.15 * _centred(rng, (n, 7, 7))
     bad = np.linalg.cond(a) > 20.0
     while np.any(bad):
-        a[bad] = np.eye(7) + 0.15 * rng.standard_normal((int(bad.sum()), 7, 7))
+        a[bad] = np.eye(7) + 0.15 * _centred(rng, (int(bad.sum()), 7, 7))
         bad = np.linalg.cond(a) > 20.0
     neg = np.linalg.det(a) < 0
     a[neg, :, 0] *= -1.0
@@ -174,7 +251,7 @@ def _band_limited(lat, degree, rng, n_modes=5, amp=1.0, kmax=2):
         arg = ph * np.ones(lat.grid_shape)
         for k, ax in zip(ks, lat.active_axes):
             arg = arg + k * (2 * np.pi / lat.period) * lat.coordinate(ax)
-        data[..., c] += amp * rng.normal() * np.broadcast_to(np.cos(arg), lat.grid_shape)
+        data[..., c] += amp * _centred(rng) * np.broadcast_to(np.cos(arg), lat.grid_shape)
     return FormField(lat, degree, data)
 
 
@@ -186,8 +263,7 @@ def _closed_perturbed_phi(lat, rng, n_modes=4, amp=5e-3, kmax=2):
 
 def _pointwise_batch(seed, n, phi0):
     """(phi, a, metric, psi) of n random positive forms, the GL+ pullbacks a of phi0."""
-    rng = np.random.default_rng([seed, 1000])
-    a = _random_pullbacks(rng, n)
+    a = _random_pullbacks(Draws(seed, 1000), n)
     phi = g2._apply_metric(phi0, 3, np.swapaxes(a, -1, -2))
     m = g2.metric_from_phi(phi)
     return phi, a, m, g2.hodge_star(phi, 3, m)
@@ -195,9 +271,8 @@ def _pointwise_batch(seed, n, phi0):
 
 def _closed_lattice_structure(seed):
     """(structure, lattice) of a closed perturbed 2-D n=32 structure, spectrally resolvable."""
-    rng = np.random.default_rng([seed, 2000])
     lat = Lattice((1, 2), 32, 2.0 * np.pi)
-    return g2.G2Structure.from_phi(_closed_perturbed_phi(lat, rng)), lat
+    return g2.G2Structure.from_phi(_closed_perturbed_phi(lat, Draws(seed, 2000))), lat
 
 
 class SuiteContext:
@@ -259,7 +334,7 @@ def _check_j_phi_phi(rng, ctx):
 
 
 def _random_symmetric(rng, n):
-    h = rng.standard_normal((n, 7, 7))
+    h = _centred(rng, (n, 7, 7))
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
@@ -271,14 +346,19 @@ def _check_j_i_identity(rng, ctx):
     return float(np.max(np.abs(jih - expect)))
 
 
-def _check_norm_identity(rng, ctx):
-    phi, _, m, psi = ctx.pointwise()
-    h = _random_symmetric(rng, ctx.n)
+def _norm_identity_sides(h, phi, m):
+    """|i_phi(h)|^2 and (tr h)^2 + 2 h.h at each site, traces and contractions by g_inv."""
     ih = g2.i_phi(h, phi, m)
-    lhs = g2.form_inner(ih, ih, 3, m)
     hm = np.einsum("...ia,...aj->...ij", h, m.g_inv)
-    rhs = np.einsum("...ii->...", hm) ** 2 + 2.0 * np.einsum("...ik,...ki->...", hm, hm)
-    return float(np.max(np.abs(lhs - rhs)))
+    return (g2.form_inner(ih, ih, 3, m),
+            np.einsum("...ii->...", hm) ** 2 + 2.0 * np.einsum("...ik,...ki->...", hm, hm))
+
+
+def _check_norm_identity(rng, ctx):
+    """Each site's gap over max(|lhs|, 1): the sides reach about 1e5 on the battery."""
+    phi, _, m, psi = ctx.pointwise()
+    lhs, rhs = _norm_identity_sides(_random_symmetric(rng, ctx.n), phi, m)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)))
 
 
 def _check_i_phi_type(rng, ctx):
@@ -306,7 +386,7 @@ def _check_star_involution(rng, ctx):
     m = m[:n]
     worst = 0.0
     for k in range(0, 8):
-        alpha = rng.standard_normal((n, tables.num_components(k)))
+        alpha = _centred(rng, (n, tables.num_components(k)))
         ss = g2.hodge_star(g2.hodge_star(alpha, k, m), 7 - k, m)
         worst = max(worst, float(np.max(np.abs(ss - alpha))))
     return worst
@@ -314,18 +394,18 @@ def _check_star_involution(rng, ctx):
 
 def _check_positivity(rng, ctx):
     ok = bool(g2.is_positive(ctx.phi0)) and not bool(g2.is_positive(-ctx.phi0))
-    small = ctx.phi0 + 0.01 * rng.standard_normal((16, 35))
+    small = ctx.phi0 + 0.01 * _centred(rng, (16, 35))
     ok = ok and bool(np.all(g2.is_positive(small)))
     return 0.0 if ok else 1.0
 
 
 def _check_projection_completeness(rng, ctx):
     phi, _, m, psi = ctx.pointwise()
-    beta = rng.standard_normal((ctx.n, 21))
+    beta = _centred(rng, (ctx.n, 21))
     b7, b14 = project_2form(beta, phi, m)
     worst = float(np.max(np.abs(b7 + b14 - beta)))
     worst = max(worst, float(np.max(np.abs(g2.form_inner(b7, b14, 2, m)))))
-    gamma = rng.standard_normal((ctx.n, 35))
+    gamma = _centred(rng, (ctx.n, 35))
     p1, p7, p27 = g2.project_3form(gamma, phi, psi, m)
     worst = max(worst, float(np.max(np.abs(p1 + p7 + p27 - gamma))))
     for x, y in ((p1, p7), (p1, p27), (p7, p27)):
@@ -569,18 +649,19 @@ LAST_READER = {
 
 
 def run_check(ctx: SuiteContext, index: int) -> CheckResult:
-    """Run CHECKS[index] on ctx's fixtures with the generator default_rng([ctx.seed, index]).
+    """Run CHECKS[index] on ctx's fixtures with the generator Draws(ctx.seed, index).
 
     The entry is read at call time, so a wrapper installed into CHECKS in
-    place is the one that runs. A check that raises fails, with its error.
+    place is the one that runs. A check that raises or returns a residual
+    that is not finite fails with its error, and its max_residual is None.
     """
     name, tol, fn = CHECKS[index]
-    rng = np.random.default_rng([ctx.seed, index])
     try:
-        residual = float(fn(rng, ctx))
+        residual = float(fn(Draws(ctx.seed, index), ctx))
     except Exception as exc:  # a raised identity is a failed identity
-        return CheckResult(name, tol, float("inf"), False,
-                           error=f"{type(exc).__name__}: {exc}")
+        return CheckResult(name, tol, None, False, error=f"{type(exc).__name__}: {exc}")
+    if not math.isfinite(residual):  # JSON has no nan or inf
+        return CheckResult(name, tol, None, False, error=f"non-finite residual {residual}")
     return CheckResult(name, tol, residual, residual <= tol)
 
 

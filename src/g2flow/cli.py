@@ -38,14 +38,12 @@ def cmd_check(args) -> int:
     report = run_identity_suite(seed=args.seed, n_random=args.n_random)
     for c in report["checks"]:
         flag = "PASS" if c["passed"] else "FAIL"
-        line = f"{flag} {c['name']}: residual {c['max_residual']:.3e} (tol {c['tolerance']:.1e})"
-        if c.get("error"):
-            line += f" [{c['error']}]"
-        print(line)
+        value = c.get("error") or f"residual {c['max_residual']:.3e}"
+        print(f"{flag} {c['name']}: {value} (tol {c['tolerance']:.1e})")
     if report_path:
         try:
-            ckpt.replace_atomically(report_path, (json.dumps(report, indent=2, sort_keys=True)
-                                                  + "\n").encode())
+            ckpt.replace_atomically(report_path, (json.dumps(
+                report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
         except OSError as exc:
             raise ConfigError(f"cannot write the report to {report_path}: {exc}") from exc
     if report["passed"]:

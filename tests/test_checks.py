@@ -1,4 +1,5 @@
-"""The identity suite case by case, the defects its checks must catch, and their memory.
+"""The identity suite case by case, the defects its checks must catch, their memory,
+and the counter-based generator its inputs come from.
 
 Each defect was caught by a tier-1 restatement of a check's identity, since
 deleted; the check must fail under it in the restatement's place. The two
@@ -11,6 +12,7 @@ alone.
 
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -78,6 +80,11 @@ def _rm_term_added(name, term):
     return mutant
 
 
+def _roundoff_scaled(i_phi):
+    """i_phi off by 1e-8 relative, which the gap over max(|lhs|, 1) still sees."""
+    return _scaled(1 + 1e-8)(i_phi)
+
+
 E12, E34, OMEGA = _two_form((1, 2)), _two_form((3, 4)), _two_form((1, 2), (3, 4))
 # delta_ij e12 is symmetric in ij. e12 (x) e34 is antisymmetric in ij and in kl
 # but not pair-symmetric, so it breaks the first Bianchi identity too: the two
@@ -94,6 +101,7 @@ _BIANCHI_BROKEN = _rm_term_added(
 DEFECTS = [
     (checks, "j_phi_raw", _scaled(1.001), "j_phi(i_phi(h)) = 4h + 2tr(h) metric"),
     (g2, "i_phi", _scaled(1.001), "|i_phi(h)|^2 = (tr h)^2 + 2 h.h"),
+    (g2, "i_phi", _roundoff_scaled, "|i_phi(h)|^2 = (tr h)^2 + 2 h.h"),
     (g2, "_METRIC_SCALE", lambda scale: 1.001 * scale, "|phi|^2 = |psi|^2 = 7"),
     (Lattice, "partial_array", _first_site_dropped, "Stokes on the closed torus"),
     (lattice, "derivative_matrix", _identity_added, "Stokes on the closed torus"),
@@ -110,9 +118,10 @@ DEFECTS = [
 
 
 IDS = [f"{attr}: {name}" for _, attr, _, name in DEFECTS]
-# an attribute with two defects for one check is told apart by its mutant
-IDS = [f"{i} ({mutant.__name__.lstrip('_')})" if IDS.count(i) > 1 else i
-       for i, (_, _, mutant, _) in zip(IDS, DEFECTS)]
+# an attribute with two defects for one check is told apart by its mutant's
+# name; a lambda mutant keeps the plain id
+IDS = [f"{i} ({mutant.__name__.lstrip('_')})" if IDS.count(i) > 1 and mutant.__name__ != "<lambda>"
+       else i for i, (_, _, mutant, _) in zip(IDS, DEFECTS)]
 
 
 @pytest.mark.parametrize("owner, attr, mutant, name", DEFECTS, ids=IDS)
@@ -130,14 +139,42 @@ def test_defect_fails_its_check(monkeypatch, owner, attr, mutant, name):
 # 0.45 since it comes in 16-site pieces of one-row slabs),
 # nabla phi reconstruction 1.57 and 1.60 (0.10 since it runs on site
 # blocks), closed torsion 3.46 and 1.28 (a whole-grid raise of psi and
-# (7, 35) tables of phi and psi), full torsion assembly 5.03 and 3.33
-# (those, a cached connection and phi's 7^3 expansion).
+# (7, 35) tables of phi and psi; 1.30 with the table caches cold and 1.07
+# warm, and 1.05 and 0.79 since extract_torsion_forms runs on site blocks),
+# full torsion assembly 5.03 and 3.33 (those, a cached connection and phi's
+# 7^3 expansion).
 PEAK_CONNECTIONS = {
     "Riemann tensor symmetries": 0.6,
     "torsion reconstructs nabla phi": 0.2,
-    "closed torsion: skew, -tau2/2, types": 2.0,
+    "closed torsion: skew, -tau2/2, types": 1.15,
     "full torsion = tau-form assembly": 3.75,
 }
+
+
+def _whole_grid_torsion_forms(structure):
+    """extract_torsion_forms with its star and type decomposition over the whole grid."""
+    phi, psi = structure.phi.data, structure.psi.data
+    v3 = g2.hodge_star(lattice.exterior_derivative(structure.phi).data, 4, structure)
+    _, v7, tau3 = g2.project_3form(v3, phi, psi, structure)
+    star_v7 = g2.hodge_star(v7, 3, structure)
+    m1_t = 3.0 * np.swapaxes(tables.apply_table(tables.wedge_table(1, 3), phi), -1, -2)
+    tau1 = np.linalg.solve(m1_t @ np.swapaxes(m1_t, -1, -2), m1_t @ star_v7[..., None])[..., 0]
+    wedge_psi = tables.apply_table(tables.wedge_table(1, 4), psi)
+    rho = (lattice.exterior_derivative(structure.psi).data
+           - 4.0 * (wedge_psi @ tau1[..., None])[..., 0])
+    tau2 = np.linalg.solve(tables.apply_table(tables.wedge_table(2, 3), phi), rho[..., None])[..., 0]
+    return g2.form_inner(v3, phi, 3, structure) / 7.0, tau1, tau2, tau3
+
+
+def test_torsion_forms_on_site_blocks_equal_whole_grid(ctx):
+    # the closed structure's tau2 and a structure that is not closed, whose
+    # tau0, tau1 and tau3 do not vanish; every kernel runs on the same blocks
+    st, lat = ctx.closed_structure()
+    pert = checks._band_limited(lat, 3, checks.Draws(0, 0), n_modes=4, amp=5e-3)
+    for structure in (st, g2.G2Structure.from_phi(lattice.FormField(lat, 3, g2.PHI0 + pert.data))):
+        td = checks.extract_torsion_forms(structure)
+        for got, want in zip((td.tau0, td.tau1, td.tau2, td.tau3), _whole_grid_torsion_forms(structure)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", PEAK_CONNECTIONS)
@@ -250,3 +287,69 @@ def test_suite_peak_in_connections():
     conn = 7 ** 3 * 32 ** 2 * 8  # one whole-grid Gamma of the 2-D n=32 structure
     peak = _traced_peak(lambda: checks.run_identity_suite(0, 256))
     assert peak < 5.0 * conn, f"traced peak {peak / conn:.2f} connections"
+
+
+# --- the suite's generator and scale ---------------------------------------------
+
+def test_norm_identity_gap_is_relative_to_the_sides(monkeypatch):
+    # h of size 1e3 puts |i_phi(h)|^2 near 1e7, whose roundoff exceeds an
+    # absolute 1e-10; the gap over max(|lhs|, 1) stays at roundoff. h is no draw.
+    n = 64
+    h = 1e3 * np.cos(np.arange(n * 49.0)).reshape(n, 7, 7)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    ctx = checks.SuiteContext(0, n)
+    phi, _, m, _ = ctx.pointwise()
+    lhs, rhs = checks._norm_identity_sides(h, phi, m)
+    assert np.max(np.abs(lhs - rhs)) > checks.POINTWISE_TOL
+    monkeypatch.setattr(checks, "_random_symmetric", lambda rng, n: h)
+    result = checks.run_check(ctx, NAMES.index("|i_phi(h)|^2 = (tr h)^2 + 2 h.h"))
+    assert result.passed, result.to_dict()
+
+
+def test_draws_repeat_per_seed_and_stream():
+    first = checks.Draws(7, 3).uniform(0.0, 1.0, 1000)
+    assert np.array_equal(first, checks.Draws(7, 3).uniform(0.0, 1.0, 1000))
+    for other in (checks.Draws(7, 4), checks.Draws(8, 3)):
+        assert not np.any(first == other.uniform(0.0, 1.0, 1000))
+
+
+@pytest.mark.parametrize("method, args", [("uniform", (-2.0, 3.0)), ("integers", (-3, 4))])
+@pytest.mark.parametrize("n", [7, 100])  # looped words, and one uint64 array
+def test_draws_scalar_path_equals_array_path(method, args, n):
+    # n scalars, a scalar and an (n - 1) array, and one array of n read the same words
+    whole = list(getattr(checks.Draws(5, 1), method)(*args, n))
+    singles = checks.Draws(5, 1)
+    assert [getattr(singles, method)(*args) for _ in range(n)] == whole
+    mixed = checks.Draws(5, 1)
+    assert [getattr(mixed, method)(*args)] + list(getattr(mixed, method)(*args, (1, n - 1)).ravel()) == whole
+
+
+def test_draws_stay_in_range_and_cover_it():
+    draws = checks.Draws(0, 0)
+    u = draws.uniform(-1.5, 2.5, 100_000)
+    assert u.min() >= -1.5 and u.max() < 2.5
+    k = draws.integers(-3, 4, 100_000)
+    assert k.dtype == np.int64 and set(np.unique(k)) == set(range(-3, 4))
+    assert set(np.unique(draws.integers(5, size=1000))) == set(range(5))
+
+
+def test_centred_draws_have_unit_variance():
+    # 1e5 uniforms on [-sqrt 3, sqrt 3]: the mean's sigma is 1/sqrt(n), and
+    # the sample variance's is sqrt((E x^4 - 1)/n) with E x^4 = 9/5
+    n = 100_000
+    x = checks._centred(checks.Draws(0, 0), n)
+    assert np.all(np.abs(x) <= 3.0 ** 0.5)
+    assert abs(x.mean()) < 5.0 / n ** 0.5
+    assert abs(np.mean(x * x) - 1.0) < 5.0 * (0.8 / n) ** 0.5
+
+
+def test_draws_never_warn():
+    # every word wraps mod 2^64; numpy warns on a wrapping uint64 scalar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2 ** 64 - 1, 10 ** 30):
+            draws = checks.Draws(seed, 2 ** 63)
+            draws.uniform(0.0, 1.0, (3, 4))
+            draws.uniform()
+            draws.integers(0, 10)
+            draws.integers(0, 10, 5)

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from g2flow import cli, flow
+from g2flow import checks, cli, flow
 from g2flow import io as ckpt
 from g2flow import g2algebra as g2
 from g2flow.checks import CHECKS, SuiteContext, run_check, run_identity_suite
@@ -140,6 +140,28 @@ def test_check_with_too_long_report_name_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot write the report" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("outcome", [RuntimeError("boom"), float("nan")], ids=["raises", "nan"])
+def test_failed_check_report_is_json(tmp_path, capsys, monkeypatch, outcome):
+    # a check that raises, or returns a residual that is not finite, fails
+    # with a null residual beside its error, and the report holds no NaN or
+    # Infinity, which are not JSON
+    def broken(rng, ctx):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    name, tol, _ = CHECKS[0]
+    monkeypatch.setattr(checks, "CHECKS", [(name, tol, broken)] + CHECKS[1:])
+    report_path = tmp_path / "report.json"
+    assert cli.main(["check", "--n-random", "5", "--report", str(report_path)]) == 1
+    entry = json.loads(report_path.read_text(), parse_constant=no_constant)["checks"][0]
+    assert entry["max_residual"] is None and entry["passed"] is False
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == f"FAIL {name}: {entry['error']} (tol {tol:.1e})"
 
 
 def test_check_deterministic_same_seed(tmp_path):

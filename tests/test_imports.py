@@ -1,6 +1,8 @@
 """What a `g2flow` process loads: no scipy, since derivatives are numpy
 matmuls, and in a flow no OpenSSL, since checkpoints hash with CPython's
-built-in SHA-256, and no check suite, which only `g2flow check` imports."""
+built-in SHA-256, and no check suite, which only `g2flow check` imports. A
+check loads no OpenSSL either: its inputs come from checks.Draws, not
+numpy.random, which imports secrets and through hmac OpenSSL's _hashlib."""
 
 import json
 import os
@@ -43,3 +45,10 @@ def test_flow_run_loads_no_openssl(tmp_path):
             "print('_hashlib' in sys.modules, 'g2flow.checks' in sys.modules)\n")
     assert _fresh_interpreter(code, cwd=tmp_path)[-2:] == ["0", "False False"]
     assert (tmp_path / "out" / "checkpoints" / "step_00000002.json").exists()
+
+
+def test_check_run_loads_no_numpy_random():
+    code = ("import sys, g2flow.cli\n"
+            "print(g2flow.cli.main(['check', '--n-random', '16']))\n"
+            "print(*(m in sys.modules for m in ('numpy.random', 'secrets', '_hashlib')))\n")
+    assert _fresh_interpreter(code)[-2:] == ["0", "False False False"]
